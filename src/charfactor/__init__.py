@@ -11,6 +11,7 @@ from .minimal_model import (
     InvalidLabel,
     InvalidModel,
     MinimalModel,
+    bosonic_numerator,
     central_charge,
     character,
     conformal_dim,
@@ -91,6 +92,7 @@ __all__ = [
     "SignViolation",
     "SignedMonomial",
     "applicability_error",
+    "bosonic_numerator",
     "build_lhs",
     "build_rhs",
     "canonicalize",

@@ -181,7 +181,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is the optional `numba` extra
     HAVE_NUMBA = False
 
 if HAVE_NUMBA:

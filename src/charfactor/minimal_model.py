@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import ShiftedSeries, bilateral_sum, partition_series
+from .series import ShiftedSeries, bilateral_sum, partition_series, quadratic_window
 
 
 class InvalidModel(ValueError):
@@ -71,21 +71,32 @@ def central_charge(model: MinimalModel) -> Fraction:
     return 1 - Fraction(6 * (p - pp) ** 2, p * pp)
 
 
-def normalized_character(model: MinimalModel, label: CharacterLabel, order: int) -> ShiftedSeries:
-    """Character divided by q**Delta: offset 0, constant term 1, exact to ``order``."""
+def bosonic_numerator(model: MinimalModel, label: CharacterLabel, order: int) -> list[int]:
+    """Coefficients 0..order of theta_{r,s} = chi_{r,s} * q**-Delta * (q;q)_inf.
+
+    The two bilateral sums of the module docstring, each over exactly the j
+    whose exponent is at most ``order``.
+    """
     _check_label(model, label)
     p, pp = model.p, model.p_prime
     r, s = label.r, label.s
-    coeffs = [0] * (order + 1)
     ppp = p * pp
-    for sign, lin, const in ((1, pp * r - p * s, 0), (-1, pp * r + p * s, r * s)):
-        def term(j: int, lin=lin, const=const, sign=sign):
-            yield ppp * j * j + lin * j + const, sign
+    lin_plus, lin_minus = pp * r - p * s, pp * r + p * s
 
-        partial = bilateral_sum(order, term)
-        for d, c in enumerate(partial):
-            coeffs[d] += c
-    return ShiftedSeries(coeffs) * partition_series(order)
+    def plus(j: int):
+        return ppp * j * j + lin_plus * j, 1
+
+    def minus(j: int):
+        return ppp * j * j + lin_minus * j + r * s, 1
+
+    a = bilateral_sum(order, plus, quadratic_window(ppp, lin_plus, 0, order))
+    b = bilateral_sum(order, minus, quadratic_window(ppp, lin_minus, r * s, order))
+    return [x - y for x, y in zip(a, b)]
+
+
+def normalized_character(model: MinimalModel, label: CharacterLabel, order: int) -> ShiftedSeries:
+    """Character divided by q**Delta: offset 0, constant term 1, exact to ``order``."""
+    return ShiftedSeries(bosonic_numerator(model, label, order)) * partition_series(order)
 
 
 def character(model: MinimalModel, label: CharacterLabel, order: int) -> ShiftedSeries:

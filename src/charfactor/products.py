@@ -14,9 +14,9 @@ TRIPLE_PLAIN = (1, 1, 1, 1)
 QUINTUPLE_PLAIN = (1, 1, 1, 1, 1, 1)
 
 
-def triple_side(ap: int, B: int, c: int, n: int, order: int,
-                signs: tuple[int, int, int, int] = TRIPLE_PLAIN) -> ShiftedSeries:
-    """(s1 q^{B(a'-c)/2}, s2 q^{B(a'+c)/2}, s3 q^{Ba'}; sb q^{Ba'}) / (q^n; q^n)."""
+def triple_numerator(ap: int, B: int, c: int, order: int,
+                     signs: tuple[int, int, int, int] = TRIPLE_PLAIN) -> ShiftedSeries:
+    """(s1 q^{B(a'-c)/2}, s2 q^{B(a'+c)/2}, s3 q^{Ba'}; sb q^{Ba'})."""
     s1, s2, s3, sb = signs
     if (ap - c) % 2 != 0:
         raise ValueError(f"a' and c must have equal parity for a triple product (a'={ap}, c={c})")
@@ -25,14 +25,12 @@ def triple_side(ap: int, B: int, c: int, n: int, order: int,
         SignedMonomial(s2, B * (ap + c) // 2),
         SignedMonomial(s3, B * ap),
     )
-    num = pochhammer(factors, SignedMonomial(sb, B * ap), order)
-    return num * inverse_euler_power(n, order)
+    return pochhammer(factors, SignedMonomial(sb, B * ap), order)
 
 
-def quintuple_side(ap: int, B: int, c: int, n: int, order: int,
-                   signs: tuple[int, int, int, int, int, int] = QUINTUPLE_PLAIN) -> ShiftedSeries:
-    """(s1 q^{Bc}, s2 q^{B(2a'-c)}, s3 q^{2Ba'}; sb q^{2Ba'})
-    (t1 q^{2B(a'+c)}, t2 q^{2B(a'-c)}; q^{4Ba'}) / (q^n; q^n)."""
+def quintuple_numerator(ap: int, B: int, c: int, order: int,
+                        signs: tuple[int, int, int, int, int, int] = QUINTUPLE_PLAIN) -> ShiftedSeries:
+    """(s1 q^{Bc}, s2 q^{B(2a'-c)}, s3 q^{2Ba'}; sb q^{2Ba'}) (t1 q^{2B(a'+c)}, t2 q^{2B(a'-c)}; q^{4Ba'})."""
     s1, s2, s3, sb, t1, t2 = signs
     first = pochhammer(
         (
@@ -51,4 +49,16 @@ def quintuple_side(ap: int, B: int, c: int, n: int, order: int,
         SignedMonomial(1, 4 * B * ap),
         order,
     )
-    return first * second * inverse_euler_power(n, order)
+    return first * second
+
+
+def triple_side(ap: int, B: int, c: int, n: int, order: int,
+                signs: tuple[int, int, int, int] = TRIPLE_PLAIN) -> ShiftedSeries:
+    """:func:`triple_numerator` / (q^n; q^n)."""
+    return triple_numerator(ap, B, c, order, signs) * inverse_euler_power(n, order)
+
+
+def quintuple_side(ap: int, B: int, c: int, n: int, order: int,
+                   signs: tuple[int, int, int, int, int, int] = QUINTUPLE_PLAIN) -> ShiftedSeries:
+    """:func:`quintuple_numerator` / (q^n; q^n)."""
+    return quintuple_numerator(ap, B, c, order, signs) * inverse_euler_power(n, order)

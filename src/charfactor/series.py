@@ -378,30 +378,35 @@ def pochhammer(factors: Iterable[SignedMonomial], base: SignedMonomial, order: i
     return ShiftedSeries(coeffs)
 
 
-def bilateral_sum(order: int, term: Callable[[int], Iterable[tuple[int, int]]],
+def quadratic_window(a: int, b: int, c: int, bound: int) -> range:
+    """Every integer j with ``a*j*j + b*j + c <= bound``, for integers a > 0, b, c.
+
+    The roots of the quadratic are (-b -+ sqrt(D)) / 2a with D = b^2 - 4a(c - bound);
+    replacing sqrt(D) by isqrt(D) leaves both integer bounds unchanged, because
+    floor((m + f) / k) == floor(m / k) for integers m, k > 0 and 0 <= f < 1.
+    """
+    disc = b * b - 4 * a * (c - bound)
+    if disc < 0:
+        return range(0)
+    r = math.isqrt(disc)
+    return range(-((b + r) // (2 * a)), (r - b) // (2 * a) + 1)
+
+
+def bilateral_sum(order: int, term: Callable[[int], tuple[int, int]], window: range,
                   error_label: str = "divergent theta parameters") -> list[int]:
     """Accumulate a bilateral sum over j in Z of integer-exponent terms.
 
-    ``term(j)`` yields (exponent, coefficient) pairs.  Iteration runs outward
-    from j=0 in both directions and a direction stops after two consecutive j
-    whose terms all exceed ``order`` (safe for the quadratically growing
-    exponents used here).  A term with negative exponent raises.
+    ``term(j)`` gives one (exponent, coefficient) pair, and ``window`` holds
+    exactly the j whose exponent is at most ``order``, as
+    :func:`quadratic_window` gives them.  Such a window, when not empty, holds
+    the j of least exponent, so a negative exponent anywhere raises.
     """
     coeffs = [0] * (order + 1)
-    for direction in (1, -1):
-        misses = 0
-        j = 0 if direction == 1 else -1
-        while misses < 2:
-            hit = False
-            for e, c in term(j):
-                if e < 0:
-                    raise SeriesError(f"{error_label}: exponent {e} at index j={j}")
-                if e <= order:
-                    hit = True
-                    if c:
-                        coeffs[e] += c
-            misses = 0 if hit else misses + 1
-            j += direction
+    for j in window:
+        e, c = term(j)
+        if e < 0:
+            raise SeriesError(f"{error_label}: exponent {e} at index j={j}")
+        coeffs[e] += c
     return coeffs
 
 
@@ -421,11 +426,11 @@ def triple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedS
 
     def term(j: int):
         tri = j * (j - 1) // 2
-        e = j * eu + ev * tri
-        c = (-su if (j & 1) else 1) * (sv if (tri & 1) else 1)
-        yield e, c
+        return j * eu + ev * tri, (-su if (j & 1) else 1) * (sv if (tri & 1) else 1)
 
-    return ShiftedSeries(bilateral_sum(order, term))
+    # twice the exponent is ev*j^2 + (2eu - ev)*j
+    window = quadratic_window(ev, 2 * eu - ev, 0, 2 * order)
+    return ShiftedSeries(bilateral_sum(order, term, window))
 
 
 def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedSeries:
@@ -439,23 +444,20 @@ def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> Shift
         raise SeriesError("non-convergent theta sum: v must have positive exponent")
     eu, su = u.exponent, u.sign
     ev, sv = v.exponent, v.sign
+    label = "divergent quintuple parameters"
 
-    def term(j: int):
+    def first(j: int):
         tri = j * (3 * j + 1) // 2
-        sv_t = sv if (tri & 1) else 1
-        e1 = -3 * j * eu + ev * tri
-        c1 = (su if (j & 1) else 1) * sv_t
-        e2 = (3 * j + 1) * eu + ev * tri
-        c2 = -(su if ((3 * j + 1) & 1) else 1) * sv_t
-        if e1 == e2:
-            c = c1 + c2
-            if c:
-                yield e1, c
-        else:
-            yield e1, c1
-            yield e2, c2
+        return -3 * j * eu + ev * tri, (su if (j & 1) else 1) * (sv if (tri & 1) else 1)
 
-    return ShiftedSeries(bilateral_sum(order, term, "divergent quintuple parameters"))
+    def second(j: int):
+        tri = j * (3 * j + 1) // 2
+        return (3 * j + 1) * eu + ev * tri, -(su if ((3 * j + 1) & 1) else 1) * (sv if (tri & 1) else 1)
+
+    # twice the exponents are 3ev*j^2 + (ev -+ 6eu)*j (+ 2eu)
+    a = bilateral_sum(order, first, quadratic_window(3 * ev, ev - 6 * eu, 0, 2 * order), label)
+    b = bilateral_sum(order, second, quadratic_window(3 * ev, ev + 6 * eu, 2 * eu, 2 * order), label)
+    return ShiftedSeries([x + y for x, y in zip(a, b)])
 
 
 # ---------------------------------------------------------------------------

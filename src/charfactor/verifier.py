@@ -7,6 +7,18 @@ extra parity conditions hold; their per-character sign rules involve the
 triangular parities of the pair weights, and the two documented readings of
 each rule ("as stated" and its swap) are both checked, with the certificate
 recording which one held.
+
+:func:`verify` compares numerators.  Each character is
+q**Delta * theta_{r,s}(q) / (q;q)_inf, so at q**n both sides carry the factor
+1/(q^n;q^n), and it cancels: the product side leaves its Pochhammer
+numerator, the character side leaves the sum over pairs of
+sign * q**(E + n*Delta) * theta_{r,s}(q**n), a sparse sum of small integers.
+Because (q^n;q^n) has constant term 1, two series agree up to degree d exactly
+when their numerators do, so the verdict and the first mismatch degree are
+those of the full sides.  The certificate's 16-term prefixes are still
+full-side coefficients: each is its numerator's first terms times the first
+terms of 1/(q^n;q^n).  :func:`build_lhs` and :func:`build_rhs` give the full
+sides as the same numerators times 1/(q^n;q^n).
 """
 
 from __future__ import annotations
@@ -18,10 +30,11 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import products
-from .minimal_model import CharacterLabel, MinimalModel, conformal_dim, normalized_character
+from .minimal_model import CharacterLabel, MinimalModel, bosonic_numerator, conformal_dim
+from .minimal_model import normalized_character  # noqa: F401  (perfbench/tracing.py patches this name)
 from .pairs import ContributingPair, contributing_pairs
 from .params import FactorizationParams, ParameterError, Scheme, divisors
-from .series import SeriesError, ShiftedSeries
+from .series import SeriesError, ShiftedSeries, inverse_euler_power
 
 AS_STATED = "as_stated"
 SWAPPED = "swapped"
@@ -109,12 +122,16 @@ def _require_applicable(kind: IdentityKind, fp: FactorizationParams) -> None:
         raise ParameterError(f"precondition failed: {err}")
 
 
+def _lhs_numerator(kind: IdentityKind, fp: FactorizationParams, order: int) -> ShiftedSeries:
+    if kind.scheme is Scheme.TRIPLE:
+        return products.triple_numerator(fp.a_prime, fp.B, fp.c, order, _TRIPLE_SIGNS[kind])
+    return products.quintuple_numerator(fp.a_prime, fp.B, fp.c, order, _QUINTUPLE_SIGNS[kind])
+
+
 def build_lhs(kind: IdentityKind, fp: FactorizationParams, order: int) -> ShiftedSeries:
     """The exact product side on the integer grid, truncated at ``order``."""
     _require_applicable(kind, fp)
-    if kind.scheme is Scheme.TRIPLE:
-        return products.triple_side(fp.a_prime, fp.B, fp.c, fp.n, order, _TRIPLE_SIGNS[kind])
-    return products.quintuple_side(fp.a_prime, fp.B, fp.c, fp.n, order, _QUINTUPLE_SIGNS[kind])
+    return _lhs_numerator(kind, fp, order) * inverse_euler_power(fp.n, order)
 
 
 def prefactor_exponent(fp: FactorizationParams) -> Fraction:
@@ -169,21 +186,17 @@ def pair_sign(kind: IdentityKind, pair: ContributingPair, variant: str = AS_STAT
     raise ValueError(kind)
 
 
-def build_rhs(kind: IdentityKind, fp: FactorizationParams, order: int,
-              variant: str = AS_STATED) -> ShiftedSeries:
-    """The signed character sum with its prefactor, re-indexed on the integer grid.
+def _character_terms(fp: FactorizationParams, pairs: list[ContributingPair],
+                     order: int) -> list[list[tuple[int, int]]]:
+    """Per pair, the nonzero (degree, coefficient) terms of q**(E + n*Delta) theta(q**n) to ``order``.
 
-    Each summand is q**(E + n*Delta) times the normalized character in q**n;
-    that combined exponent must be a nonnegative integer for every
+    The combined exponent E + n*Delta must be a nonnegative integer for every
     contributing pair, else the parameters are rejected.
     """
-    _require_applicable(kind, fp)
-    pairs = contributing_pairs(fp)
     model = MinimalModel(fp.p, fp.p_prime)
     e_pref = prefactor_exponent(fp)
     n = fp.n
-    char_order = -(-order // n)
-    acc = ShiftedSeries.zero(order)
+    out = []
     for pair in pairs:
         label = CharacterLabel(pair.r * fp.b, pair.s * fp.b_prime)
         offset = e_pref + n * conformal_dim(model, label)
@@ -192,10 +205,30 @@ def build_rhs(kind: IdentityKind, fp: FactorizationParams, order: int,
                 f"non-integral identity side: character ({label.r},{label.s}) "
                 f"sits at exponent {offset}"
             )
-        term = normalized_character(model, label, char_order).substitute_power(n).shift(offset)
+        offset = int(offset)
+        theta = bosonic_numerator(model, label, (order - offset) // n) if offset <= order else []
+        out.append([(offset + n * d, c) for d, c in enumerate(theta) if c])
+    return out
+
+
+def _signed_sum(kind: IdentityKind, pairs: list[ContributingPair],
+                terms: list[list[tuple[int, int]]], variant: str, order: int) -> list[int]:
+    """Coefficients 0..order of the character-side numerator under one sign reading."""
+    out = [0] * (order + 1)
+    for pair, pair_terms in zip(pairs, terms):
         sign = pair_sign(kind, pair, variant)
-        acc = acc + (term if sign > 0 else -term)
-    return acc.as_integer_series().truncated(order)
+        for d, c in pair_terms:
+            out[d] += sign * c
+    return out
+
+
+def build_rhs(kind: IdentityKind, fp: FactorizationParams, order: int,
+              variant: str = AS_STATED) -> ShiftedSeries:
+    """The signed character sum with its prefactor, on the integer grid, truncated at ``order``."""
+    _require_applicable(kind, fp)
+    pairs = contributing_pairs(fp)
+    num = _signed_sum(kind, pairs, _character_terms(fp, pairs, order), variant, order)
+    return ShiftedSeries(num) * inverse_euler_power(fp.n, order)
 
 
 @dataclass
@@ -248,31 +281,40 @@ def integer_coefficients(series: ShiftedSeries, order: int) -> list[int]:
 
 
 def first_mismatch_degree(lhs: list[int], rhs: list[int]) -> int | None:
+    if lhs == rhs:
+        return None
     for i, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
             return i
     return None
 
 
+def _full_prefix(numerator: list[int], n: int, length: int) -> list[int]:
+    """The first ``length`` coefficients of numerator / (q^n; q^n)."""
+    return (ShiftedSeries(numerator[:length]) * inverse_euler_power(n, length - 1)).coeffs
+
+
 def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCertificate:
-    """Compare both sides exactly to ``order``; failure is a certificate, not an error.
+    """Compare both numerators exactly to ``order``; failure is a certificate, not an error.
 
     For the signed kinds the stated rule is tried first and the swapped rule
     second; a failed certificate reports the mismatch against the stated rule.
     """
     _require_applicable(kind, fp)
     pairs = contributing_pairs(fp)
-    lhs = integer_coefficients(build_lhs(kind, fp, order), order)
-    rhs = integer_coefficients(build_rhs(kind, fp, order, AS_STATED), order)
+    lhs = integer_coefficients(_lhs_numerator(kind, fp, order), order)
+    terms = _character_terms(fp, pairs, order)
+    rhs = _signed_sum(kind, pairs, terms, AS_STATED, order)
     variant = AS_STATED
     mismatch = first_mismatch_degree(lhs, rhs)
     if mismatch is not None and kind.has_variants:
-        swapped_rhs = integer_coefficients(build_rhs(kind, fp, order, SWAPPED), order)
+        swapped_rhs = _signed_sum(kind, pairs, terms, SWAPPED, order)
         if first_mismatch_degree(lhs, swapped_rhs) is None:
-            rhs = swapped_rhs
             variant = SWAPPED
             mismatch = None
     match = mismatch is None
+    length = min(PREFIX_LEN, order + 1)
+    lhs_prefix = _full_prefix(lhs, fp.n, length)
     return IdentityCertificate(
         kind=kind,
         params=fp,
@@ -281,8 +323,8 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
         match=match,
         sign_variant=variant if match else FAILED,
         first_mismatch=mismatch,
-        lhs_prefix=lhs[:PREFIX_LEN],
-        rhs_prefix=rhs[:PREFIX_LEN],
+        lhs_prefix=lhs_prefix,
+        rhs_prefix=list(lhs_prefix) if match else _full_prefix(rhs, fp.n, length),
     )
 
 

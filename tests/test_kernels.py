@@ -95,13 +95,14 @@ def test_lanes_agree():
 
 
 def test_env_flag_selects_numpy_lane():
+    import os
     import subprocess
     import sys
 
     code = "import charfactor._kernels as k; print(k.LANE)"
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "CHARFACTOR_NUMBA": "0"},
+        env=dict(os.environ, CHARFACTOR_NUMBA="0"),
         capture_output=True,
         text=True,
         check=True,

@@ -1,17 +1,19 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charfactor.series import (
     SeriesError,
     ShiftedSeries,
     SignedMonomial,
+    bilateral_sum,
     euler_product,
     inverse_euler_power,
     partition_series,
     pochhammer,
+    quadratic_window,
     quintuple_product,
     triple_product,
 )
@@ -270,6 +272,39 @@ def test_pochhammer_matches_naive_expansion(factors, sbase, ebase):
 # ----------------------------------------------------------------------------
 # theta sums
 # ----------------------------------------------------------------------------
+
+@given(
+    a=st.integers(1, 6),
+    b=st.integers(-10**5, 10**5),
+    slack=st.integers(0, 40),
+    order=st.integers(0, 80),
+)
+@example(a=1, b=-20, slack=0, order=5)  # (j - 10)^2: every term sits far from j = 0
+@settings(max_examples=200, deadline=None)
+def test_bilateral_sum_covers_the_exact_window(a, b, slack, order):
+    # a*j^2 + b*j + c with its least integer value equal to slack >= 0
+    near = -b // (2 * a)
+    c = slack - min(a * j * j + b * j for j in (near - 1, near, near + 1, near + 2))
+    brute = range(near - 1000, near + 1001)
+
+    def term(j):
+        return a * j * j + b * j + c, j % 3 - 1
+
+    want = [0] * (order + 1)
+    for j in brute:
+        e, coeff = term(j)
+        assert e >= 0
+        if e <= order:
+            want[e] += coeff
+    window = quadratic_window(a, b, c, order)
+    assert list(window) == [j for j in brute if term(j)[0] <= order]
+    assert bilateral_sum(order, term, window) == want
+
+
+def test_bilateral_sum_rejects_negative_exponents():
+    with pytest.raises(SeriesError, match="divergent"):
+        bilateral_sum(5, lambda j: ((j - 10) ** 2 - 1, 1), quadratic_window(1, -20, 99, 5))
+
 
 def test_triple_product_pentagonal():
     want = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1]

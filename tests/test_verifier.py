@@ -3,18 +3,25 @@ from fractions import Fraction as F
 
 import pytest
 
+import charfactor.verifier as vf
+from charfactor.minimal_model import CharacterLabel, MinimalModel, conformal_dim, normalized_character
+from charfactor.pairs import contributing_pairs
 from charfactor.params import ParameterError, ProductParams, Scheme, validate
 from charfactor.scanner import phi_series
 from charfactor.series import ShiftedSeries
 from charfactor.verifier import (
     AS_STATED,
+    PREFIX_LEN,
     SWAPPED,
+    IdentityCertificate,
     IdentityKind,
     applicability_error,
     build_lhs,
     build_rhs,
+    first_mismatch_degree,
     integer_coefficients,
     iter_applicable_params,
+    pair_sign,
     prefactor_exponent,
     verify,
     verify_remark_products,
@@ -150,8 +157,6 @@ def test_certificate_json_schema():
 
 def test_failed_certificate_reports_mismatch_degree(monkeypatch):
     # corrupt the sign rule so both variants miss; the certificate must say so
-    import charfactor.verifier as vf
-
     fp = triple(2, 9, 3)
     monkeypatch.setattr(vf, "pair_sign", lambda kind, pair, variant=AS_STATED: 1)
     cert = vf.verify(IdentityKind.MAIN, fp, 40)
@@ -178,3 +183,58 @@ def test_phi_3113_is_remark_factor():
     # phi(3,1,1,1) telescopes to the constant series 1
     one = phi_series(ProductParams(Scheme.TRIPLE, 3, 1, 1, 1), 50)
     assert one == ShiftedSeries.one(50)
+
+
+def _full_side_certificate(kind, fp, order):
+    """The certificate as built from both full sides, without cancelling 1/(q^n;q^n)."""
+    lhs = integer_coefficients(build_lhs(kind, fp, order), order)
+    rhs = integer_coefficients(build_rhs(kind, fp, order, AS_STATED), order)
+    variant = AS_STATED
+    mismatch = first_mismatch_degree(lhs, rhs)
+    if mismatch is not None and kind.has_variants:
+        swapped = integer_coefficients(build_rhs(kind, fp, order, SWAPPED), order)
+        if first_mismatch_degree(lhs, swapped) is None:
+            rhs, variant, mismatch = swapped, SWAPPED, None
+    return IdentityCertificate(
+        kind=kind, params=fp, order=order, pairs=contributing_pairs(fp),
+        match=mismatch is None, sign_variant=variant if mismatch is None else "failed",
+        first_mismatch=mismatch, lhs_prefix=lhs[:PREFIX_LEN], rhs_prefix=rhs[:PREFIX_LEN],
+    )
+
+
+SIGN_RULES = {
+    "pair_sign": pair_sign,
+    "constant": lambda kind, pair, variant=AS_STATED: 1,
+    "weight_mod_3": lambda kind, pair, variant=AS_STATED: 1 if pair.weight % 3 == 0 else -1,
+}
+
+
+@pytest.mark.parametrize("rule", SIGN_RULES)
+def test_numerator_certificates_equal_full_side_certificates(monkeypatch, rule):
+    # orders 0..16 cover prefixes shorter than, equal to and cut from PREFIX_LEN;
+    # the two corrupted rules make many certificates fail at varied degrees
+    monkeypatch.setattr(vf, "pair_sign", SIGN_RULES[rule])
+    failed = 0
+    for kind in IdentityKind:
+        for fp in iter_applicable_params(kind, 60):
+            for order in (0, 7, 15, 16, 90):
+                got = verify(kind, fp, order).to_json_dict()
+                assert got == _full_side_certificate(kind, fp, order).to_json_dict(), (kind, fp, order)
+                failed += not got["match"]
+    assert (failed == 0) == (rule == "pair_sign")
+
+
+def test_build_rhs_is_the_shifted_character_sum():
+    # the character side from its definition: sum of sign * q^(E + n*Delta) * chi(q^n)/q^Delta
+    order = 90
+    for kind in IdentityKind:
+        for fp in iter_applicable_params(kind, 60):
+            model = MinimalModel(fp.p, fp.p_prime)
+            acc = ShiftedSeries.zero(order)
+            for pair in contributing_pairs(fp):
+                label = CharacterLabel(pair.r * fp.b, pair.s * fp.b_prime)
+                offset = prefactor_exponent(fp) + fp.n * conformal_dim(model, label)
+                term = normalized_character(model, label, -(-order // fp.n))
+                acc = acc + term.substitute_power(fp.n).shift(offset) * pair_sign(kind, pair)
+            want = acc.as_integer_series().truncated(order)
+            assert build_rhs(kind, fp, order).coeffs == want.coeffs, (kind, fp)
