@@ -5,7 +5,8 @@ arbitrary-precision Python integers.  The O(N^2) inner loops — truncated
 convolution, power-series inversion and iterated binomial products — run
 through the kernels in this module whenever a conservative magnitude bound
 shows that no int64 intermediate can overflow; otherwise the series layer
-falls back to plain big-int Python.
+computes them on Python ints (numpy ``dtype=object`` arrays for the
+convolution and the binomial products, a plain loop for inversion).
 
 Two interchangeable lanes implement each kernel:
 
@@ -155,7 +156,10 @@ def _np_binomial(shifts, signs, n_out):
     top = 0
     for m, s in zip(shifts.tolist(), signs.tolist()):
         if cur >= half:
-            return c, False
+            # cur only bounds max|c|; read the true maximum near the limit
+            cur = int(np.abs(c[: top + 1]).max())
+            if cur >= half:
+                return c, False
         top = min(top + m, n_out - 1)
         w = top + 1
         seg = c[: w - m].copy()
@@ -163,7 +167,7 @@ def _np_binomial(shifts, signs, n_out):
             c[m:w] -= seg
         else:
             c[m:w] += seg
-        cur = int(np.abs(c[:w]).max())
+        cur *= 2  # one factor (1 -+ q^m) at most doubles max|c|
     return c, True
 
 

@@ -1,13 +1,26 @@
 """Product-side series shared by the identity verifier and the sign scanner.
 
-Both sides take a product quadruple (a', B, c, n); the optional sign vector
-flips individual product arguments, which is how the signed variants differ
-from the plain identities.
+The numerators expand the signed Pochhammer products of a quadruple
+(a', B, c, n) factor by factor; their sign vector flips individual product
+arguments, which is how the signed variants differ from the plain
+identities.  ``verifier.verify`` keeps this expansion, so a certificate's
+product side never relies on a product identity.
+
+The plain sides, which the scanner streams, are exactly a Jacobi triple
+product and a quintuple product, so they are built as theta series in
+O(sqrt(N)) terms and then divided by (q^n; q^n).
 """
 
 from __future__ import annotations
 
-from .series import ShiftedSeries, SignedMonomial, inverse_euler_power, pochhammer
+from .series import (
+    ShiftedSeries,
+    SignedMonomial,
+    inverse_euler_power,
+    pochhammer,
+    quintuple_product,
+    triple_product,
+)
 
 #: one sign per product argument, then the base(s); all +1 is the plain identity
 TRIPLE_PLAIN = (1, 1, 1, 1)
@@ -52,13 +65,26 @@ def quintuple_numerator(ap: int, B: int, c: int, order: int,
     return first * second
 
 
-def triple_side(ap: int, B: int, c: int, n: int, order: int,
-                signs: tuple[int, int, int, int] = TRIPLE_PLAIN) -> ShiftedSeries:
-    """:func:`triple_numerator` / (q^n; q^n)."""
-    return triple_numerator(ap, B, c, order, signs) * inverse_euler_power(n, order)
+def triple_side(ap: int, B: int, c: int, n: int, order: int) -> ShiftedSeries:
+    """The plain :func:`triple_numerator` / (q^n; q^n).
+
+    (u, u^-1 v, v; v) with u = q^{B(a'-c)/2}, v = q^{Ba'} is the Jacobi
+    triple product, expanded here as its theta series.
+    """
+    if (ap - c) % 2 != 0:
+        raise ValueError(f"a' and c must have equal parity for a triple product (a'={ap}, c={c})")
+    u = SignedMonomial(1, B * (ap - c) // 2)
+    v = SignedMonomial(1, B * ap)
+    return triple_product(u, v, order) * inverse_euler_power(n, order)
 
 
-def quintuple_side(ap: int, B: int, c: int, n: int, order: int,
-                   signs: tuple[int, int, int, int, int, int] = QUINTUPLE_PLAIN) -> ShiftedSeries:
-    """:func:`quintuple_numerator` / (q^n; q^n)."""
-    return quintuple_numerator(ap, B, c, order, signs) * inverse_euler_power(n, order)
+def quintuple_side(ap: int, B: int, c: int, n: int, order: int) -> ShiftedSeries:
+    """The plain :func:`quintuple_numerator` / (q^n; q^n).
+
+    With u = q^{Bc}, v = q^{2Ba'} the two plain products are
+    (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2), the quintuple product, expanded
+    here as its theta series.
+    """
+    u = SignedMonomial(1, B * c)
+    v = SignedMonomial(1, 2 * B * ap)
+    return quintuple_product(u, v, order) * inverse_euler_power(n, order)

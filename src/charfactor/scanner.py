@@ -7,6 +7,11 @@ cases, where a scan failure would indicate an implementation bug, and a
 falsifiable conjecture elsewhere, where a violation is a reportable
 counterexample candidate.  Scans always canonicalize the quadruple first,
 so the gcd-reduction identities are exercised on every entry point.
+
+The streams come from :func:`products.triple_side` and
+:func:`products.quintuple_side`, which build the plain products as theta
+series (Jacobi triple and quintuple product) before dividing by (q^n; q^n);
+the Pochhammer expansion stays with the verifier.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from .params import ParameterError, ProductParams, Scheme, canonicalize, is_prime, prime_factors
 from .products import quintuple_side, triple_side
@@ -130,16 +137,16 @@ def scan(pp: ProductParams, order: int) -> SignReport:
     coeffs = series.coeffs
     n = reduced.n
     support = support_residues(reduced)
-    for j, cj in enumerate(coeffs):
-        if cj and (j % n) not in support:
+    # read signs only: a product of two big coefficients per j would cost more than the test needs
+    signs = np.array(coeffs, dtype=object)
+    neg, pos = signs < 0, signs > 0
+    for j in np.flatnonzero(neg | pos).tolist():
+        if j % n not in support:
             raise RuntimeError(
-                f"support violation: coefficient {cj} at degree {j} outside residues {sorted(support)}"
+                f"support violation: coefficient {coeffs[j]} at degree {j} outside residues {sorted(support)}"
             )
-    violations = [
-        SignViolation(j, coeffs[j], coeffs[j + n])
-        for j in range(order - n + 1)
-        if coeffs[j] * coeffs[j + n] < 0
-    ]
+    flips = (neg[:-n] & pos[n:]) | (pos[:-n] & neg[n:])
+    violations = [SignViolation(j, coeffs[j], coeffs[j + n]) for j in np.flatnonzero(flips).tolist()]
     return SignReport(
         params=reduced,
         order=order,

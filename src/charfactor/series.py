@@ -10,8 +10,10 @@ bound of its operands, and equality never reads past it.
 
 All arithmetic is exact.  The quadratic-time loops are dispatched to the
 int64 kernel lanes in :mod:`charfactor._kernels` whenever a conservative
-magnitude bound rules out overflow, and run in plain big-int Python
-otherwise, so results are identical either way.
+magnitude bound rules out overflow.  Otherwise they run on Python ints:
+convolution and Pochhammer products as slice operations on numpy
+``dtype=object`` arrays, inversion as a plain loop.  Results are identical
+either way.
 """
 
 from __future__ import annotations
@@ -63,7 +65,16 @@ class ShiftedSeries:
     __slots__ = ("offset", "den", "coeffs", "_max")
 
     def __init__(self, coeffs: Iterable[int], offset=0, den: int = 1):
-        coeffs = [int(c) for c in coeffs]
+        self._init([int(c) for c in coeffs], offset, den)
+
+    @classmethod
+    def _of_ints(cls, coeffs: list[int], offset=0, den: int = 1) -> "ShiftedSeries":
+        """Take over a list that already holds Python ints, skipping ``int()`` per coefficient."""
+        self = cls.__new__(cls)
+        self._init(coeffs, offset, den)
+        return self
+
+    def _init(self, coeffs: list[int], offset, den: int) -> None:
         if not coeffs:
             raise SeriesError("a series needs at least its constant slot (order >= 0)")
         if not isinstance(den, int) or den < 1:
@@ -134,7 +145,7 @@ class ShiftedSeries:
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> "ShiftedSeries":
-        return ShiftedSeries([-c for c in self.coeffs], self.offset, self.den)
+        return ShiftedSeries._of_ints([-c for c in self.coeffs], self.offset, self.den)
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -155,7 +166,7 @@ class ShiftedSeries:
                 if c:
                     out[idx] += c
                 idx += step
-        return ShiftedSeries(out, base, den)
+        return ShiftedSeries._of_ints(out, base, den)
 
     __radd__ = __add__
 
@@ -166,7 +177,7 @@ class ShiftedSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ShiftedSeries([c * other for c in self.coeffs], self.offset, self.den)
+            return ShiftedSeries._of_ints([c * other for c in self.coeffs], self.offset, self.den)
         if not isinstance(other, ShiftedSeries):
             return NotImplemented
         den = math.lcm(self.den, other.den)
@@ -179,15 +190,15 @@ class ShiftedSeries:
         ma = self.max_abs()
         mb = other.max_abs()
         if ma == 0 or mb == 0:
-            return ShiftedSeries([0] * n_out, offset, den)
+            return ShiftedSeries._of_ints([0] * n_out, offset, den)
         if ma * mb * min(la, lb, n_out) < _kernels.LIMIT:
             a = np.zeros(la, np.int64)
             a[::sa] = self.coeffs
             b = np.zeros(lb, np.int64)
             b[::sb] = other.coeffs
             out = _kernels.convolve(a, b, n_out)
-            return ShiftedSeries(out.tolist(), offset, den)
-        return ShiftedSeries(
+            return ShiftedSeries._of_ints(out.tolist(), offset, den)
+        return ShiftedSeries._of_ints(
             _convolve_object(self.coeffs, sa, other.coeffs, sb, n_out), offset, den
         )
 
@@ -203,7 +214,7 @@ class ShiftedSeries:
             arr = np.array(self.coeffs, dtype=np.int64)
             out, valid = _kernels.invert_unit(arr, n_out)
             if valid == n_out:
-                return ShiftedSeries(out.tolist(), -self.offset, self.den)
+                return ShiftedSeries._of_ints(out.tolist(), -self.offset, self.den)
         nz = [(i, c) for i, c in enumerate(self.coeffs) if c and i > 0]
         b = [0] * n_out
         b[0] = c0
@@ -214,7 +225,7 @@ class ShiftedSeries:
                     break
                 s += ai * b[k - i]
             b[k] = -c0 * s
-        return ShiftedSeries(b, -self.offset, self.den)
+        return ShiftedSeries._of_ints(b, -self.offset, self.den)
 
     def substitute_power(self, n: int) -> "ShiftedSeries":
         """Substitute q -> q**n; offset, exponents and order all scale by n."""
@@ -228,7 +239,7 @@ class ShiftedSeries:
         for d, c in enumerate(self.coeffs):
             if c:
                 out[d * stride] = c
-        return ShiftedSeries(out, self.offset * n, self.den // g)
+        return ShiftedSeries._of_ints(out, self.offset * n, self.den // g)
 
     def shift(self, delta) -> "ShiftedSeries":
         """Multiply by q**delta (exact rational exponent shift)."""
@@ -242,7 +253,7 @@ class ShiftedSeries:
         new_order = math.floor((bound - self.offset) * self.den)
         if new_order < 0:
             raise SeriesError(f"truncation bound {bound} lies below the offset {self.offset}")
-        return ShiftedSeries(self.coeffs[: new_order + 1], self.offset, self.den)
+        return ShiftedSeries._of_ints(self.coeffs[: new_order + 1], self.offset, self.den)
 
     def as_integer_series(self) -> "ShiftedSeries":
         """Re-index on the integer grid, asserting exponents are integers >= 0.
@@ -295,21 +306,41 @@ def _items_upto(s: ShiftedSeries, bound: Fraction) -> dict[Fraction, int]:
 
 
 def _convolve_object(a: list[int], sa: int, b: list[int], sb: int, n_out: int) -> list[int]:
-    """Exact truncated convolution; iterates over the sparser operand."""
-    items_a = [(d * sa, c) for d, c in enumerate(a) if c]
-    items_b = [(d * sb, c) for d, c in enumerate(b) if c]
-    if len(items_a) > len(items_b):
-        items_a, items_b = items_b, items_a
-    out = [0] * n_out
-    for i, ca in items_a:
+    """Exact truncated convolution of ``a`` on stride ``sa`` with ``b`` on stride ``sb``.
+
+    Loops over the nonzero terms of one operand and adds each term's multiple
+    of the other as one slice of a numpy object array.  Each operand is first
+    thinned to the gcd of its nonzero indices (``1/(q^n;q^n)`` lives on the
+    multiples of n), and the loop runs over the operand whose terms times the
+    other's thinned length is the smaller.
+    """
+    x, sx, kx = _thinned(a, sa)
+    y, sy, ky = _thinned(b, sb)
+    if kx * len(y) > ky * len(x):
+        x, sx, y, sy = y, sy, x, sx
+    out = np.zeros(n_out, dtype=object)
+    for d in np.flatnonzero(x).tolist():
+        i = d * sx
         if i >= n_out:
             break
-        for j, cb in items_b:
-            k = i + j
-            if k >= n_out:
-                break
-            out[k] += ca * cb
-    return out
+        c = x[d]
+        seg = out[i::sy][: len(y)]
+        if c == 1:
+            seg += y[: len(seg)]
+        elif c == -1:
+            seg -= y[: len(seg)]
+        else:
+            seg += c * y[: len(seg)]
+    return out.tolist()
+
+
+def _thinned(coeffs: list[int], stride: int) -> tuple[np.ndarray, int, int]:
+    """(object array, stride, nonzero count) of ``coeffs`` on the coarsest grid keeping its terms."""
+    arr = np.array(coeffs, dtype=object)
+    nz = np.flatnonzero(arr)
+    g = int(np.gcd.reduce(nz)) if nz.size else 1
+    g = g or 1  # only the constant term is nonzero
+    return arr[::g], stride * g, nz.size
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +374,7 @@ def pochhammer(factors: Iterable[SignedMonomial], base: SignedMonomial, order: i
                 s = f.sign * base_sign
                 if m == 0:
                     if s == 1:
-                        return ShiftedSeries([0] * n_out)
+                        return ShiftedSeries._of_ints([0] * n_out)
                     doubles += 1
                 else:
                     shifts.append(m)
@@ -353,29 +384,25 @@ def pochhammer(factors: Iterable[SignedMonomial], base: SignedMonomial, order: i
         out, ok = _kernels.binomial_product(
             np.array(shifts, np.int64), np.array(signs, np.int64), n_out
         )
-        if ok:
-            coeffs = out.tolist()
-        else:
-            coeffs = [0] * n_out
-            coeffs[0] = 1
+        if not ok:
+            # the kernel's int64 slice recurrence, on Python ints
+            out = np.zeros(n_out, dtype=object)
+            out[0] = 1
             top = 0
             for m, s in zip(shifts, signs):
                 top = min(top + m, order)
+                w = top + 1
+                seg = out[: w - m].copy()
                 if s > 0:
-                    for k in range(top, m - 1, -1):
-                        v = coeffs[k - m]
-                        if v:
-                            coeffs[k] -= v
+                    out[m:w] -= seg
                 else:
-                    for k in range(top, m - 1, -1):
-                        v = coeffs[k - m]
-                        if v:
-                            coeffs[k] += v
+                    out[m:w] += seg
+        coeffs = out.tolist()
     else:
         coeffs = [1] + [0] * order
     if doubles:
         coeffs = [c << doubles for c in coeffs]
-    return ShiftedSeries(coeffs)
+    return ShiftedSeries._of_ints(coeffs)
 
 
 def quadratic_window(a: int, b: int, c: int, bound: int) -> range:
@@ -430,7 +457,7 @@ def triple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedS
 
     # twice the exponent is ev*j^2 + (2eu - ev)*j
     window = quadratic_window(ev, 2 * eu - ev, 0, 2 * order)
-    return ShiftedSeries(bilateral_sum(order, term, window))
+    return ShiftedSeries._of_ints(bilateral_sum(order, term, window))
 
 
 def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedSeries:
@@ -457,7 +484,7 @@ def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> Shift
     # twice the exponents are 3ev*j^2 + (ev -+ 6eu)*j (+ 2eu)
     a = bilateral_sum(order, first, quadratic_window(3 * ev, ev - 6 * eu, 0, 2 * order), label)
     b = bilateral_sum(order, second, quadratic_window(3 * ev, ev + 6 * eu, 2 * eu, 2 * order), label)
-    return ShiftedSeries([x + y for x, y in zip(a, b)])
+    return ShiftedSeries._of_ints([x + y for x, y in zip(a, b)])
 
 
 # ---------------------------------------------------------------------------

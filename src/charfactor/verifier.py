@@ -63,7 +63,7 @@ class IdentityKind(enum.Enum):
         return self not in (IdentityKind.MAIN, IdentityKind.QUINT)
 
 
-#: product-argument signs per kind; see products.triple_side / quintuple_side
+#: product-argument signs per kind; see products.triple_numerator / quintuple_numerator
 _TRIPLE_SIGNS = {
     IdentityKind.MAIN: (1, 1, 1, 1),
     IdentityKind.MAIN_A_EVEN: (1, -1, -1, -1),

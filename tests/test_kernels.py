@@ -81,6 +81,24 @@ def test_binomial_product_matches_reference(name, lane):
     assert np.array_equal(out, want)
 
 
+@pytest.mark.parametrize("name,lane", LANES)
+@pytest.mark.parametrize("copies", [62, 64, 65, 66, 80])
+def test_binomial_product_bails_where_the_true_maximum_reaches_the_limit(name, lane, copies):
+    # (1 + q)^k: bail before the first factor that meets max|c| >= LIMIT/2
+    n = 81
+    want = [1] + [0] * (n - 1)
+    ok = True
+    for _ in range(copies):
+        if max(map(abs, want)) >= _kernels.LIMIT // 2:
+            ok = False
+            break
+        want = [want[0]] + [want[k] + want[k - 1] for k in range(1, n)]
+    shifts = np.ones(copies, np.int64)
+    out, got_ok = lane["binomial_product"](shifts, -shifts, n)
+    assert got_ok == ok
+    assert out.tolist() == want
+
+
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
 def test_lanes_agree():
     rng = np.random.default_rng(17)

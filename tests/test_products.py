@@ -1,0 +1,70 @@
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from charfactor import products
+from charfactor.series import SeriesError, inverse_euler_power
+
+from oracles import brute_convolve, naive_pochhammer, partition_counts
+
+
+def euler_power_oracle(n, order):
+    """Coefficients of 1/(q^n; q^n) from the partition-counting DP."""
+    p = partition_counts(order // n)
+    return [p[k // n] if k % n == 0 else 0 for k in range(order + 1)]
+
+
+def triple_oracle(ap, B, c, n, order):
+    num = naive_pochhammer(
+        [(1, B * (ap - c) // 2), (1, B * (ap + c) // 2), (1, B * ap)], (1, B * ap), order
+    )
+    return brute_convolve(num, euler_power_oracle(n, order), order + 1)
+
+
+def quintuple_oracle(ap, B, c, n, order):
+    first = naive_pochhammer(
+        [(1, B * c), (1, B * (2 * ap - c)), (1, 2 * B * ap)], (1, 2 * B * ap), order
+    )
+    second = naive_pochhammer([(1, 2 * B * (ap + c)), (1, 2 * B * (ap - c))], (1, 4 * B * ap), order)
+    num = brute_convolve(first, second, order + 1)
+    return brute_convolve(num, euler_power_oracle(n, order), order + 1)
+
+
+quadruple = st.tuples(
+    st.integers(1, 9), st.integers(1, 4), st.integers(0, 9), st.integers(1, 5), st.integers(0, 70)
+)
+
+
+@given(quadruple)
+@settings(max_examples=80, deadline=None)
+def test_triple_side_is_the_pochhammer_side(q):
+    ap, B, c, n, order = q
+    c = min(c, ap)
+    c -= (ap - c) % 2
+    got = products.triple_side(ap, B, c, n, order)
+    want = products.triple_numerator(ap, B, c, order) * inverse_euler_power(n, order)
+    assert got.coeffs == want.coeffs
+    assert got.coeffs == triple_oracle(ap, B, c, n, order)
+
+
+@given(quadruple)
+@settings(max_examples=80, deadline=None)
+def test_quintuple_side_is_the_pochhammer_side(q):
+    ap, B, c, n, order = q
+    c = min(c, ap)
+    got = products.quintuple_side(ap, B, c, n, order)
+    want = products.quintuple_numerator(ap, B, c, order) * inverse_euler_power(n, order)
+    assert got.coeffs == want.coeffs
+    assert got.coeffs == quintuple_oracle(ap, B, c, n, order)
+
+
+def test_sides_reject_what_the_numerators_reject():
+    # c > a' leaves a factor with a negative exponent: not a power series
+    for side, numerator, c in ((products.triple_side, products.triple_numerator, 5),
+                               (products.quintuple_side, products.quintuple_numerator, 4)):
+        with pytest.raises(SeriesError):
+            numerator(3, 1, c, 30)
+        with pytest.raises(SeriesError):
+            side(3, 1, c, 2, 30)
+    with pytest.raises(ValueError, match="parity"):
+        products.triple_side(3, 1, 2, 2, 30)

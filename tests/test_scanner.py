@@ -159,3 +159,21 @@ def test_phi_nonnegative_when_n_divides_everything():
     for pp in iter_canonical_quadruples(Scheme.TRIPLE, 30):
         if pp.n == 1:
             assert min(phi_series(pp, 200).coeffs) >= 0
+
+
+def test_violations_are_every_strict_sign_change_at_distance_n():
+    from charfactor.scanner import SignViolation
+
+    found = 0
+    for scheme, stream in ((Scheme.TRIPLE, phi_series), (Scheme.QUINTUPLE, psi_series)):
+        for pp in iter_canonical_quadruples(scheme, 24):
+            for order in (0, pp.n - 1, pp.n, 150):
+                coeffs = stream(pp, order).coeffs
+                want = [
+                    SignViolation(j, coeffs[j], coeffs[j + pp.n])
+                    for j in range(order - pp.n + 1)
+                    if coeffs[j] * coeffs[j + pp.n] < 0
+                ]
+                assert scan(pp, order).violations == want
+                found += len(want)
+    assert found > 0

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from charfactor import _kernels, series as series_module
 from charfactor.series import (
     SeriesError,
     ShiftedSeries,
@@ -119,6 +121,43 @@ def test_mul_huge_coefficients_stay_exact():
     a = series([1, big, -big])
     b = series([1, -1, 1])
     assert (a * b).coeffs == brute_convolve(a.coeffs, b.coeffs, 3)
+
+
+coefficient = st.one_of(
+    st.sampled_from([0, 0, 1, -1]),
+    st.integers(-9, 9),
+    st.integers(2**63, 2**70),
+    st.integers(-(2**70), -(2**63)),
+)
+
+
+def on_stride(coeffs, stride):
+    out = [0] * ((len(coeffs) - 1) * stride + 1)
+    out[::stride] = coeffs
+    return out
+
+
+@given(
+    a=st.lists(coefficient, min_size=1, max_size=14),
+    sa=st.sampled_from([1, 2, 3]),
+    b=st.lists(coefficient, min_size=1, max_size=14),
+    sb=st.sampled_from([1, 2, 3]),
+    n_out=st.integers(1, 50),
+)
+@example(a=[0, 0, 0], sa=1, b=[2**64, 1], sb=2, n_out=6)
+@example(a=[3, -(2**65)], sa=3, b=[0], sb=1, n_out=4)
+@example(a=[1, 0, 2**63], sa=1, b=[-1, 5, 0, 7], sb=2, n_out=9)
+@example(a=[-1, 5, 0, 7], sa=2, b=[1, 0, -(2**63)], sb=1, n_out=9)
+@settings(max_examples=200, deadline=None)
+def test_convolve_object_matches_brute_force(a, sa, b, sb, n_out):
+    got = series_module._convolve_object(a, sa, b, sb, n_out)
+    assert got == brute_convolve(on_stride(a, sa), on_stride(b, sb), n_out)
+    assert all(type(c) is int for c in got)
+
+
+def test_constructor_converts_coefficients_to_python_ints():
+    s = ShiftedSeries(np.array([3, -1], np.int64))
+    assert s.coeffs == [3, -1] and all(type(c) is int for c in s.coeffs)
 
 
 # ----------------------------------------------------------------------------
@@ -267,6 +306,32 @@ def test_pochhammer_matches_naive_expansion(factors, sbase, ebase):
     got = pochhammer(tuple(Q(s, e) for s, e in factors), Q(sbase, ebase), 30)
     want = naive_pochhammer(factors, (sbase, ebase), 30)
     assert got.coeffs == want
+
+
+@given(
+    copies=st.integers(66, 80),
+    extra=st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 6)), max_size=3),
+    sbase=st.sampled_from([1, -1]),
+    ebase=st.integers(1, 90),
+)
+@settings(max_examples=30, deadline=None)
+def test_pochhammer_past_the_int64_kernel_matches_naive_expansion(copies, extra, sbase, ebase):
+    # (1 + q)^k alone reaches C(64, 32) > 2^60, so the kernel must give up
+    factors = [(-1, 1)] * copies + extra
+    flags = []
+    kernel = _kernels.binomial_product
+
+    def recording(shifts, signs, n_out):
+        out = kernel(shifts, signs, n_out)
+        flags.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "binomial_product", recording)
+        got = pochhammer(tuple(Q(s, e) for s, e in factors), Q(sbase, ebase), 80)
+    assert flags == [False]
+    assert got.coeffs == naive_pochhammer(factors, (sbase, ebase), 80)
+    assert all(type(c) is int for c in got.coeffs)
 
 
 # ----------------------------------------------------------------------------

@@ -238,3 +238,19 @@ def test_build_rhs_is_the_shifted_character_sum():
                 acc = acc + term.substitute_power(fp.n).shift(offset) * pair_sign(kind, pair)
             want = acc.as_integer_series().truncated(order)
             assert build_rhs(kind, fp, order).coeffs == want.coeffs, (kind, fp)
+
+
+def test_certificates_expand_the_product_factor_by_factor(monkeypatch):
+    # the scanner's theta-series sides would make a certificate rest on the
+    # triple and quintuple product identities it is meant to exercise
+    import charfactor.products as products
+
+    def refuse(*args):
+        raise AssertionError("theta series on the certificate path")
+
+    monkeypatch.setattr(products, "triple_product", refuse)
+    monkeypatch.setattr(products, "quintuple_product", refuse)
+    for kind in IdentityKind:
+        for fp in iter_applicable_params(kind, 40):
+            assert verify(kind, fp, 60).match
+            build_lhs(kind, fp, 20)
