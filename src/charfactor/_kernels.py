@@ -1,32 +1,33 @@
 """Hot int64 kernels with a numba lane and a pure-numpy lane.
 
 The series layer (:mod:`charfactor.series`) is exact: coefficients are
-arbitrary-precision Python integers.  The O(N^2) inner loops — truncated
-convolution, power-series inversion and iterated binomial products — run
-through the kernels in this module whenever a conservative magnitude bound
-shows that no int64 intermediate can overflow; otherwise the series layer
-computes them on Python ints (numpy ``dtype=object`` arrays for the
-convolution and the binomial products, a plain loop for inversion).
-
-Two interchangeable lanes implement each kernel:
+arbitrary-precision Python integers.  Truncated convolution and power-series
+inversion run here whenever a conservative magnitude bound shows that no
+int64 intermediate can overflow, in one of two interchangeable lanes:
 
 * a numba ``@njit`` lane (default whenever numba imports), and
 * a pure numpy lane, selected by setting ``CHARFACTOR_NUMBA=0``.
 
-``invert_unit`` and ``binomial_product`` track a running magnitude bound
-and bail out early with a partial result when the bound would be violated;
-``convolve`` relies on the caller's precomputed bound.
+``invert_unit`` bails out early with a partial result when its running bound
+would be violated; ``convolve`` relies on the caller's precomputed bound.
+``binomial_product``, shared by both lanes, is exact at any size: past int64
+it continues on base-2**30 int64 limbs.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import chain
 
 import numpy as np
 
 #: Intermediates are kept strictly below 2**61 so that adding two of them,
-#: or accumulating one more product term, still fits in int64.
+#: or accumulating one more product term, still fits in int64; a binomial
+#: product whose bound reaches HALF carries into LIMB_BITS-bit limbs instead.
 LIMIT = 1 << 61
+HALF = LIMIT // 2
+LIMB_BITS = 30
+LIMB_MASK = (1 << LIMB_BITS) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -79,40 +80,6 @@ def _invert_loops(a, n_out):
     return b, n_out
 
 
-def _binomial_loops(shifts, signs, n_out):
-    c = np.zeros(n_out, np.int64)
-    c[0] = 1
-    cur = np.int64(1)
-    half = LIMIT // 2
-    top = 0
-    for t in range(shifts.shape[0]):
-        if cur >= half:
-            return c, False
-        m = shifts[t]
-        s = signs[t]
-        top = top + m
-        if top > n_out - 1:
-            top = n_out - 1
-        if s > 0:
-            for k in range(top, m - 1, -1):
-                v = c[k - m]
-                if v != 0:
-                    c[k] -= v
-        else:
-            for k in range(top, m - 1, -1):
-                v = c[k - m]
-                if v != 0:
-                    c[k] += v
-        cur = np.int64(0)
-        for k in range(top + 1):
-            v = c[k]
-            if v < 0:
-                v = -v
-            if v > cur:
-                cur = v
-    return c, True
-
-
 # ---------------------------------------------------------------------------
 # numpy lane
 # ---------------------------------------------------------------------------
@@ -148,18 +115,27 @@ def _np_invert(a, n_out):
     return b, n_out
 
 
-def _np_binomial(shifts, signs, n_out):
+# ---------------------------------------------------------------------------
+# binomial products (both lanes)
+# ---------------------------------------------------------------------------
+
+def binomial_product(shifts, signs, n_out):
+    """Coefficients 0..n_out-1 of ``prod_t (1 - signs[t] q**shifts[t])``, exact.
+
+    Every shift lies in [1, n_out).  Returns ``(coeffs, one_limb)``: a list
+    of Python ints, and whether every partial product fit one int64 limb.
+    """
     c = np.zeros(n_out, np.int64)
     c[0] = 1
     cur = 1
-    half = LIMIT // 2
     top = 0
-    for m, s in zip(shifts.tolist(), signs.tolist()):
-        if cur >= half:
+    factors = zip(shifts.tolist(), signs.tolist())
+    for m, s in factors:
+        if cur >= HALF:
             # cur only bounds max|c|; read the true maximum near the limit
             cur = int(np.abs(c[: top + 1]).max())
-            if cur >= half:
-                return c, False
+            if cur >= HALF:
+                return _limb_product(c[None], chain(((m, s),), factors), top), False
         top = min(top + m, n_out - 1)
         w = top + 1
         seg = c[: w - m].copy()
@@ -168,7 +144,44 @@ def _np_binomial(shifts, signs, n_out):
         else:
             c[m:w] += seg
         cur *= 2  # one factor (1 -+ q^m) at most doubles max|c|
-    return c, True
+    return c.tolist(), True
+
+
+def _limb_product(limbs, factors, top):
+    """Continue the slice recurrence on base-2**LIMB_BITS limbs, one per row.
+
+    The recurrence is linear, so it runs on every row at once; the rows are
+    carried whenever the doubling bound on their magnitude reaches HALF.
+    """
+    n_out = limbs.shape[1]
+    cur = HALF  # split the one-limb row before the first factor
+    for m, s in factors:
+        if cur >= HALF:
+            limbs = _carry(limbs)
+            cur = 1 << (LIMB_BITS + 1)
+        top = min(top + m, n_out - 1)
+        w = top + 1
+        seg = limbs[:, : w - m].copy()
+        if s > 0:
+            limbs[:, m:w] -= seg
+        else:
+            limbs[:, m:w] += seg
+        cur *= 2
+    out = limbs[-1].tolist()
+    for row in limbs[-2::-1]:
+        out = [(hi << LIMB_BITS) + lo for hi, lo in zip(out, row.tolist())]
+    return out
+
+
+def _carry(limbs):
+    """Carry every row but the signed top one into [0, 2**LIMB_BITS); add rows until |top| < 2**(LIMB_BITS+1)."""
+    for k in range(limbs.shape[0] - 1):
+        limbs[k + 1] += limbs[k] >> LIMB_BITS
+        limbs[k] &= LIMB_MASK
+    while np.abs(limbs[-1]).max() >= 1 << (LIMB_BITS + 1):
+        limbs = np.vstack((limbs, limbs[-1] >> LIMB_BITS))
+        limbs[-2] &= LIMB_MASK
+    return limbs
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +191,7 @@ def _np_binomial(shifts, signs, n_out):
 NUMPY_LANE = {
     "convolve": _np_convolve,
     "invert_unit": _np_invert,
-    "binomial_product": _np_binomial,
+    "binomial_product": binomial_product,
 }
 
 try:
@@ -192,7 +205,7 @@ if HAVE_NUMBA:
     NUMBA_LANE = {
         "convolve": njit(cache=True)(_convolve_loops),
         "invert_unit": njit(cache=True)(_invert_loops),
-        "binomial_product": njit(cache=True)(_binomial_loops),
+        "binomial_product": binomial_product,
     }
 else:  # pragma: no cover
     NUMBA_LANE = None
@@ -211,7 +224,6 @@ LANE = "numba" if USE_NUMBA else "numpy"
 _active = NUMBA_LANE if USE_NUMBA else NUMPY_LANE
 convolve = _active["convolve"]
 invert_unit = _active["invert_unit"]
-binomial_product = _active["binomial_product"]
 
 
 def warmup() -> None:

@@ -87,11 +87,10 @@ def bosonic_numerator(model: MinimalModel, label: CharacterLabel, order: int) ->
         return ppp * j * j + lin_plus * j, 1
 
     def minus(j: int):
-        return ppp * j * j + lin_minus * j + r * s, 1
+        return ppp * j * j + lin_minus * j + r * s, -1
 
-    a = bilateral_sum(order, plus, quadratic_window(ppp, lin_plus, 0, order))
-    b = bilateral_sum(order, minus, quadratic_window(ppp, lin_minus, r * s, order))
-    return [x - y for x, y in zip(a, b)]
+    coeffs = bilateral_sum(order, plus, quadratic_window(ppp, lin_plus, 0, order))
+    return bilateral_sum(order, minus, quadratic_window(ppp, lin_minus, r * s, order), into=coeffs)
 
 
 def normalized_character(model: MinimalModel, label: CharacterLabel, order: int) -> ShiftedSeries:

@@ -8,12 +8,13 @@ are added, in which case both are placed on the refined grid with spacing
 bound is ``offset + order/den`` inclusive: every operation keeps the tightest
 bound of its operands, and equality never reads past it.
 
-All arithmetic is exact.  The quadratic-time loops are dispatched to the
+All arithmetic is exact.  Convolution and inversion are dispatched to the
 int64 kernel lanes in :mod:`charfactor._kernels` whenever a conservative
 magnitude bound rules out overflow.  Otherwise they run on Python ints:
-convolution and Pochhammer products as slice operations on numpy
-``dtype=object`` arrays, inversion as a plain loop.  Results are identical
-either way.
+convolution as slice operations on a numpy ``dtype=object`` array, inversion
+as a plain loop.  Results are identical either way.  Pochhammer products
+always run on :func:`charfactor._kernels.binomial_product`, which carries
+coefficients past int64 on several int64 limbs.
 """
 
 from __future__ import annotations
@@ -353,6 +354,8 @@ def pochhammer(factors: Iterable[SignedMonomial], base: SignedMonomial, order: i
     ``factors`` are the u_j and ``base`` is v; monomial signs ride along, so
     e.g. ``(q, -q**2; q**2)`` style products come out exactly.  A factor that
     degenerates to (1 - q**0) annihilates the product; (1 + q**0) doubles it.
+    :func:`charfactor._kernels.binomial_product` expands the binomials, exact
+    at any size (no ``dtype=object`` fallback).
     """
     factors = tuple(factors)
     if base.exponent < 1:
@@ -380,26 +383,7 @@ def pochhammer(factors: Iterable[SignedMonomial], base: SignedMonomial, order: i
                     shifts.append(m)
                     signs.append(s)
             i += 1
-    if shifts:
-        out, ok = _kernels.binomial_product(
-            np.array(shifts, np.int64), np.array(signs, np.int64), n_out
-        )
-        if not ok:
-            # the kernel's int64 slice recurrence, on Python ints
-            out = np.zeros(n_out, dtype=object)
-            out[0] = 1
-            top = 0
-            for m, s in zip(shifts, signs):
-                top = min(top + m, order)
-                w = top + 1
-                seg = out[: w - m].copy()
-                if s > 0:
-                    out[m:w] -= seg
-                else:
-                    out[m:w] += seg
-        coeffs = out.tolist()
-    else:
-        coeffs = [1] + [0] * order
+    coeffs, _ = _kernels.binomial_product(np.array(shifts, np.int64), np.array(signs, np.int64), n_out)
     if doubles:
         coeffs = [c << doubles for c in coeffs]
     return ShiftedSeries._of_ints(coeffs)
@@ -420,15 +404,17 @@ def quadratic_window(a: int, b: int, c: int, bound: int) -> range:
 
 
 def bilateral_sum(order: int, term: Callable[[int], tuple[int, int]], window: range,
-                  error_label: str = "divergent theta parameters") -> list[int]:
+                  error_label: str = "divergent theta parameters",
+                  into: list[int] | None = None) -> list[int]:
     """Accumulate a bilateral sum over j in Z of integer-exponent terms.
 
     ``term(j)`` gives one (exponent, coefficient) pair, and ``window`` holds
     exactly the j whose exponent is at most ``order``, as
     :func:`quadratic_window` gives them.  Such a window, when not empty, holds
-    the j of least exponent, so a negative exponent anywhere raises.
+    the j of least exponent, so a negative exponent anywhere raises.  Adds
+    into and returns ``into`` (length ``order + 1``) when it is given.
     """
-    coeffs = [0] * (order + 1)
+    coeffs = [0] * (order + 1) if into is None else into
     for j in window:
         e, c = term(j)
         if e < 0:
@@ -482,9 +468,9 @@ def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> Shift
         return (3 * j + 1) * eu + ev * tri, -(su if ((3 * j + 1) & 1) else 1) * (sv if (tri & 1) else 1)
 
     # twice the exponents are 3ev*j^2 + (ev -+ 6eu)*j (+ 2eu)
-    a = bilateral_sum(order, first, quadratic_window(3 * ev, ev - 6 * eu, 0, 2 * order), label)
-    b = bilateral_sum(order, second, quadratic_window(3 * ev, ev + 6 * eu, 2 * eu, 2 * order), label)
-    return ShiftedSeries._of_ints([x + y for x, y in zip(a, b)])
+    coeffs = bilateral_sum(order, first, quadratic_window(3 * ev, ev - 6 * eu, 0, 2 * order), label)
+    bilateral_sum(order, second, quadratic_window(3 * ev, ev + 6 * eu, 2 * eu, 2 * order), label, into=coeffs)
+    return ShiftedSeries._of_ints(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,30 @@ def test_pochhammer_past_the_int64_kernel_matches_naive_expansion(copies, extra,
     assert all(type(c) is int for c in got.coeffs)
 
 
+def test_euler_product_at_workload_scale_is_the_pentagonal_series():
+    # (q;q) at N = 12,000, the (2,9) numerator of the high-order benchmark:
+    # its partial products pass 2^60 after 243 factors and shrink back to +-1
+    order = 12000
+    flags = []
+    kernel = _kernels.binomial_product
+
+    def recording(shifts, signs, n_out):
+        out = kernel(shifts, signs, n_out)
+        flags.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "binomial_product", recording)
+        got = euler_product.__wrapped__(order)
+    want = [0] * (order + 1)
+    for k in range(-90, 91):
+        e = k * (3 * k - 1) // 2
+        if e <= order:
+            want[e] += -1 if k % 2 else 1
+    assert flags == [False]
+    assert got.coeffs == want
+
+
 # ----------------------------------------------------------------------------
 # theta sums
 # ----------------------------------------------------------------------------
