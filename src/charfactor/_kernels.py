@@ -1,122 +1,100 @@
-"""Hot int64 kernels with a numba lane and a pure-numpy lane.
+"""Exact series kernels: one code path per operation.
 
 The series layer (:mod:`charfactor.series`) is exact: coefficients are
-arbitrary-precision Python integers.  Truncated convolution and power-series
-inversion run here whenever a conservative magnitude bound shows that no
-int64 intermediate can overflow, in one of two interchangeable lanes:
+arbitrary-precision Python integers, and so is every kernel here.
 
-* a numba ``@njit`` lane (default whenever numba imports), and
-* a pure numpy lane, selected by setting ``CHARFACTOR_NUMBA=0``.
-
-``invert_unit`` bails out early with a partial result when its running bound
-would be violated; ``convolve`` relies on the caller's precomputed bound.
-``binomial_product``, shared by both lanes, is exact at any size: past int64
-it continues on base-2**30 int64 limbs.
+* :func:`convolve` multiplies truncated series as slice operations on numpy
+  ``dtype=object`` arrays, looping over the nonzero terms of the sparser
+  operand.
+* :func:`invert_unit` inverts a unit series by the sparse recurrence over
+  its nonzero terms.
+* :func:`binomial_product` expands products of binomials ``(1 -+ q^m)`` as
+  int64 slice operations; past int64 it continues on base-2**30 int64 limbs.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import chain
 
 import numpy as np
 
-#: Intermediates are kept strictly below 2**61 so that adding two of them,
-#: or accumulating one more product term, still fits in int64; a binomial
-#: product whose bound reaches HALF carries into LIMB_BITS-bit limbs instead.
+#: Intermediates are kept strictly below 2**61 so that adding two of them
+#: still fits in int64; a binomial product whose bound reaches HALF carries
+#: into LIMB_BITS-bit limbs instead.
 LIMIT = 1 << 61
 HALF = LIMIT // 2
 LIMB_BITS = 30
 LIMB_MASK = (1 << LIMB_BITS) - 1
 
-
-# ---------------------------------------------------------------------------
-# loop bodies (compiled by numba when available)
-# ---------------------------------------------------------------------------
-
-def _convolve_loops(a, b, n_out):
-    out = np.zeros(n_out, np.int64)
-    la = a.shape[0]
-    lb = b.shape[0]
-    imax = min(la, n_out)
-    for i in range(imax):
-        ai = a[i]
-        if ai == 0:
-            continue
-        jmax = min(lb, n_out - i)
-        for j in range(jmax):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def _invert_loops(a, n_out):
-    b = np.zeros(n_out, np.int64)
-    la = a.shape[0]
-    c0 = a[0]
-    b[0] = c0
-    amax = np.int64(1)
-    for i in range(la):
-        v = a[i]
-        if v < 0:
-            v = -v
-        if v > amax:
-            amax = v
-    lim = LIMIT // amax
-    total = np.int64(1)
-    for k in range(1, n_out):
-        if total >= lim:
-            return b, k
-        lo = k - la + 1
-        if lo < 0:
-            lo = 0
-        s = np.int64(0)
-        for i in range(lo, k):
-            s += b[i] * a[k - i]
-        v = -c0 * s
-        b[k] = v
-        if v < 0:
-            v = -v
-        total += v
-    return b, n_out
+#: the only lane; kept as a constant for benchmark stamps
+LANE = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# numpy lane
+# convolution and inversion
 # ---------------------------------------------------------------------------
 
-def _np_convolve(a, b, n_out):
-    full = np.convolve(a, b)
-    if full.shape[0] >= n_out:
-        return full[:n_out].copy()
-    out = np.zeros(n_out, np.int64)
-    out[: full.shape[0]] = full
-    return out
+def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
+    """Coefficients 0..n_out-1 of the product of two coefficient lists, exact.
 
-
-def _np_invert(a, n_out):
-    b = np.zeros(n_out, np.int64)
-    c0 = int(a[0])
-    b[0] = c0
-    la = a.shape[0]
-    amax = max(int(np.abs(a).max()), 1)
-    lim = LIMIT // amax
-    total = 1
-    for k in range(1, n_out):
-        if total >= lim:
-            return b, k
-        lo = max(0, k - la + 1)
-        if k > lo:
-            s = int(np.dot(b[lo:k], a[k - lo:0:-1]))
+    Loops over the nonzero terms of one operand and adds each term's multiple
+    of the other as one slice of a numpy object array.  Each operand is first
+    thinned to the gcd of its nonzero indices (``1/(q^n;q^n)`` lives on the
+    multiples of n), and the loop runs over the operand whose terms times the
+    other's thinned length is the smaller.
+    """
+    x, sx, kx = _thinned(a)
+    y, sy, ky = _thinned(b)
+    if kx * len(y) > ky * len(x):
+        x, sx, y, sy = y, sy, x, sx
+    out = np.zeros(n_out, dtype=object)
+    for d in np.flatnonzero(x).tolist():
+        i = d * sx
+        if i >= n_out:
+            break
+        c = x[d]
+        seg = out[i::sy][: len(y)]
+        if c == 1:
+            seg += y[: len(seg)]
+        elif c == -1:
+            seg -= y[: len(seg)]
         else:
-            s = 0
-        v = -c0 * s
-        b[k] = v
-        total += abs(v)
+            seg += c * y[: len(seg)]
+    return out.tolist()
+
+
+def _thinned(coeffs: list[int]) -> tuple[np.ndarray, int, int]:
+    """(object array, stride, nonzero count) of ``coeffs`` on the coarsest grid keeping its terms."""
+    arr = np.array(coeffs, dtype=object)
+    nz = np.flatnonzero(arr)
+    g = int(np.gcd.reduce(nz)) if nz.size else 1
+    g = g or 1  # only the constant term is nonzero
+    return arr[::g], g, nz.size
+
+
+def invert_unit(a: list[int], n_out: int) -> tuple[list[int], int]:
+    """``(coeffs, n_out)``: coefficients 0..n_out-1 of ``1/a`` for ``a[0]`` = +-1, exact.
+
+    Each coefficient is a sum over the nonzero terms of ``a`` only, so
+    inverting ``(q;q)``, with O(sqrt(N)) terms, costs O(N**1.5) products.
+    The second item, always ``n_out``, is the length computed.
+    """
+    c0 = a[0]
+    nz = [(i, c) for i, c in enumerate(a[1:n_out], 1) if c]
+    b = [0] * n_out
+    b[0] = c0
+    for k in range(1, n_out):
+        s = 0
+        for i, ai in nz:
+            if i > k:
+                break
+            s += ai * b[k - i]
+        b[k] = -c0 * s
     return b, n_out
 
 
 # ---------------------------------------------------------------------------
-# binomial products (both lanes)
+# binomial products
 # ---------------------------------------------------------------------------
 
 def binomial_product(shifts, signs, n_out):
@@ -184,51 +162,9 @@ def _carry(limbs):
     return limbs
 
 
-# ---------------------------------------------------------------------------
-# lane selection
-# ---------------------------------------------------------------------------
-
-NUMPY_LANE = {
-    "convolve": _np_convolve,
-    "invert_unit": _np_invert,
-    "binomial_product": binomial_product,
-}
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is the optional `numba` extra
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    NUMBA_LANE = {
-        "convolve": njit(cache=True)(_convolve_loops),
-        "invert_unit": njit(cache=True)(_invert_loops),
-        "binomial_product": binomial_product,
-    }
-else:  # pragma: no cover
-    NUMBA_LANE = None
-
-
-def _env_wants_numba() -> bool:
-    raw = os.environ.get("CHARFACTOR_NUMBA", "").strip().lower()
-    if raw == "":
-        return True
-    return raw not in ("0", "false", "no", "off")
-
-
-USE_NUMBA = HAVE_NUMBA and _env_wants_numba()
-LANE = "numba" if USE_NUMBA else "numpy"
-
-_active = NUMBA_LANE if USE_NUMBA else NUMPY_LANE
-convolve = _active["convolve"]
-invert_unit = _active["invert_unit"]
-
-
 def warmup() -> None:
-    """Run tiny inputs through the active lane (triggers JIT compilation)."""
-    a = np.array([1, -1], np.int64)
+    """Run tiny inputs through every kernel."""
+    a = [1, -1]
     convolve(a, a, 3)
     invert_unit(a, 3)
     binomial_product(np.array([1, 2], np.int64), np.array([1, -1], np.int64), 4)

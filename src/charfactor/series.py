@@ -1,20 +1,16 @@
 """Exact truncated power series with a rational exponent offset.
 
-A :class:`ShiftedSeries` represents ``q**offset * sum(coeffs[d] * q**(d/den))``
-with arbitrary-precision integer coefficients.  ``den`` is 1 for ordinary
-series; it only grows when two series whose offsets differ by a non-integer
-are added, in which case both are placed on the refined grid with spacing
-``1/den`` (the lcm of the denominators involved).  The trusted truncation
-bound is ``offset + order/den`` inclusive: every operation keeps the tightest
-bound of its operands, and equality never reads past it.
+A :class:`ShiftedSeries` represents ``q**offset * sum(coeffs[d] * q**d)``
+with arbitrary-precision integer coefficients.  The trusted truncation bound
+is ``offset + order`` inclusive: every operation keeps the tightest bound of
+its operands, and equality never reads past it.
 
-All arithmetic is exact.  Convolution and inversion are dispatched to the
-int64 kernel lanes in :mod:`charfactor._kernels` whenever a conservative
-magnitude bound rules out overflow.  Otherwise they run on Python ints:
-convolution as slice operations on a numpy ``dtype=object`` array, inversion
-as a plain loop.  Results are identical either way.  Pochhammer products
-always run on :func:`charfactor._kernels.binomial_product`, which carries
-coefficients past int64 on several int64 limbs.
+All arithmetic is exact and has one code path per operation: multiplication
+runs on :func:`charfactor._kernels.convolve` (slice operations on numpy
+``dtype=object`` arrays), inversion on :func:`charfactor._kernels.invert_unit`
+(a sparse recurrence on Python ints), and Pochhammer products on
+:func:`charfactor._kernels.binomial_product`, which carries coefficients past
+int64 on several int64 limbs.
 """
 
 from __future__ import annotations
@@ -32,6 +28,9 @@ from . import _kernels
 
 class SeriesError(ValueError):
     """Raised for structurally invalid series operations."""
+
+
+NEEDS_CONSTANT_SLOT = "a series needs at least its constant slot (order >= 0)"
 
 
 @dataclass(frozen=True)
@@ -61,40 +60,25 @@ class SignedMonomial:
 
 
 class ShiftedSeries:
-    """Truncated formal power series ``q**offset * sum coeffs[d] q**(d/den)``."""
+    """Truncated formal power series ``q**offset * sum coeffs[d] q**d``."""
 
-    __slots__ = ("offset", "den", "coeffs", "_max")
+    __slots__ = ("offset", "coeffs")
 
-    def __init__(self, coeffs: Iterable[int], offset=0, den: int = 1):
-        self._init([int(c) for c in coeffs], offset, den)
+    def __init__(self, coeffs: Iterable[int], offset=0):
+        self._init([int(c) for c in coeffs], offset)
 
     @classmethod
-    def _of_ints(cls, coeffs: list[int], offset=0, den: int = 1) -> "ShiftedSeries":
+    def _of_ints(cls, coeffs: list[int], offset=0) -> "ShiftedSeries":
         """Take over a list that already holds Python ints, skipping ``int()`` per coefficient."""
         self = cls.__new__(cls)
-        self._init(coeffs, offset, den)
+        self._init(coeffs, offset)
         return self
 
-    def _init(self, coeffs: list[int], offset, den: int) -> None:
+    def _init(self, coeffs: list[int], offset) -> None:
         if not coeffs:
-            raise SeriesError("a series needs at least its constant slot (order >= 0)")
-        if not isinstance(den, int) or den < 1:
-            raise SeriesError(f"grid denominator must be a positive integer, got {den}")
-        if den > 1:
-            # canonical form: shrink the grid when every nonzero index allows it
-            g = den
-            for d, c in enumerate(coeffs):
-                if c:
-                    g = math.gcd(g, d)
-                    if g == 1:
-                        break
-            if g > 1:
-                coeffs = coeffs[::g]
-                den //= g
+            raise SeriesError(NEEDS_CONSTANT_SLOT)
         self.offset = Fraction(offset)
-        self.den = den
         self.coeffs = coeffs
-        self._max: int | None = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -105,10 +89,10 @@ class ShiftedSeries:
     @property
     def bound(self) -> Fraction:
         """Largest absolute exponent whose coefficient is trusted."""
-        return self.offset + Fraction(self.order, self.den)
+        return self.offset + self.order
 
     def exponent_at(self, d: int) -> Fraction:
-        return self.offset + Fraction(d, self.den)
+        return self.offset + d
 
     def items(self) -> Iterator[tuple[Fraction, int]]:
         """Yield (absolute exponent, coefficient) for nonzero coefficients."""
@@ -118,11 +102,6 @@ class ShiftedSeries:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def max_abs(self) -> int:
-        if self._max is None:
-            self._max = max(map(abs, self.coeffs))
-        return self._max
 
     @classmethod
     def zero(cls, order: int, offset=0) -> "ShiftedSeries":
@@ -137,37 +116,34 @@ class ShiftedSeries:
         e = Fraction(exponent)
         if e > self.bound:
             raise SeriesError(f"exponent {e} is beyond the trusted bound {self.bound}")
-        idx = (e - self.offset) * self.den
+        idx = e - self.offset
         if idx < 0 or idx.denominator != 1:
             return 0
-        i = int(idx)
-        return self.coeffs[i] if i <= self.order else 0
+        return self.coeffs[int(idx)]
 
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> "ShiftedSeries":
-        return ShiftedSeries._of_ints([-c for c in self.coeffs], self.offset, self.den)
+        return ShiftedSeries._of_ints([-c for c in self.coeffs], self.offset)
 
     def __add__(self, other):
         if isinstance(other, int):
             return self if other == 0 else NotImplemented
         if not isinstance(other, ShiftedSeries):
             return NotImplemented
-        bound = min(self.bound, other.bound)
+        if (self.offset - other.offset).denominator != 1:
+            raise SeriesError(
+                f"cannot add series on unlike grids: offsets {self.offset} and {other.offset}"
+            )
         base = min(self.offset, other.offset)
-        den = math.lcm(self.den, other.den, (self.offset - other.offset).denominator)
-        length = math.floor((bound - base) * den) + 1
+        length = int(min(self.bound, other.bound) - base) + 1
         out = [0] * length
         for s in (self, other):
-            idx = int((s.offset - base) * den)
-            step = den // s.den
-            for c in s.coeffs:
-                if idx >= length:
-                    break
+            start = int(s.offset - base)
+            for d, c in enumerate(s.coeffs[: max(length - start, 0)], start):
                 if c:
-                    out[idx] += c
-                idx += step
-        return ShiftedSeries._of_ints(out, base, den)
+                    out[d] += c
+        return ShiftedSeries._of_ints(out, base)
 
     __radd__ = __add__
 
@@ -178,30 +154,12 @@ class ShiftedSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ShiftedSeries._of_ints([c * other for c in self.coeffs], self.offset, self.den)
+            return ShiftedSeries._of_ints([c * other for c in self.coeffs], self.offset)
         if not isinstance(other, ShiftedSeries):
             return NotImplemented
-        den = math.lcm(self.den, other.den)
-        sa = den // self.den
-        sb = den // other.den
-        la = self.order * sa + 1
-        lb = other.order * sb + 1
-        n_out = min(self.order * sa, other.order * sb) + 1
-        offset = self.offset + other.offset
-        ma = self.max_abs()
-        mb = other.max_abs()
-        if ma == 0 or mb == 0:
-            return ShiftedSeries._of_ints([0] * n_out, offset, den)
-        if ma * mb * min(la, lb, n_out) < _kernels.LIMIT:
-            a = np.zeros(la, np.int64)
-            a[::sa] = self.coeffs
-            b = np.zeros(lb, np.int64)
-            b[::sb] = other.coeffs
-            out = _kernels.convolve(a, b, n_out)
-            return ShiftedSeries._of_ints(out.tolist(), offset, den)
-        return ShiftedSeries._of_ints(
-            _convolve_object(self.coeffs, sa, other.coeffs, sb, n_out), offset, den
-        )
+        n_out = min(self.order, other.order) + 1
+        coeffs = _kernels.convolve(self.coeffs, other.coeffs, n_out)
+        return ShiftedSeries._of_ints(coeffs, self.offset + other.offset)
 
     __rmul__ = __mul__
 
@@ -210,23 +168,8 @@ class ShiftedSeries:
         c0 = self.coeffs[0]
         if c0 not in (1, -1):
             raise SeriesError(f"non-invertible series: leading coefficient is {c0}")
-        n_out = self.order + 1
-        if self.max_abs() < _kernels.LIMIT:
-            arr = np.array(self.coeffs, dtype=np.int64)
-            out, valid = _kernels.invert_unit(arr, n_out)
-            if valid == n_out:
-                return ShiftedSeries._of_ints(out.tolist(), -self.offset, self.den)
-        nz = [(i, c) for i, c in enumerate(self.coeffs) if c and i > 0]
-        b = [0] * n_out
-        b[0] = c0
-        for k in range(1, n_out):
-            s = 0
-            for i, ai in nz:
-                if i > k:
-                    break
-                s += ai * b[k - i]
-            b[k] = -c0 * s
-        return ShiftedSeries._of_ints(b, -self.offset, self.den)
+        coeffs, _ = _kernels.invert_unit(self.coeffs, self.order + 1)
+        return ShiftedSeries._of_ints(coeffs, -self.offset)
 
     def substitute_power(self, n: int) -> "ShiftedSeries":
         """Substitute q -> q**n; offset, exponents and order all scale by n."""
@@ -234,27 +177,23 @@ class ShiftedSeries:
             raise SeriesError(f"substitution power must be a positive integer, got {n}")
         if n == 1:
             return self
-        g = math.gcd(n, self.den)
-        stride = n // g
-        out = [0] * (self.order * stride + 1)
-        for d, c in enumerate(self.coeffs):
-            if c:
-                out[d * stride] = c
-        return ShiftedSeries._of_ints(out, self.offset * n, self.den // g)
+        out = [0] * (self.order * n + 1)
+        out[::n] = self.coeffs
+        return ShiftedSeries._of_ints(out, self.offset * n)
 
     def shift(self, delta) -> "ShiftedSeries":
         """Multiply by q**delta (exact rational exponent shift)."""
-        return ShiftedSeries(self.coeffs, self.offset + Fraction(delta), self.den)
+        return ShiftedSeries._of_ints(self.coeffs, self.offset + Fraction(delta))
 
     def truncated(self, bound) -> "ShiftedSeries":
         """Drop coefficients above an absolute exponent bound."""
         bound = Fraction(bound)
         if bound >= self.bound:
             return self
-        new_order = math.floor((bound - self.offset) * self.den)
+        new_order = math.floor(bound - self.offset)
         if new_order < 0:
             raise SeriesError(f"truncation bound {bound} lies below the offset {self.offset}")
-        return ShiftedSeries._of_ints(self.coeffs[: new_order + 1], self.offset, self.den)
+        return ShiftedSeries._of_ints(self.coeffs[: new_order + 1], self.offset)
 
     def as_integer_series(self) -> "ShiftedSeries":
         """Re-index on the integer grid, asserting exponents are integers >= 0.
@@ -306,44 +245,6 @@ def _items_upto(s: ShiftedSeries, bound: Fraction) -> dict[Fraction, int]:
     return out
 
 
-def _convolve_object(a: list[int], sa: int, b: list[int], sb: int, n_out: int) -> list[int]:
-    """Exact truncated convolution of ``a`` on stride ``sa`` with ``b`` on stride ``sb``.
-
-    Loops over the nonzero terms of one operand and adds each term's multiple
-    of the other as one slice of a numpy object array.  Each operand is first
-    thinned to the gcd of its nonzero indices (``1/(q^n;q^n)`` lives on the
-    multiples of n), and the loop runs over the operand whose terms times the
-    other's thinned length is the smaller.
-    """
-    x, sx, kx = _thinned(a, sa)
-    y, sy, ky = _thinned(b, sb)
-    if kx * len(y) > ky * len(x):
-        x, sx, y, sy = y, sy, x, sx
-    out = np.zeros(n_out, dtype=object)
-    for d in np.flatnonzero(x).tolist():
-        i = d * sx
-        if i >= n_out:
-            break
-        c = x[d]
-        seg = out[i::sy][: len(y)]
-        if c == 1:
-            seg += y[: len(seg)]
-        elif c == -1:
-            seg -= y[: len(seg)]
-        else:
-            seg += c * y[: len(seg)]
-    return out.tolist()
-
-
-def _thinned(coeffs: list[int], stride: int) -> tuple[np.ndarray, int, int]:
-    """(object array, stride, nonzero count) of ``coeffs`` on the coarsest grid keeping its terms."""
-    arr = np.array(coeffs, dtype=object)
-    nz = np.flatnonzero(arr)
-    g = int(np.gcd.reduce(nz)) if nz.size else 1
-    g = g or 1  # only the constant term is nonzero
-    return arr[::g], stride * g, nz.size
-
-
 # ---------------------------------------------------------------------------
 # product and theta-sum constructors
 # ---------------------------------------------------------------------------
@@ -358,6 +259,8 @@ def pochhammer(factors: Iterable[SignedMonomial], base: SignedMonomial, order: i
     at any size (no ``dtype=object`` fallback).
     """
     factors = tuple(factors)
+    if order < 0:
+        raise SeriesError(NEEDS_CONSTANT_SLOT)
     if base.exponent < 1:
         raise SeriesError("non-convergent product: base monomial must have positive exponent")
     n_out = order + 1

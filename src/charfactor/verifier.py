@@ -273,7 +273,7 @@ class IdentityCertificate:
 
 def integer_coefficients(series: ShiftedSeries, order: int) -> list[int]:
     """Dense integer-grid coefficients 0..order of an offset-0 series."""
-    if series.den != 1 or series.offset != 0:
+    if series.offset != 0:
         series = series.as_integer_series()
     out = list(series.coeffs[: order + 1])
     out.extend([0] * (order + 1 - len(out)))

@@ -15,11 +15,11 @@ def test_verify_single_instance(capsys):
 
 
 def test_verify_invalid_parameters_exit_2(capsys):
-    # a' > c violated
-    code = run(["verify", "--kind", "main", "--p", "2", "--pp", "9", "--ap", "3",
-                "--b", "1", "--bp", "1", "--c", "3", "--order", "50"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    for c, order in (("3", "50"), ("1", "-1")):  # a' > c violated; negative order
+        code = run(["verify", "--kind", "main", "--p", "2", "--pp", "9", "--ap", "3",
+                    "--b", "1", "--bp", "1", "--c", c, "--order", order])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_verify_missing_flags_exit_2(capsys):

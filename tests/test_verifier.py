@@ -8,7 +8,7 @@ from charfactor.minimal_model import CharacterLabel, MinimalModel, conformal_dim
 from charfactor.pairs import contributing_pairs
 from charfactor.params import ParameterError, ProductParams, Scheme, validate
 from charfactor.scanner import phi_series
-from charfactor.series import ShiftedSeries
+from charfactor.series import SeriesError, ShiftedSeries
 from charfactor.verifier import (
     AS_STATED,
     PREFIX_LEN,
@@ -133,6 +133,15 @@ def test_applicability_errors():
     assert applicability_error(IdentityKind.QUINT_A, quintuple(9, 2, 2)) is not None  # n odd
     with pytest.raises(ParameterError, match="precondition failed"):
         verify(IdentityKind.MAIN_A_EVEN, triple(2, 9, 3), 50)
+
+
+@pytest.mark.parametrize("kind,fp", [
+    (IdentityKind.MAIN, triple(2, 9, 3)),
+    (IdentityKind.QUINT, quintuple(9, 2, 2)),
+])
+def test_verify_rejects_negative_order(kind, fp):
+    with pytest.raises(SeriesError, match="order >= 0"):
+        verify(kind, fp, -1)
 
 
 def test_quint_even_kinds_need_n_parity():
