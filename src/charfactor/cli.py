@@ -168,17 +168,9 @@ def _series_payload(pp: ProductParams, coeffs: list[int], order: int) -> dict:
     }
 
 
-def _cmd_phi(args) -> int:
-    pp = ProductParams(Scheme.TRIPLE, args.ap, args.B, args.c, args.n)
-    coeffs = list(scanner.phi_series(pp, args.order).coeffs)
-    _emit(_series_payload(pp, coeffs, args.order), args.json,
-          ["coefficients 0..%d:" % args.order, " ".join(map(str, coeffs))])
-    return 0
-
-
-def _cmd_psi(args) -> int:
-    pp = ProductParams(Scheme.QUINTUPLE, args.ap, args.B, args.c, args.n)
-    coeffs = list(scanner.psi_series(pp, args.order).coeffs)
+def _cmd_series(args) -> int:
+    pp = ProductParams(args.scheme, args.ap, args.B, args.c, args.n)
+    coeffs = list(args.series(pp, args.order).coeffs)
     _emit(_series_payload(pp, coeffs, args.order), args.json,
           ["coefficients 0..%d:" % args.order, " ".join(map(str, coeffs))])
     return 0
@@ -335,17 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_pairs)
 
-    sp = sub.add_parser("phi", help="coefficients of the triple-scheme product series")
-    _add_quadruple_flags(sp)
-    sp.add_argument("--order", type=int, default=50)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_phi)
-
-    sp = sub.add_parser("psi", help="coefficients of the quintuple-scheme product series")
-    _add_quadruple_flags(sp)
-    sp.add_argument("--order", type=int, default=50)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_psi)
+    for name, scheme, series in (("phi", Scheme.TRIPLE, scanner.phi_series),
+                                 ("psi", Scheme.QUINTUPLE, scanner.psi_series)):
+        sp = sub.add_parser(name, help=f"coefficients of the {scheme.value}-scheme product series")
+        _add_quadruple_flags(sp)
+        sp.add_argument("--order", type=int, default=50)
+        sp.add_argument("--json", action="store_true")
+        sp.set_defaults(fn=_cmd_series, scheme=scheme, series=series)
 
     sp = sub.add_parser("scan", help="scan sign agreement at distance n")
     sp.add_argument("--scheme", choices=sorted(_SCHEMES))

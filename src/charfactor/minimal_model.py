@@ -6,7 +6,8 @@ Characters are computed from the bosonic sum in its integer-exponent form,
                 ( sum_j q**(pp'j^2 + (p'r - ps)j) - sum_j q**(pp'j^2 + (p'r + ps)j + rs) ),
 
 which keeps every exponent inside the sums a nonnegative integer; the
-rational conformal dimension only enters as the series offset.
+rational conformal dimension only enters as the series offset.  The two sums
+are the :class:`~charfactor.series.Theta` records of :func:`bosonic_thetas`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import ShiftedSeries, bilateral_sum, partition_series, quadratic_window
+from .series import ShiftedSeries, Theta, bilateral_sum, partition_series
 
 
 class InvalidModel(ValueError):
@@ -71,26 +72,17 @@ def central_charge(model: MinimalModel) -> Fraction:
     return 1 - Fraction(6 * (p - pp) ** 2, p * pp)
 
 
-def bosonic_numerator(model: MinimalModel, label: CharacterLabel, order: int) -> list[int]:
-    """Coefficients 0..order of theta_{r,s} = chi_{r,s} * q**-Delta * (q;q)_inf.
-
-    The two bilateral sums of the module docstring, each over exactly the j
-    whose exponent is at most ``order``.
-    """
+def bosonic_thetas(model: MinimalModel, label: CharacterLabel) -> tuple[Theta, Theta]:
+    """The two :class:`Theta` records of theta_{r,s}, the bilateral sums of the module docstring."""
     _check_label(model, label)
     p, pp = model.p, model.p_prime
     r, s = label.r, label.s
-    ppp = p * pp
-    lin_plus, lin_minus = pp * r - p * s, pp * r + p * s
+    return Theta(p * pp, pp * r - p * s, 0), Theta(p * pp, pp * r + p * s, r * s, -1)
 
-    def plus(j: int):
-        return ppp * j * j + lin_plus * j, 1
 
-    def minus(j: int):
-        return ppp * j * j + lin_minus * j + r * s, -1
-
-    coeffs = bilateral_sum(order, plus, quadratic_window(ppp, lin_plus, 0, order))
-    return bilateral_sum(order, minus, quadratic_window(ppp, lin_minus, r * s, order), into=coeffs)
+def bosonic_numerator(model: MinimalModel, label: CharacterLabel, order: int) -> list[int]:
+    """Coefficients 0..order of theta_{r,s} = chi_{r,s} * q**-Delta * (q;q)_inf."""
+    return bilateral_sum(bosonic_thetas(model, label), order)
 
 
 def normalized_character(model: MinimalModel, label: CharacterLabel, order: int) -> ShiftedSeries:

@@ -187,8 +187,10 @@ def find_realizations(pp: ProductParams, limit: int | None = None) -> list[Facto
     """All full tuples realizing the quadruple, ordered by (p, b).
 
     Enumerates the divisor factorizations of a*a'*B*n; an empty list is a
-    legitimate outcome, not an error.
+    legitimate outcome, not an error.  At most ``limit`` tuples are returned.
     """
+    if limit is not None and limit < 0:
+        raise ParameterError(f"limit must be nonnegative, got {limit}")
     a = pp.scheme.modulus
     total = a * pp.a_prime * pp.B * pp.n
     out: list[FactorizationParams] = []
@@ -197,12 +199,10 @@ def find_realizations(pp: ProductParams, limit: int | None = None) -> list[Facto
         if p < 2 or p_prime < 2 or math.gcd(p, p_prime) != 1:
             continue
         for b in divisors(pp.B):
-            b_prime = pp.B // b
+            if len(out) == limit:
+                return out
             try:
-                fp = FactorizationParams(pp.scheme, p, p_prime, pp.a_prime, b, b_prime, pp.c)
+                out.append(FactorizationParams(pp.scheme, p, p_prime, pp.a_prime, b, pp.B // b, pp.c))
             except ParameterError:
                 continue
-            out.append(fp)
-            if limit is not None and len(out) >= limit:
-                return out
     return out

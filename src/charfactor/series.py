@@ -10,7 +10,9 @@ runs on :func:`charfactor._kernels.convolve` (slice operations on numpy
 ``dtype=object`` arrays), inversion on :func:`charfactor._kernels.invert_unit`
 (a sparse recurrence on Python ints), and Pochhammer products on
 :func:`charfactor._kernels.binomial_product`, which carries coefficients past
-int64 on several int64 limbs.
+int64 on several int64 limbs.  Every bilateral theta sum, on the product and
+the character side alike, is a list of :class:`Theta` records expanded by
+:func:`bilateral_sum`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -306,23 +308,36 @@ def quadratic_window(a: int, b: int, c: int, bound: int) -> range:
     return range(-((b + r) // (2 * a)), (r - b) // (2 * a) + 1)
 
 
-def bilateral_sum(order: int, term: Callable[[int], tuple[int, int]], window: range,
-                  error_label: str = "divergent theta parameters",
-                  into: list[int] | None = None) -> list[int]:
-    """Accumulate a bilateral sum over j in Z of integer-exponent terms.
+class Theta(NamedTuple):
+    """The theta series ``sum_k s * chi**k * q**(a*k*k + b*k + c)`` over k in Z, for a > 0.
 
-    ``term(j)`` gives one (exponent, coefficient) pair, and ``window`` holds
-    exactly the j whose exponent is at most ``order``, as
-    :func:`quadratic_window` gives them.  Such a window, when not empty, holds
-    the j of least exponent, so a negative exponent anywhere raises.  Adds
-    into and returns ``into`` (length ``order + 1``) when it is given.
+    One record per bilateral sum: the triple and quintuple products and the
+    bosonic numerators are short lists of these, and :func:`bilateral_sum`
+    expands any list of them.
     """
-    coeffs = [0] * (order + 1) if into is None else into
-    for j in window:
-        e, c = term(j)
-        if e < 0:
-            raise SeriesError(f"{error_label}: exponent {e} at index j={j}")
-        coeffs[e] += c
+
+    a: int
+    b: int
+    c: int
+    s: int = 1
+    chi: int = 1
+
+
+def bilateral_sum(thetas: Iterable[Theta], order: int,
+                  error_label: str = "divergent theta parameters") -> list[int]:
+    """Coefficients 0..order of the sum of the ``thetas``.
+
+    Each record runs over exactly the k whose exponent is at most ``order``,
+    as :func:`quadratic_window` gives them.  Such a window, when not empty,
+    holds the k of least exponent, so a negative exponent anywhere raises.
+    """
+    coeffs = [0] * (order + 1)
+    for a, b, c, s, chi in thetas:
+        for k in quadratic_window(a, b, c, order):
+            e = (a * k + b) * k + c
+            if e < 0:
+                raise SeriesError(f"{error_label}: exponent {e} at index k={k}")
+            coeffs[e] += -s if (chi < 0 and k & 1) else s
     return coeffs
 
 
@@ -334,19 +349,14 @@ def triple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedS
     bilateral sum, so the reflected form is this same series with u replaced
     by u^-1 v; the sign ambiguity that reflection introduces into the signed
     product identities is handled by the verifier's variant search, not here.
+    The even and odd j = 2k + t are one :class:`Theta` record each, with v's
+    sign as ``chi``.
     """
     if v.exponent < 1:
         raise SeriesError("non-convergent theta sum: v must have positive exponent")
-    eu, su = u.exponent, u.sign
-    ev, sv = v.exponent, v.sign
-
-    def term(j: int):
-        tri = j * (j - 1) // 2
-        return j * eu + ev * tri, (-su if (j & 1) else 1) * (sv if (tri & 1) else 1)
-
-    # twice the exponent is ev*j^2 + (2eu - ev)*j
-    window = quadratic_window(ev, 2 * eu - ev, 0, 2 * order)
-    return ShiftedSeries._of_ints(bilateral_sum(order, term, window))
+    eu, su, ev, sv = u.exponent, u.sign, v.exponent, v.sign
+    thetas = (Theta(2 * ev, 2 * eu - ev, 0, 1, sv), Theta(2 * ev, 2 * eu + ev, eu, -su, sv))
+    return ShiftedSeries._of_ints(bilateral_sum(thetas, order))
 
 
 def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedSeries:
@@ -354,26 +364,19 @@ def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> Shift
 
     Expands ``(v, u, u^-1 v; v) (u^2 v, u^-2 v; v^2)``.  Negative powers of u
     are legal as long as every surviving term has nonnegative total exponent;
-    otherwise the parameters are rejected.
+    otherwise the parameters are rejected.  Each of the two sums splits on
+    even and odd j = 2k + t into two :class:`Theta` records.
     """
     if v.exponent < 1:
         raise SeriesError("non-convergent theta sum: v must have positive exponent")
-    eu, su = u.exponent, u.sign
-    ev, sv = v.exponent, v.sign
-    label = "divergent quintuple parameters"
-
-    def first(j: int):
-        tri = j * (3 * j + 1) // 2
-        return -3 * j * eu + ev * tri, (su if (j & 1) else 1) * (sv if (tri & 1) else 1)
-
-    def second(j: int):
-        tri = j * (3 * j + 1) // 2
-        return (3 * j + 1) * eu + ev * tri, -(su if ((3 * j + 1) & 1) else 1) * (sv if (tri & 1) else 1)
-
-    # twice the exponents are 3ev*j^2 + (ev -+ 6eu)*j (+ 2eu)
-    coeffs = bilateral_sum(order, first, quadratic_window(3 * ev, ev - 6 * eu, 0, 2 * order), label)
-    bilateral_sum(order, second, quadratic_window(3 * ev, ev + 6 * eu, 2 * eu, 2 * order), label, into=coeffs)
-    return ShiftedSeries._of_ints(coeffs)
+    eu, su, ev, sv = u.exponent, u.sign, v.exponent, v.sign
+    thetas = (
+        Theta(6 * ev, ev - 6 * eu, 0, 1, sv),
+        Theta(6 * ev, 7 * ev - 6 * eu, 2 * ev - 3 * eu, su, sv),
+        Theta(6 * ev, 6 * eu + ev, eu, -su, sv),
+        Theta(6 * ev, 6 * eu + 7 * ev, 4 * eu + 2 * ev, -1, sv),
+    )
+    return ShiftedSeries._of_ints(bilateral_sum(thetas, order, "divergent quintuple parameters"))
 
 
 # ---------------------------------------------------------------------------

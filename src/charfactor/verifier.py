@@ -12,7 +12,9 @@ recording which one held.
 q**Delta * theta_{r,s}(q) / (q;q)_inf, so at q**n both sides carry the factor
 1/(q^n;q^n), and it cancels: the product side leaves its Pochhammer
 numerator, the character side leaves the sum over pairs of
-sign * q**(E + n*Delta) * theta_{r,s}(q**n), a sparse sum of small integers.
+sign * q**(E + n*Delta) * theta_{r,s}(q**n): each pair's two bosonic
+:class:`~charfactor.series.Theta` records at q**n, shifted and signed, all
+expanded by one :func:`~charfactor.series.bilateral_sum`.
 Because (q^n;q^n) has constant term 1, two series agree up to degree d exactly
 when their numerators do, so the verdict and the first mismatch degree are
 those of the full sides.  The certificate's 16-term prefixes are still
@@ -29,12 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from . import products
-from .minimal_model import CharacterLabel, MinimalModel, bosonic_numerator, conformal_dim
+from . import products, series
+from .minimal_model import CharacterLabel, MinimalModel, bosonic_thetas, conformal_dim
 from .minimal_model import normalized_character  # noqa: F401  (perfbench/tracing.py patches this name)
 from .pairs import ContributingPair, contributing_pairs
 from .params import FactorizationParams, ParameterError, Scheme, divisors
-from .series import SeriesError, ShiftedSeries, inverse_euler_power
+from .series import SeriesError, ShiftedSeries, Theta, inverse_euler_power, partition_series
 
 AS_STATED = "as_stated"
 SWAPPED = "swapped"
@@ -186,12 +188,12 @@ def pair_sign(kind: IdentityKind, pair: ContributingPair, variant: str = AS_STAT
     raise ValueError(kind)
 
 
-def _character_terms(fp: FactorizationParams, pairs: list[ContributingPair],
-                     order: int) -> list[list[tuple[int, int]]]:
-    """Per pair, the nonzero (degree, coefficient) terms of q**(E + n*Delta) theta(q**n) to ``order``.
+def _character_thetas(fp: FactorizationParams, pairs: list[ContributingPair]) -> list[list[Theta]]:
+    """Per pair, the :class:`Theta` records of q**(E + n*Delta) theta(q**n).
 
-    The combined exponent E + n*Delta must be a nonnegative integer for every
-    contributing pair, else the parameters are rejected.
+    These are the pair's :func:`bosonic_thetas` records at q**n, shifted by
+    the combined exponent E + n*Delta, which must be a nonnegative integer
+    for every contributing pair, else the parameters are rejected.
     """
     model = MinimalModel(fp.p, fp.p_prime)
     e_pref = prefactor_exponent(fp)
@@ -205,21 +207,16 @@ def _character_terms(fp: FactorizationParams, pairs: list[ContributingPair],
                 f"non-integral identity side: character ({label.r},{label.s}) "
                 f"sits at exponent {offset}"
             )
-        offset = int(offset)
-        theta = bosonic_numerator(model, label, (order - offset) // n) if offset <= order else []
-        out.append([(offset + n * d, c) for d, c in enumerate(theta) if c])
+        out.append([Theta(n * a, n * b, n * c + int(offset), s, chi)
+                    for a, b, c, s, chi in bosonic_thetas(model, label)])
     return out
 
 
 def _signed_sum(kind: IdentityKind, pairs: list[ContributingPair],
-                terms: list[list[tuple[int, int]]], variant: str, order: int) -> list[int]:
+                thetas: list[list[Theta]], variant: str, order: int) -> list[int]:
     """Coefficients 0..order of the character-side numerator under one sign reading."""
-    out = [0] * (order + 1)
-    for pair, pair_terms in zip(pairs, terms):
-        sign = pair_sign(kind, pair, variant)
-        for d, c in pair_terms:
-            out[d] += sign * c
-    return out
+    signs = [pair_sign(kind, pair, variant) for pair in pairs]
+    return series.bilateral_sum([t._replace(s=sign * t.s) for sign, ts in zip(signs, thetas) for t in ts], order)
 
 
 def build_rhs(kind: IdentityKind, fp: FactorizationParams, order: int,
@@ -227,7 +224,7 @@ def build_rhs(kind: IdentityKind, fp: FactorizationParams, order: int,
     """The signed character sum with its prefactor, on the integer grid, truncated at ``order``."""
     _require_applicable(kind, fp)
     pairs = contributing_pairs(fp)
-    num = _signed_sum(kind, pairs, _character_terms(fp, pairs, order), variant, order)
+    num = _signed_sum(kind, pairs, _character_thetas(fp, pairs), variant, order)
     return ShiftedSeries(num) * inverse_euler_power(fp.n, order)
 
 
@@ -291,7 +288,8 @@ def first_mismatch_degree(lhs: list[int], rhs: list[int]) -> int | None:
 
 def _full_prefix(numerator: list[int], n: int, length: int) -> list[int]:
     """The first ``length`` coefficients of numerator / (q^n; q^n)."""
-    return (ShiftedSeries(numerator[:length]) * inverse_euler_power(n, length - 1)).coeffs
+    p = partition_series(length - 1).coeffs
+    return [sum(numerator[d - n * k] * p[k] for k in range(d // n + 1)) for d in range(length)]
 
 
 def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCertificate:
@@ -303,12 +301,12 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
     _require_applicable(kind, fp)
     pairs = contributing_pairs(fp)
     lhs = integer_coefficients(_lhs_numerator(kind, fp, order), order)
-    terms = _character_terms(fp, pairs, order)
-    rhs = _signed_sum(kind, pairs, terms, AS_STATED, order)
+    thetas = _character_thetas(fp, pairs)
+    rhs = _signed_sum(kind, pairs, thetas, AS_STATED, order)
     variant = AS_STATED
     mismatch = first_mismatch_degree(lhs, rhs)
     if mismatch is not None and kind.has_variants:
-        swapped_rhs = _signed_sum(kind, pairs, terms, SWAPPED, order)
+        swapped_rhs = _signed_sum(kind, pairs, thetas, SWAPPED, order)
         if first_mismatch_degree(lhs, swapped_rhs) is None:
             variant = SWAPPED
             mismatch = None

@@ -71,6 +71,22 @@ def naive_pochhammer(factors: list[tuple[int, int]], base: tuple[int, int], orde
     return naive_product(binomials, order)
 
 
+def brute_theta(records, order: int) -> list[int] | None:
+    """Coefficients 0..order of the sum over (a, b, c, s, chi) records of
+    sum_k s * chi**k * q**(a k^2 + b k + c), with k running wide enough to
+    reach every exponent <= order; None when some exponent is negative."""
+    out = [0] * (order + 1)
+    for a, b, c, s, chi in records:
+        reach = abs(b) + abs(c) + order + 1  # beyond it, a k^2 + b k + c > order
+        for k in range(-reach, reach + 1):
+            e = a * k * k + b * k + c
+            if e < 0:
+                return None
+            if e <= order:
+                out[e] += s * chi ** abs(k)
+    return out
+
+
 def rc_normalized_character(p: int, pp: int, r: int, s: int, order: int) -> list[int]:
     """Normalized character coefficients straight from the bosonic double sum."""
     num = [0] * (order + 1)

@@ -78,6 +78,14 @@ def test_realize_command(capsys):
     assert {"p": 2, "pp": 9, "a": 2, "ap": 3, "b": 1, "bp": 1, "c": 1, "B": 1, "n": 3} in doc
 
 
+def test_realize_limit(capsys):
+    args = ["realize", "--scheme", "triple", "--ap", "3", "--c", "1", "--n", "3", "--limit"]
+    assert run(args + ["0"]) == 0
+    assert capsys.readouterr().out == "0 realizations\n"
+    assert run(args + ["-1"]) == 2
+    assert "limit must be nonnegative" in capsys.readouterr().err
+
+
 def test_remark_command(capsys):
     assert run(["remark", "--ap", "5", "--c", "3", "--order", "60", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -122,7 +122,11 @@ def test_find_realizations_round_trip_and_order():
 
 def test_find_realizations_limit():
     pp = ProductParams(Scheme.TRIPLE, 3, 2, 1, 5)
-    assert len(find_realizations(pp, limit=1)) == 1
+    every = find_realizations(pp)
+    for limit in range(len(every) + 2):
+        assert find_realizations(pp, limit=limit) == every[:limit]
+    with pytest.raises(ParameterError, match="limit"):
+        find_realizations(pp, limit=-1)
 
 
 def test_find_realizations_empty_is_legal():

@@ -10,6 +10,7 @@ from charfactor.series import (
     SeriesError,
     ShiftedSeries,
     SignedMonomial,
+    Theta,
     bilateral_sum,
     euler_product,
     inverse_euler_power,
@@ -20,7 +21,7 @@ from charfactor.series import (
     triple_product,
 )
 
-from oracles import brute_convolve, naive_pochhammer, partition_counts, signed_distinct_counts
+from oracles import brute_convolve, brute_theta, naive_pochhammer, partition_counts, signed_distinct_counts
 
 Q = SignedMonomial
 
@@ -333,32 +334,54 @@ def test_euler_product_at_workload_scale_is_the_pentagonal_series():
     b=st.integers(-10**5, 10**5),
     slack=st.integers(0, 40),
     order=st.integers(0, 80),
+    chi=st.sampled_from((1, -1)),
 )
-@example(a=1, b=-20, slack=0, order=5)  # (j - 10)^2: every term sits far from j = 0
+@example(a=1, b=-20, slack=0, order=5, chi=1)  # (k - 10)^2: every term sits far from k = 0
 @settings(max_examples=200, deadline=None)
-def test_bilateral_sum_covers_the_exact_window(a, b, slack, order):
-    # a*j^2 + b*j + c with its least integer value equal to slack >= 0
+def test_bilateral_sum_covers_the_exact_window(a, b, slack, order, chi):
+    # a*k^2 + b*k + c with its least integer value equal to slack >= 0
     near = -b // (2 * a)
-    c = slack - min(a * j * j + b * j for j in (near - 1, near, near + 1, near + 2))
+    c = slack - min(a * k * k + b * k for k in (near - 1, near, near + 1, near + 2))
     brute = range(near - 1000, near + 1001)
 
-    def term(j):
-        return a * j * j + b * j + c, j % 3 - 1
+    def exponent(k):
+        return a * k * k + b * k + c
 
     want = [0] * (order + 1)
-    for j in brute:
-        e, coeff = term(j)
+    for k in brute:
+        e = exponent(k)
         assert e >= 0
         if e <= order:
-            want[e] += coeff
-    window = quadratic_window(a, b, c, order)
-    assert list(window) == [j for j in brute if term(j)[0] <= order]
-    assert bilateral_sum(order, term, window) == want
+            want[e] += chi ** abs(k)
+    assert list(quadratic_window(a, b, c, order)) == [k for k in brute if exponent(k) <= order]
+    assert bilateral_sum([Theta(a, b, c, 1, chi)], order) == want
 
 
 def test_bilateral_sum_rejects_negative_exponents():
     with pytest.raises(SeriesError, match="divergent"):
-        bilateral_sum(5, lambda j: ((j - 10) ** 2 - 1, 1), quadratic_window(1, -20, 99, 5))
+        bilateral_sum([Theta(1, -20, 99)], 5)
+
+
+@st.composite
+def theta_records(draw):
+    """A record whose least exponent is a small slack, sometimes negative."""
+    a, b = draw(st.integers(1, 6)), draw(st.integers(-60, 60))
+    near = -b // (2 * a)
+    least = min(a * k * k + b * k for k in (near - 1, near, near + 1, near + 2))
+    c = draw(st.integers(-2, 40)) - least
+    return Theta(a, b, c, draw(st.sampled_from((1, -1, 2))), draw(st.sampled_from((1, -1))))
+
+
+@given(records=st.lists(theta_records(), min_size=1, max_size=4), order=st.integers(0, 80))
+@example(records=[Theta(4, 0, 0, 1, -1), Theta(4, 4, 1, -1, -1)], order=40)  # triple_product(q, -q^2)
+@settings(max_examples=200, deadline=None)
+def test_bilateral_sum_matches_brute_theta(records, order):
+    want = brute_theta(records, order)
+    if want is None:
+        with pytest.raises(SeriesError, match="divergent"):
+            bilateral_sum(records, order)
+    else:
+        assert bilateral_sum(records, order) == want
 
 
 def test_triple_product_pentagonal():
@@ -413,9 +436,12 @@ def test_quintuple_product_divergent_parameters_rejected():
 ])
 def test_theta_sums_match_product_oracles(eu, ev, su, sv):
     u, v = Q(su, eu), Q(sv, ev)
-    got = triple_product(u, v, 80)
-    want = naive_pochhammer([(sv, ev), (su, eu), (su * sv, ev - eu)], (sv, ev), 80)
-    assert got.coeffs == want
+    jacobi = naive_pochhammer([(sv, ev), (su, eu), (su * sv, ev - eu)], (sv, ev), 80)
+    assert triple_product(u, v, 80).coeffs == jacobi
+    if 2 * eu <= ev:
+        # (v, u, u^-1 v; v) (u^2 v, u^-2 v; v^2)
+        second = naive_pochhammer([(sv, 2 * eu + ev), (sv, ev - 2 * eu)], (1, 2 * ev), 80)
+        assert quintuple_product(u, v, 80).coeffs == brute_convolve(jacobi, second, 81)
 
 
 def test_inverse_euler_power_matches_partitions():
