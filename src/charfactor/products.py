@@ -1,10 +1,10 @@
 """Product-side series shared by the identity verifier and the sign scanner.
 
 The numerators expand the signed Pochhammer products of a quadruple
-(a', B, c, n) factor by factor; their sign vector flips individual product
-arguments, which is how the signed variants differ from the plain
-identities.  ``verifier.verify`` keeps this expansion, so a certificate's
-product side never relies on a product identity.
+(a', B, c, n) factor by factor, in one binomial pass each; their sign vector
+flips individual product arguments, which is how the signed variants differ
+from the plain identities.  ``verifier.verify`` keeps this expansion, so a
+certificate's product side never relies on a product identity.
 
 The plain sides, which the scanner streams, are exactly a Jacobi triple
 product and a quintuple product, so they are built as theta series in
@@ -18,6 +18,7 @@ from .series import (
     SignedMonomial,
     inverse_euler_power,
     pochhammer,
+    pochhammer_product,
     quintuple_product,
     triple_product,
 )
@@ -43,26 +44,15 @@ def triple_numerator(ap: int, B: int, c: int, order: int,
 
 def quintuple_numerator(ap: int, B: int, c: int, order: int,
                         signs: tuple[int, int, int, int, int, int] = QUINTUPLE_PLAIN) -> ShiftedSeries:
-    """(s1 q^{Bc}, s2 q^{B(2a'-c)}, s3 q^{2Ba'}; sb q^{2Ba'}) (t1 q^{2B(a'+c)}, t2 q^{2B(a'-c)}; q^{4Ba'})."""
+    """(s1 q^{Bc}, s2 q^{B(2a'-c)}, s3 q^{2Ba'}; sb q^{2Ba'}) (t1 q^{2B(a'+c)}, t2 q^{2B(a'-c)}; q^{4Ba'}).
+
+    One binomial pass over both symbols; at c = 0 with s1 = +1 the factor (1 - q^0) zeroes it unexpanded.
+    """
     s1, s2, s3, sb, t1, t2 = signs
-    first = pochhammer(
-        (
-            SignedMonomial(s1, B * c),
-            SignedMonomial(s2, B * (2 * ap - c)),
-            SignedMonomial(s3, 2 * B * ap),
-        ),
-        SignedMonomial(sb, 2 * B * ap),
-        order,
-    )
-    second = pochhammer(
-        (
-            SignedMonomial(t1, 2 * B * (ap + c)),
-            SignedMonomial(t2, 2 * B * (ap - c)),
-        ),
-        SignedMonomial(1, 4 * B * ap),
-        order,
-    )
-    return first * second
+    v = SignedMonomial(sb, 2 * B * ap)
+    first = (SignedMonomial(s1, B * c), SignedMonomial(s2, B * (2 * ap - c)), SignedMonomial(s3, 2 * B * ap))
+    second = (SignedMonomial(t1, 2 * B * (ap + c)), SignedMonomial(t2, 2 * B * (ap - c)))
+    return pochhammer_product(((first, v), (second, SignedMonomial(1, 4 * B * ap))), order)
 
 
 def triple_side(ap: int, B: int, c: int, n: int, order: int) -> ShiftedSeries:

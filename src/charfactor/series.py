@@ -255,22 +255,30 @@ def pochhammer(factors: Iterable[SignedMonomial], base: SignedMonomial, order: i
     """Truncated infinite product ``prod_{i>=0} prod_j (1 - u_j * v**i)``.
 
     ``factors`` are the u_j and ``base`` is v; monomial signs ride along, so
-    e.g. ``(q, -q**2; q**2)`` style products come out exactly.  A factor that
-    degenerates to (1 - q**0) annihilates the product; (1 + q**0) doubles it.
-    :func:`charfactor._kernels.binomial_product` expands the binomials, exact
-    at any size (no ``dtype=object`` fallback).
+    e.g. ``(q, -q**2; q**2)`` style products come out exactly.  This is the
+    one-symbol case of :func:`pochhammer_product`.
     """
-    factors = tuple(factors)
+    return pochhammer_product(((factors, base),), order)
+
+
+def pochhammer_product(symbols: Iterable[tuple], order: int) -> ShiftedSeries:
+    """Truncated product of Pochhammer symbols, each a ``(factors, base)`` pair as in :func:`pochhammer`.
+
+    One :func:`charfactor._kernels.binomial_product` call expands the binomials
+    of every symbol, exact at any size.  A factor that degenerates to
+    (1 - q**0) annihilates the whole product unexpanded; (1 + q**0) doubles it.
+    """
+    symbols = [(tuple(factors), base) for factors, base in symbols]
     if order < 0:
         raise SeriesError(NEEDS_CONSTANT_SLOT)
-    if base.exponent < 1:
+    if any(base.exponent < 1 for _, base in symbols):
         raise SeriesError("non-convergent product: base monomial must have positive exponent")
     n_out = order + 1
     shifts: list[int] = []
     signs: list[int] = []
     doubles = 0
-    if factors:
-        min_fac = min(f.exponent for f in factors)
+    for factors, base in symbols:
+        min_fac = min((f.exponent for f in factors), default=n_out)
         i = 0
         while min_fac + i * base.exponent <= order:
             stride = i * base.exponent

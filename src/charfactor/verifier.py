@@ -13,8 +13,8 @@ q**Delta * theta_{r,s}(q) / (q;q)_inf, so at q**n both sides carry the factor
 1/(q^n;q^n), and it cancels: the product side leaves its Pochhammer
 numerator, the character side leaves the sum over pairs of
 sign * q**(E + n*Delta) * theta_{r,s}(q**n): each pair's two bosonic
-:class:`~charfactor.series.Theta` records at q**n, shifted and signed, all
-expanded by one :func:`~charfactor.series.bilateral_sum`.
+:class:`~charfactor.series.Theta` records at q**n, shifted by the integer
+E + n*Delta and signed, all expanded by one :func:`~charfactor.series.bilateral_sum`.
 Because (q^n;q^n) has constant term 1, two series agree up to degree d exactly
 when their numerators do, so the verdict and the first mismatch degree are
 those of the full sides.  The certificate's 16-term prefixes are still
@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import products, series
-from .minimal_model import CharacterLabel, MinimalModel, bosonic_thetas, conformal_dim
+from .minimal_model import CharacterLabel, MinimalModel, bosonic_thetas
 from .minimal_model import normalized_character  # noqa: F401  (perfbench/tracing.py patches this name)
 from .pairs import ContributingPair, contributing_pairs
 from .params import FactorizationParams, ParameterError, Scheme, divisors
@@ -193,22 +193,24 @@ def _character_thetas(fp: FactorizationParams, pairs: list[ContributingPair]) ->
 
     These are the pair's :func:`bosonic_thetas` records at q**n, shifted by
     the combined exponent E + n*Delta, which must be a nonnegative integer
-    for every contributing pair, else the parameters are rejected.
+    for every contributing pair, else the parameters are rejected.  E and
+    n*Delta share the denominator den = 4*a*a'*B (n*den = 4pp'), so the
+    exponent is one integer divmod, with no ``Fraction`` per pair.
     """
     model = MinimalModel(fp.p, fp.p_prime)
+    p, pp, n = fp.p, fp.p_prime, fp.n
+    den = 4 * fp.a * fp.a_prime * fp.B
     e_pref = prefactor_exponent(fp)
-    n = fp.n
+    top = e_pref.numerator * (den // e_pref.denominator) - (pp - p) ** 2
     out = []
     for pair in pairs:
         label = CharacterLabel(pair.r * fp.b, pair.s * fp.b_prime)
-        offset = e_pref + n * conformal_dim(model, label)
-        if offset.denominator != 1 or offset < 0:
-            raise SeriesError(
-                f"non-integral identity side: character ({label.r},{label.s}) "
-                f"sits at exponent {offset}"
-            )
-        out.append([Theta(n * a, n * b, n * c + int(offset), s, chi)
-                    for a, b, c, s, chi in bosonic_thetas(model, label)])
+        thetas = bosonic_thetas(model, label)
+        offset, rem = divmod(top + (pp * label.r - p * label.s) ** 2, den)
+        if rem or offset < 0:
+            raise SeriesError(f"non-integral identity side: character ({label.r},{label.s}) "
+                              f"sits at exponent {Fraction(offset * den + rem, den)}")
+        out.append([Theta(n * a, n * b, n * c + offset, s, chi) for a, b, c, s, chi in thetas])
     return out
 
 

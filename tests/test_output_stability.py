@@ -1,8 +1,10 @@
-"""Default sweep JSON stays byte-identical across refactors.
+"""Default certificate and sweep JSON stays byte-identical across refactors.
 
-The digest is the sha256 of the concatenated stdout of the commands below,
-run in-process on one thread.  It was computed before the theta sums moved to
-``Theta`` records; a change in it means the default output changed.
+Each digest is the sha256 of the concatenated stdout of its commands, run
+in-process on one thread; a change in one means the default output changed.
+The sweep digest was computed before the theta sums moved to ``Theta``
+records, the high-order one before the quintuple numerators were expanded in
+one binomial pass.
 """
 
 import contextlib
@@ -18,13 +20,35 @@ COMMANDS.append(["scan", "--sweep", "--max-size", "20", "--order", "300", "--jso
 
 GOLDEN = "9b26dd3829c56b679c88a8532022b6b59630b81eb274776c9581e681bd207c9a"
 
+#: single certificates at N = 10^4 and 12,000, where binomial products run past one int64 limb
+HIGH_ORDER = [
+    ["verify", "--kind", kind, "--p", p, "--pp", pp, "--ap", ap, "--c", c, "--order", order, "--json"]
+    for kind, p, pp, ap, c, order in (
+        ("main", "2", "3", "3", "1", "10000"),
+        ("quint", "3", "4", "4", "1", "10000"),
+        ("main_b", "4", "3", "3", "1", "10000"),
+        ("quint_b", "3", "16", "4", "3", "10000"),
+        ("main", "2", "9", "3", "1", "12000"),
+    )
+]
 
-def test_default_sweep_json_is_byte_stable(monkeypatch):
-    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+GOLDEN_HIGH_ORDER = "3c2bf8343427373d44a68cd89e2614580f47db31d9907c60cb8422c4308d54f0"
+
+
+def _digest(commands) -> str:
     digest = hashlib.sha256()
-    for argv in COMMANDS:
+    for argv in commands:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             run(argv)
         digest.update(out.getvalue().encode())
-    assert digest.hexdigest() == GOLDEN
+    return digest.hexdigest()
+
+
+def test_default_sweep_json_is_byte_stable(monkeypatch):
+    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+    assert _digest(COMMANDS) == GOLDEN
+
+
+def test_high_order_certificate_json_is_byte_stable():
+    assert _digest(HIGH_ORDER) == GOLDEN_HIGH_ORDER

@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charfactor import products
-from charfactor.series import SeriesError, inverse_euler_power
+from charfactor.series import SeriesError, inverse_euler_power, pochhammer
+from charfactor.series import SignedMonomial as Q
+from charfactor.verifier import _QUINTUPLE_SIGNS, IdentityKind
 
 from oracles import brute_convolve, naive_pochhammer, partition_counts
 
@@ -68,3 +70,25 @@ def test_sides_reject_what_the_numerators_reject():
             side(3, 1, c, 2, 30)
     with pytest.raises(ValueError, match="parity"):
         products.triple_side(3, 1, 2, 2, 30)
+
+
+@pytest.mark.parametrize("kind", list(_QUINTUPLE_SIGNS), ids=lambda k: k.value)
+@given(st.integers(1, 9), st.integers(1, 4), st.integers(0, 8), st.integers(0, 80))
+@settings(max_examples=60, deadline=None)
+def test_signed_quintuple_numerators_match_naive_expansion(kind, ap, B, c, order):
+    c %= ap
+    s1, s2, s3, sb, t1, t2 = signs = _QUINTUPLE_SIGNS[kind]
+    first = naive_pochhammer([(s1, B * c), (s2, B * (2 * ap - c)), (s3, 2 * B * ap)], (sb, 2 * B * ap), order)
+    second = naive_pochhammer([(t1, 2 * B * (ap + c)), (t2, 2 * B * (ap - c))], (1, 4 * B * ap), order)
+    got = products.quintuple_numerator(ap, B, c, order, signs)
+    assert got.coeffs == brute_convolve(first, second, order + 1)
+
+
+@pytest.mark.parametrize("kind, ap, B, c", [(IdentityKind.QUINT, 4, 1, 1), (IdentityKind.QUINT_B, 4, 1, 3)])
+def test_high_order_quintuple_numerators_match_the_two_symbol_form(kind, ap, B, c):
+    # the two quintuple certificates of the benchmark's high-order workload, at N = 10^4
+    order = 10_000
+    s1, s2, s3, sb, t1, t2 = signs = _QUINTUPLE_SIGNS[kind]
+    first = pochhammer((Q(s1, B * c), Q(s2, B * (2 * ap - c)), Q(s3, 2 * B * ap)), Q(sb, 2 * B * ap), order)
+    second = pochhammer((Q(t1, 2 * B * (ap + c)), Q(t2, 2 * B * (ap - c))), Q(1, 4 * B * ap), order)
+    assert products.quintuple_numerator(ap, B, c, order, signs).coeffs == (first * second).coeffs

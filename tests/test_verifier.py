@@ -1,14 +1,17 @@
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import charfactor.verifier as vf
+from charfactor import _kernels, products
 from charfactor.minimal_model import CharacterLabel, MinimalModel, conformal_dim, normalized_character
 from charfactor.pairs import contributing_pairs
 from charfactor.params import ParameterError, ProductParams, Scheme, validate
 from charfactor.scanner import phi_series
-from charfactor.series import SeriesError, ShiftedSeries
+from charfactor.series import SeriesError, ShiftedSeries, partition_series, pochhammer_product
+from charfactor.series import SignedMonomial as Q
 from charfactor.verifier import (
     AS_STATED,
     PREFIX_LEN,
@@ -21,6 +24,7 @@ from charfactor.verifier import (
     first_mismatch_degree,
     integer_coefficients,
     iter_applicable_params,
+    iter_scheme_params,
     pair_sign,
     prefactor_exponent,
     verify,
@@ -252,8 +256,6 @@ def test_build_rhs_is_the_shifted_character_sum():
 def test_certificates_expand_the_product_factor_by_factor(monkeypatch):
     # the scanner's theta-series sides would make a certificate rest on the
     # triple and quintuple product identities it is meant to exercise
-    import charfactor.products as products
-
     def refuse(*args):
         raise AssertionError("theta series on the certificate path")
 
@@ -263,3 +265,68 @@ def test_certificates_expand_the_product_factor_by_factor(monkeypatch):
         for fp in iter_applicable_params(kind, 40):
             assert verify(kind, fp, 60).match
             build_lhs(kind, fp, 20)
+
+
+def test_certificate_numerators_take_one_binomial_pass(monkeypatch):
+    # both Pochhammer symbols of a quintuple numerator go through one binomial_product
+    # call; a factor (1 - q^0) skips the expansion and (1 + q^0) doubles it
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(_kernels, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    partition_series(PREFIX_LEN - 1)  # the certificate prefixes' cached partition numbers
+    for name in ("binomial_product", "convolve"):
+        monkeypatch.setattr(_kernels, name, spy(name))
+    for kind in IdentityKind:
+        for fp in iter_applicable_params(kind, 40):
+            calls.clear()
+            cert = verify(kind, fp, 60)
+            assert calls["binomial_product"] <= 1 and calls["convolve"] == 0, (kind, fp)
+            if kind.scheme is not Scheme.QUINTUPLE or fp.c != 0:
+                continue
+            signs = vf._QUINTUPLE_SIGNS[kind]
+            calls.clear()
+            num = products.quintuple_numerator(fp.a_prime, fp.B, 0, 60, signs)
+            if kind in (IdentityKind.QUINT, IdentityKind.QUINT_B):
+                assert calls["binomial_product"] == 0 and num.is_zero(), (kind, fp)
+                assert cert.lhs_prefix == [0] * PREFIX_LEN
+            else:
+                # (1 + q^0)(1 - s1 sb q^{2Ba'}) ... is twice the symbol started one step later
+                assert calls["binomial_product"] == 1
+                s1, s2, s3, sb, t1, t2 = signs
+                v = 2 * fp.B * fp.a_prime
+                rest = pochhammer_product((
+                    ((Q(s1 * sb, v), Q(s2, v), Q(s3, v)), Q(sb, v)),
+                    ((Q(t1, v), Q(t2, v)), Q(1, 2 * v)),
+                ), 60)
+                assert num.coeffs == [2 * x for x in rest.coeffs], (kind, fp)
+
+
+def test_character_offsets_are_exact_integers():
+    for scheme in Scheme:
+        for fp in iter_scheme_params(scheme, 200):
+            model = MinimalModel(fp.p, fp.p_prime)
+            pairs = contributing_pairs(fp)
+            for pair, thetas in zip(pairs, vf._character_thetas(fp, pairs), strict=True):
+                label = CharacterLabel(pair.r * fp.b, pair.s * fp.b_prime)
+                offset = thetas[0].c  # the record with no constant of its own
+                assert type(offset) is int
+                assert offset == prefactor_exponent(fp) + fp.n * conformal_dim(model, label), (fp, pair)
+
+
+@pytest.mark.parametrize("kind, fp, e_pref, message", [
+    (IdentityKind.MAIN, triple(2, 9, 3), F(-1), "character (1,2) sits at exponent -2"),
+    (IdentityKind.QUINT_B, quintuple(3, 16, 4, c=3), F(-7, 4), "character (1,7) sits at exponent -19/4"),
+])
+def test_off_grid_character_side_is_rejected_with_its_exponent(monkeypatch, kind, fp, e_pref, message):
+    monkeypatch.setattr(vf, "prefactor_exponent", lambda fp: e_pref)
+    with pytest.raises(SeriesError) as err:
+        verify(kind, fp, 30)
+    assert str(err.value) == "non-integral identity side: " + message
