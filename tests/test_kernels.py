@@ -107,15 +107,15 @@ def test_binomial_product_matches_reference():
     assert out == want.tolist()
 
 
-@pytest.mark.parametrize("copies", [62, 64, 65, 66, 80])
+@pytest.mark.parametrize("copies", [62, 64, 65, 66, 67, 80])
 def test_binomial_product_bails_where_the_true_maximum_reaches_the_limit(copies):
     # (1 + q)^k is exact; it leaves one int64 limb before the first factor
-    # that meets max|c| >= LIMIT/2, and not earlier
+    # that meets max|c| >= HALF, and not earlier: C(66, 33) > 2^62 > C(65, 32)
     n = 81
     want = [1] + [0] * (n - 1)
     one_limb = True
     for _ in range(copies):
-        if max(map(abs, want)) >= _kernels.LIMIT // 2:
+        if max(map(abs, want)) >= _kernels.HALF:
             one_limb = False
         want = [want[0]] + [want[k] + want[k - 1] for k in range(1, n)]
     shifts = np.ones(copies, np.int64)
@@ -129,11 +129,17 @@ _binomials = st.lists(
     max_size=400,
 )
 
+#: 8 copies of (-q;q)_119, then 8 of (q;q)_119: the product is (q^2;q^2)^8,
+#: so magnitudes pass 2^62 and come back down
+_UP_AND_DOWN = [(-1, m) for m in range(1, 120)] * 8 + [(1, m) for m in range(1, 120)] * 8
+
 
 @given(binomials=_binomials, n_out=st.integers(1, 120))
 @example(binomials=[(-1, 1)] * 300, n_out=120)  # C(300, 119) ~ 2^290: about ten limbs
 @example(binomials=[(1, 1)] * 300, n_out=120)  # the same magnitudes with alternating signs
 @example(binomials=[(-1, 2)] * 200 + [(1, 3)] * 120 + [(-1, 119)] * 3, n_out=120)
+@example(binomials=_UP_AND_DOWN, n_out=120)  # past 2^62 and back to 13 bits
+@example(binomials=_UP_AND_DOWN + [(-1, 1)] * 70, n_out=120)  # and past 2^62 again
 @settings(max_examples=100, deadline=None)
 def test_binomial_product_matches_naive_product(binomials, n_out):
     binomials = [(s, m) for s, m in binomials if m < n_out]
@@ -143,8 +149,17 @@ def test_binomial_product_matches_naive_product(binomials, n_out):
     want = naive_product(binomials, n_out - 1)
     assert out == want
     assert all(type(c) is int for c in out)
-    if one_limb:
-        assert max(map(abs, want)) < _kernels.LIMIT
+    assert one_limb == (_peak_before_a_factor(binomials, n_out - 1) < _kernels.HALF)
+
+
+def _peak_before_a_factor(binomials, order):
+    """The largest max|c| of a partial product that a factor is applied to."""
+    c = [1] + [0] * order
+    peak = 0
+    for s, m in binomials:
+        peak = max(peak, *map(abs, c))
+        c = c[:m] + [c[k] - s * c[k - m] for k in range(m, order + 1)]
+    return peak
 
 
 def test_binomial_product_carries_past_two_hundred_bits():
@@ -156,3 +171,21 @@ def test_binomial_product_carries_past_two_hundred_bits():
     assert not one_limb
     assert max(out) > 2**200 and min(out) < -(2**200)
     assert out == naive_product(list(zip(signs.tolist(), shifts.tolist())), n - 1)
+
+
+def test_binomial_product_returns_to_one_limb_after_the_peak(monkeypatch):
+    # one limb up to the peak, limbs across it, one limb again once a carry leaves one row
+    calls = []
+    for name in ("_one_limb_product", "_limb_product"):
+        def spy(*args, _kernel=getattr(_kernels, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(_kernels, name, spy)
+    shifts = np.array([m for _, m in _UP_AND_DOWN], np.int64)
+    signs = np.array([s for s, _ in _UP_AND_DOWN], np.int64)
+    out, one_limb = _kernels.binomial_product(shifts, signs, 120)
+    assert calls == ["_one_limb_product", "_limb_product", "_one_limb_product"]
+    assert not one_limb
+    assert out == naive_product(_UP_AND_DOWN, 119)
+    assert out == naive_product([(1, 2 * m) for m in range(1, 120)] * 8, 119)
+    assert all(type(c) is int for c in out)

@@ -20,7 +20,7 @@ COMMANDS.append(["scan", "--sweep", "--max-size", "20", "--order", "300", "--jso
 
 GOLDEN = "9b26dd3829c56b679c88a8532022b6b59630b81eb274776c9581e681bd207c9a"
 
-#: single certificates at N = 10^4 and 12,000, where binomial products run past one int64 limb
+#: single certificates at N = 10^4 and 12,000; the (2,9) numerator `(q;q)` peaks at 61 bits
 HIGH_ORDER = [
     ["verify", "--kind", kind, "--p", p, "--pp", pp, "--ap", ap, "--c", c, "--order", order, "--json"]
     for kind, p, pp, ap, c, order in (

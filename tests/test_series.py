@@ -276,14 +276,14 @@ def test_pochhammer_matches_naive_expansion(factors, sbase, ebase):
 
 
 @given(
-    copies=st.integers(66, 80),
+    copies=st.integers(67, 80),
     extra=st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 6)), max_size=3),
     sbase=st.sampled_from([1, -1]),
     ebase=st.integers(1, 90),
 )
 @settings(max_examples=30, deadline=None)
 def test_pochhammer_past_the_int64_kernel_matches_naive_expansion(copies, extra, sbase, ebase):
-    # (1 + q)^k alone reaches C(64, 32) > 2^60, so the kernel must give up
+    # (1 + q)^66 alone reaches C(66, 33) > 2^62, so one more factor leaves one limb
     factors = [(-1, 1)] * copies + extra
     flags = []
     kernel = _kernels.binomial_product
@@ -302,9 +302,9 @@ def test_pochhammer_past_the_int64_kernel_matches_naive_expansion(copies, extra,
 
 
 def test_euler_product_at_workload_scale_is_the_pentagonal_series():
-    # (q;q) at N = 12,000, the (2,9) numerator of the high-order benchmark:
-    # its partial products pass 2^60 after 243 factors and shrink back to +-1
-    order = 12000
+    # (q;q) at N = 12,000, the (2,9) numerator of the high-order benchmark,
+    # peaks at 61 bits after 243 factors and stays on one limb; at N = 20,000
+    # it passes 2^62, runs on limbs across the peak and shrinks back to +-1
     flags = []
     kernel = _kernels.binomial_product
 
@@ -313,16 +313,17 @@ def test_euler_product_at_workload_scale_is_the_pentagonal_series():
         flags.append(out[1])
         return out
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "binomial_product", recording)
-        got = euler_product.__wrapped__(order)
-    want = [0] * (order + 1)
-    for k in range(-90, 91):
-        e = k * (3 * k - 1) // 2
-        if e <= order:
-            want[e] += -1 if k % 2 else 1
-    assert flags == [False]
-    assert got.coeffs == want
+    for order in (12000, 20000):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "binomial_product", recording)
+            got = euler_product.__wrapped__(order)
+        want = [0] * (order + 1)
+        for k in range(-120, 121):
+            e = k * (3 * k - 1) // 2
+            if e <= order:
+                want[e] += -1 if k % 2 else 1
+        assert got.coeffs == want, order
+    assert flags == [True, False]
 
 
 # ----------------------------------------------------------------------------
