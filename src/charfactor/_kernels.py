@@ -9,9 +9,8 @@ arbitrary-precision Python integers, and so is every kernel here.
 * :func:`invert_unit` inverts a unit series by the sparse recurrence over
   its nonzero terms.
 * :func:`binomial_product` expands products of binomials ``(1 -+ q^m)`` as
-  int64 slice operations on one limb.  Only across the magnitude peak, while
-  some coefficient is at least 2**62, does it continue on base-2**30 int64
-  limbs, and it returns to one limb once a carry leaves a single row.
+  int64 slice operations on one limb while every coefficient stays below
+  2**62; past that it continues on base-2**30 int64 limbs.
 """
 
 from __future__ import annotations
@@ -104,50 +103,30 @@ def binomial_product(shifts, signs, n_out):
 
     Every shift lies in [1, n_out).  Returns ``(coeffs, one_limb)``: a list
     of Python ints, and whether every partial product fit one int64 limb.
-    Each factor is one slice operation on a 1-D int64 array; only across the
-    magnitude peak, where some coefficient reaches HALF, does the product run
-    on several limbs (:func:`_limb_product`), and it comes back to one limb
-    once a carry leaves a single row.
+    Each factor is one slice operation on a 1-D int64 array until some
+    coefficient reaches HALF; from there the product runs on several limbs
+    (:func:`_limb_product`) to the end.
     """
     c = np.zeros(n_out, np.int64)
     c[0] = 1
+    cur = 1
+    top = 0
     factors = zip(shifts.tolist(), signs.tolist())
-    top, pending = _one_limb_product(c, factors, 0, 1)
-    one_limb = pending is None
-    while pending is not None:
-        limbs, top, pending = _limb_product(c[None], chain((pending,), factors), top)
-        if pending is None:
-            return _assemble(limbs), False
-        c = limbs[0]
-        # the carry left one row: read its true maximum before the next factor
-        top, pending = _one_limb_product(c, chain((pending,), factors), top, HALF)
-    return c.tolist(), one_limb
-
-
-def _one_limb_product(c, factors, top, cur):
-    """Apply factors to the 1-D array ``c`` in place while ``max|c| < HALF``.
-
-    ``top`` is the highest index written so far and ``cur`` bounds max|c|.
-    Returns ``(top, pending)``: ``pending`` is the first factor not applied
-    because the true maximum reached HALF, or None once every factor is.
-    """
-    n_out = len(c)
     for m, s in factors:
         if cur >= HALF:
             # cur only bounds max|c|; read the true maximum near the limit
             cur = int(np.abs(c[: top + 1]).max())
             if cur >= HALF:
-                return top, (m, s)
+                return _limb_product(c[None], chain(((m, s),), factors), top), False
         top = min(top + m, n_out - 1)
         w = top + 1
-        # copy only where [m, w) and [0, w - m) overlap: numpy's own overlap buffering is slower
-        seg = c[: w - m] if 2 * m >= w else c[: w - m].copy()
+        seg = c[: w - m].copy()
         if s > 0:
             c[m:w] -= seg
         else:
             c[m:w] += seg
         cur *= 2  # one factor (1 -+ q^m) at most doubles max|c|
-    return top, None
+    return c.tolist(), True
 
 
 def _limb_product(limbs, factors, top):
@@ -155,52 +134,36 @@ def _limb_product(limbs, factors, top):
 
     The recurrence is linear, so it runs on every row at once; the rows are
     carried whenever the doubling bound on their magnitude reaches HALF.
-    Returns ``(limbs, top, pending)`` when the factors run out (pending is
-    None) or when a carry leaves one row, with the factor not yet applied.
     """
     n_out = limbs.shape[1]
     cur = HALF  # split the one-limb row before the first factor
     for m, s in factors:
         if cur >= HALF:
             limbs = _carry(limbs)
-            if limbs.shape[0] == 1:
-                return limbs, top, (m, s)
             cur = 1 << (LIMB_BITS + 1)
         top = min(top + m, n_out - 1)
         w = top + 1
-        seg = limbs[:, : w - m] if 2 * m >= w else limbs[:, : w - m].copy()
+        seg = limbs[:, : w - m].copy()
         if s > 0:
             limbs[:, m:w] -= seg
         else:
             limbs[:, m:w] += seg
         cur *= 2
-    return limbs, top, None
+    out = limbs[-1].tolist()
+    for row in limbs[-2::-1]:
+        out = [(hi << LIMB_BITS) + lo for hi, lo in zip(out, row.tolist())]
+    return out
 
 
 def _carry(limbs):
-    """Normalize the rows: every row but the signed top one in [0, 2**LIMB_BITS), |top| < 2**(LIMB_BITS+1).
-
-    Rows are added while the top row is too large, and the top row is folded
-    into the one below while all its entries are -1, 0 or 1 (sign extension).
-    """
+    """Carry every row but the signed top one into [0, 2**LIMB_BITS); add rows until |top| < 2**(LIMB_BITS+1)."""
     for k in range(limbs.shape[0] - 1):
         limbs[k + 1] += limbs[k] >> LIMB_BITS
         limbs[k] &= LIMB_MASK
     while np.abs(limbs[-1]).max() >= 1 << (LIMB_BITS + 1):
         limbs = np.vstack((limbs, limbs[-1] >> LIMB_BITS))
         limbs[-2] &= LIMB_MASK
-    while limbs.shape[0] > 1 and np.abs(limbs[-1]).max() <= 1:
-        limbs[-2] += limbs[-1] << LIMB_BITS
-        limbs = limbs[:-1]
     return limbs
-
-
-def _assemble(limbs):
-    """Python ints from limb rows, the lowest row first."""
-    out = limbs[-1].tolist()
-    for row in limbs[-2::-1]:
-        out = [(hi << LIMB_BITS) + lo for hi, lo in zip(out, row.tolist())]
-    return out
 
 
 def warmup() -> None:

@@ -304,7 +304,7 @@ def test_pochhammer_past_the_int64_kernel_matches_naive_expansion(copies, extra,
 def test_euler_product_at_workload_scale_is_the_pentagonal_series():
     # (q;q) at N = 12,000, the (2,9) numerator of the high-order benchmark,
     # peaks at 61 bits after 243 factors and stays on one limb; at N = 20,000
-    # it passes 2^62, runs on limbs across the peak and shrinks back to +-1
+    # it passes 2^62, so it finishes on limbs as it shrinks back to +-1
     flags = []
     kernel = _kernels.binomial_product
 
