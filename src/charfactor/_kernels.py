@@ -3,9 +3,11 @@
 The series layer (:mod:`charfactor.series`) is exact: coefficients are
 arbitrary-precision Python integers, and so is every kernel here.
 
-* :func:`convolve` multiplies truncated series as slice operations on numpy
-  ``dtype=object`` arrays, looping over the nonzero terms of the sparser
-  operand.
+* :func:`scatter` adds a multiple of one coefficient array per sparse term,
+  as slice operations on numpy ``dtype=object`` arrays.  It is the loop of
+  :func:`convolve`, which multiplies truncated series over the nonzero terms
+  of the sparser operand, and it builds the scan streams directly from their
+  theta terms and the partition numbers.
 * :func:`invert_unit` inverts a unit series by the sparse recurrence over
   its nonzero terms.
 * :func:`binomial_product` expands products of binomials ``(1 -+ q^m)`` as
@@ -38,30 +40,38 @@ LANE = "numpy"
 def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
     """Coefficients 0..n_out-1 of the product of two coefficient lists, exact.
 
-    Loops over the nonzero terms of one operand and adds each term's multiple
-    of the other as one slice of a numpy object array.  Each operand is first
-    thinned to the gcd of its nonzero indices (``1/(q^n;q^n)`` lives on the
-    multiples of n), and the loop runs over the operand whose terms times the
-    other's thinned length is the smaller.
+    Each operand is first thinned to the gcd of its nonzero indices
+    (``1/(q^n;q^n)`` lives on the multiples of n); then :func:`scatter`
+    adds a multiple of one operand per nonzero term of the other, choosing
+    the operand whose terms times the other's thinned length is the smaller.
     """
     x, sx, kx = _thinned(a)
     y, sy, ky = _thinned(b)
     if kx * len(y) > ky * len(x):
         x, sx, y, sy = y, sy, x, sx
+    terms = ((d * sx, x[d]) for d in np.flatnonzero(x).tolist())
+    return scatter(terms, y, sy, n_out).tolist()
+
+
+def scatter(terms, y: np.ndarray, stride: int, n_out: int) -> np.ndarray:
+    """Coefficients 0..n_out-1 of ``sum_{(i, c) in terms} c q**i * y(q**stride)``, exact.
+
+    ``terms`` are ``(index, coefficient)`` pairs in ascending index order and
+    ``y`` an object array of Python ints; each term adds ``c * y`` as one
+    slice of a numpy object array, which is returned.
+    """
     out = np.zeros(n_out, dtype=object)
-    for d in np.flatnonzero(x).tolist():
-        i = d * sx
+    for i, c in terms:
         if i >= n_out:
             break
-        c = x[d]
-        seg = out[i::sy][: len(y)]
+        seg = out[i::stride][: len(y)]
         if c == 1:
             seg += y[: len(seg)]
         elif c == -1:
             seg -= y[: len(seg)]
         else:
             seg += c * y[: len(seg)]
-    return out.tolist()
+    return out
 
 
 def _thinned(coeffs: list[int]) -> tuple[np.ndarray, int, int]:

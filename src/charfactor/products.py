@@ -7,20 +7,23 @@ from the plain identities.  ``verifier.verify`` keeps this expansion, so a
 certificate's product side never relies on a product identity.
 
 The plain sides, which the scanner streams, are exactly a Jacobi triple
-product and a quintuple product, so they are built as theta series in
-O(sqrt(N)) terms and then divided by (q^n; q^n).
+product and a quintuple product divided by (q^n; q^n).  Each is built in one
+pass by :func:`~charfactor.series.theta_stream`: the O(sqrt(N)) terms of its
+theta records, each times the partition numbers on stride n, summed into a
+numpy object array.
 """
 
 from __future__ import annotations
 
 from .series import (
+    DIVERGENT_QUINTUPLE,
     ShiftedSeries,
     SignedMonomial,
-    inverse_euler_power,
     pochhammer,
     pochhammer_product,
-    quintuple_product,
-    triple_product,
+    quintuple_thetas,
+    theta_stream,
+    triple_thetas,
 )
 
 #: one sign per product argument, then the base(s); all +1 is the plain identity
@@ -59,22 +62,22 @@ def triple_side(ap: int, B: int, c: int, n: int, order: int) -> ShiftedSeries:
     """The plain :func:`triple_numerator` / (q^n; q^n).
 
     (u, u^-1 v, v; v) with u = q^{B(a'-c)/2}, v = q^{Ba'} is the Jacobi
-    triple product, expanded here as its theta series.
+    triple product, streamed here from its theta records.
     """
     if (ap - c) % 2 != 0:
         raise ValueError(f"a' and c must have equal parity for a triple product (a'={ap}, c={c})")
     u = SignedMonomial(1, B * (ap - c) // 2)
     v = SignedMonomial(1, B * ap)
-    return triple_product(u, v, order) * inverse_euler_power(n, order)
+    return theta_stream(triple_thetas(u, v), n, order)
 
 
 def quintuple_side(ap: int, B: int, c: int, n: int, order: int) -> ShiftedSeries:
     """The plain :func:`quintuple_numerator` / (q^n; q^n).
 
     With u = q^{Bc}, v = q^{2Ba'} the two plain products are
-    (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2), the quintuple product, expanded
-    here as its theta series.
+    (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2), the quintuple product, streamed
+    here from its theta records.
     """
     u = SignedMonomial(1, B * c)
     v = SignedMonomial(1, 2 * B * ap)
-    return quintuple_product(u, v, order) * inverse_euler_power(n, order)
+    return theta_stream(quintuple_thetas(u, v), n, order, DIVERGENT_QUINTUPLE)

@@ -9,9 +9,11 @@ counterexample candidate.  Scans always canonicalize the quadruple first,
 so the gcd-reduction identities are exercised on every entry point.
 
 The streams come from :func:`products.triple_side` and
-:func:`products.quintuple_side`, which build the plain products as theta
-series (Jacobi triple and quintuple product) before dividing by (q^n; q^n);
-the Pochhammer expansion stays with the verifier.
+:func:`products.quintuple_side`, which build each plain product divided by
+(q^n; q^n) in one pass from the terms of its theta series (Jacobi triple and
+quintuple product) and the partition numbers; the Pochhammer expansion stays
+with the verifier.  :func:`scan` reads the stream as the numpy object array
+that pass fills and checks its support and signs with array operations.
 """
 
 from __future__ import annotations
@@ -135,13 +137,16 @@ def scan(pp: ProductParams, order: int) -> SignReport:
     n = reduced.n
     support = support_residues(reduced)
     # read signs only: a product of two big coefficients per j would cost more than the test needs
-    signs = np.array(coeffs, dtype=object)
-    neg, pos = signs < 0, signs > 0
-    for j in np.flatnonzero(neg | pos).tolist():
-        if j % n not in support:
-            raise RuntimeError(
-                f"support violation: coefficient {coeffs[j]} at degree {j} outside residues {sorted(support)}"
-            )
+    neg, pos = coeffs < 0, coeffs > 0
+    nz = np.flatnonzero(neg | pos)
+    allowed = np.zeros(n, bool)
+    allowed[list(support)] = True
+    off = nz[~allowed[nz % n]]
+    if off.size:
+        j = int(off[0])
+        raise RuntimeError(
+            f"support violation: coefficient {coeffs[j]} at degree {j} outside residues {sorted(support)}"
+        )
     flips = (neg[:-n] & pos[n:]) | (pos[:-n] & neg[n:])
     violations = [SignViolation(j, coeffs[j], coeffs[j + n]) for j in np.flatnonzero(flips).tolist()]
     return SignReport(
@@ -154,7 +159,12 @@ def scan(pp: ProductParams, order: int) -> SignReport:
 
 
 def iter_canonical_quadruples(scheme: Scheme, max_size: int) -> Iterator[ProductParams]:
-    """Canonical quadruples with a' * B * n <= max_size, lexicographic order."""
+    """Canonical quadruples with a' * B * n <= max_size, lexicographic order.
+
+    A negative bound raises :class:`ParameterError` on the first step.
+    """
+    if max_size < 0:
+        raise ParameterError(f"max_size must be nonnegative, got {max_size}")
     for ap in range(1, max_size + 1):
         if scheme is Scheme.TRIPLE and ap % 2 == 0:
             continue

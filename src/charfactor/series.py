@@ -12,12 +12,16 @@ runs on :func:`charfactor._kernels.convolve` (slice operations on numpy
 :func:`charfactor._kernels.binomial_product`, which carries coefficients past
 int64 on several int64 limbs.  Every bilateral theta sum, on the product and
 the character side alike, is a list of :class:`Theta` records expanded by
-:func:`bilateral_sum`.
+:func:`bilateral_sum`.  A theta sum divided by (q^n; q^n), the scanner's
+stream, is built in one pass by :func:`theta_stream`, which adds the
+partition numbers on stride n once per theta term, with no dense theta list
+and no multiply.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +37,9 @@ class SeriesError(ValueError):
 
 
 NEEDS_CONSTANT_SLOT = "a series needs at least its constant slot (order >= 0)"
+
+#: error label of quintuple parameters whose theta sum has a negative exponent
+DIVERGENT_QUINTUPLE = "divergent quintuple parameters"
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,11 @@ class SignedMonomial:
 
 
 class ShiftedSeries:
-    """Truncated formal power series ``q**offset * sum coeffs[d] q**d``."""
+    """Truncated formal power series ``q**offset * sum coeffs[d] q**d``.
+
+    ``coeffs`` is a list of Python ints, or, for a :func:`theta_stream`, the
+    numpy object array of Python ints that built it.
+    """
 
     __slots__ = ("offset", "coeffs")
 
@@ -70,14 +81,14 @@ class ShiftedSeries:
         self._init([int(c) for c in coeffs], offset)
 
     @classmethod
-    def _of_ints(cls, coeffs: list[int], offset=0) -> "ShiftedSeries":
-        """Take over a list that already holds Python ints, skipping ``int()`` per coefficient."""
+    def _of_ints(cls, coeffs, offset=0) -> "ShiftedSeries":
+        """Take over a list or object array that already holds Python ints, skipping ``int()`` per coefficient."""
         self = cls.__new__(cls)
         self._init(coeffs, offset)
         return self
 
-    def _init(self, coeffs: list[int], offset) -> None:
-        if not coeffs:
+    def _init(self, coeffs, offset) -> None:
+        if len(coeffs) == 0:
             raise SeriesError(NEEDS_CONSTANT_SLOT)
         self.offset = Fraction(offset)
         self.coeffs = coeffs
@@ -339,14 +350,64 @@ def bilateral_sum(thetas: Iterable[Theta], order: int,
     as :func:`quadratic_window` gives them.  Such a window, when not empty,
     holds the k of least exponent, so a negative exponent anywhere raises.
     """
-    coeffs = [0] * (order + 1)
+    return _add_terms([0] * (order + 1), thetas, order, error_label)
+
+
+def _add_terms(acc, thetas: Iterable[Theta], order: int, error_label: str):
+    """Add every term of the ``thetas`` up to ``order`` into ``acc``, indexed by exponent."""
     for a, b, c, s, chi in thetas:
         for k in quadratic_window(a, b, c, order):
             e = (a * k + b) * k + c
             if e < 0:
                 raise SeriesError(f"{error_label}: exponent {e} at index k={k}")
-            coeffs[e] += -s if (chi < 0 and k & 1) else s
-    return coeffs
+            acc[e] += -s if (chi < 0 and k & 1) else s
+    return acc
+
+
+def theta_stream(thetas: Iterable[Theta], n: int, order: int,
+                 error_label: str = "divergent theta parameters") -> ShiftedSeries:
+    """The sum of the ``thetas`` divided by (q^n; q^n), exact to ``order``.
+
+    Built in one pass: the records' terms are collected sparsely, equal
+    exponents summed, and each surviving term ``c q**e`` adds ``c`` times the
+    partition numbers at ``e, e + n, ...`` (:func:`charfactor._kernels.scatter`).
+    The coefficients stay the numpy object array that pass fills.
+    """
+    terms = _add_terms(defaultdict(int), thetas, order, error_label)
+    if order < 0:
+        raise SeriesError(NEEDS_CONSTANT_SLOT)
+    if not isinstance(n, int) or n < 1:
+        raise SeriesError(f"modulus must be a positive integer, got {n}")
+    p = np.array(partition_series(order // n).coeffs, dtype=object)
+    coeffs = _kernels.scatter(sorted((e, c) for e, c in terms.items() if c), p, n, order + 1)
+    return ShiftedSeries._of_ints(coeffs)
+
+
+def triple_thetas(u: SignedMonomial, v: SignedMonomial) -> tuple[Theta, Theta]:
+    """The :class:`Theta` records of ``sum_j (-1)**j u**j v**(j(j-1)/2)``.
+
+    The even and odd j = 2k + t are one record each, with v's sign as ``chi``.
+    """
+    if v.exponent < 1:
+        raise SeriesError("non-convergent theta sum: v must have positive exponent")
+    eu, su, ev, sv = u.exponent, u.sign, v.exponent, v.sign
+    return Theta(2 * ev, 2 * eu - ev, 0, 1, sv), Theta(2 * ev, 2 * eu + ev, eu, -su, sv)
+
+
+def quintuple_thetas(u: SignedMonomial, v: SignedMonomial) -> tuple[Theta, Theta, Theta, Theta]:
+    """The :class:`Theta` records of ``sum_j (u**(-3j) - u**(3j+1)) v**(j(3j+1)/2)``.
+
+    Each of the two sums splits on even and odd j = 2k + t into two records.
+    """
+    if v.exponent < 1:
+        raise SeriesError("non-convergent theta sum: v must have positive exponent")
+    eu, su, ev, sv = u.exponent, u.sign, v.exponent, v.sign
+    return (
+        Theta(6 * ev, ev - 6 * eu, 0, 1, sv),
+        Theta(6 * ev, 7 * ev - 6 * eu, 2 * ev - 3 * eu, su, sv),
+        Theta(6 * ev, 6 * eu + ev, eu, -su, sv),
+        Theta(6 * ev, 6 * eu + 7 * ev, 4 * eu + 2 * ev, -1, sv),
+    )
 
 
 def triple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedSeries:
@@ -357,14 +418,8 @@ def triple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedS
     bilateral sum, so the reflected form is this same series with u replaced
     by u^-1 v; the sign ambiguity that reflection introduces into the signed
     product identities is handled by the verifier's variant search, not here.
-    The even and odd j = 2k + t are one :class:`Theta` record each, with v's
-    sign as ``chi``.
     """
-    if v.exponent < 1:
-        raise SeriesError("non-convergent theta sum: v must have positive exponent")
-    eu, su, ev, sv = u.exponent, u.sign, v.exponent, v.sign
-    thetas = (Theta(2 * ev, 2 * eu - ev, 0, 1, sv), Theta(2 * ev, 2 * eu + ev, eu, -su, sv))
-    return ShiftedSeries._of_ints(bilateral_sum(thetas, order))
+    return ShiftedSeries._of_ints(bilateral_sum(triple_thetas(u, v), order))
 
 
 def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedSeries:
@@ -372,19 +427,9 @@ def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> Shift
 
     Expands ``(v, u, u^-1 v; v) (u^2 v, u^-2 v; v^2)``.  Negative powers of u
     are legal as long as every surviving term has nonnegative total exponent;
-    otherwise the parameters are rejected.  Each of the two sums splits on
-    even and odd j = 2k + t into two :class:`Theta` records.
+    otherwise the parameters are rejected.
     """
-    if v.exponent < 1:
-        raise SeriesError("non-convergent theta sum: v must have positive exponent")
-    eu, su, ev, sv = u.exponent, u.sign, v.exponent, v.sign
-    thetas = (
-        Theta(6 * ev, ev - 6 * eu, 0, 1, sv),
-        Theta(6 * ev, 7 * ev - 6 * eu, 2 * ev - 3 * eu, su, sv),
-        Theta(6 * ev, 6 * eu + ev, eu, -su, sv),
-        Theta(6 * ev, 6 * eu + 7 * ev, 4 * eu + 2 * ev, -1, sv),
-    )
-    return ShiftedSeries._of_ints(bilateral_sum(thetas, order, "divergent quintuple parameters"))
+    return ShiftedSeries._of_ints(bilateral_sum(quintuple_thetas(u, v), order, DIVERGENT_QUINTUPLE))
 
 
 # ---------------------------------------------------------------------------

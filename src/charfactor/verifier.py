@@ -354,7 +354,10 @@ def iter_scheme_params(scheme: Scheme, max_pp: int) -> Iterator[FactorizationPar
     """All valid tuples of the scheme with p*p' <= max_pp, lexicographic order.
 
     Triple tuples range over odd c; quintuple tuples include c = 0.
+    A negative bound raises :class:`ParameterError` on the first step.
     """
+    if max_pp < 0:
+        raise ParameterError(f"max_pp must be nonnegative, got {max_pp}")
     a = scheme.modulus
     for p in range(2, max_pp // 2 + 1):
         for p_prime in range(2, max_pp // p + 1):

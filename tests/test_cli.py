@@ -15,9 +15,12 @@ def test_verify_single_instance(capsys):
 
 
 def test_verify_invalid_parameters_exit_2(capsys):
-    for c, order in (("3", "50"), ("1", "-1")):  # a' > c violated; negative order
-        code = run(["verify", "--kind", "main", "--p", "2", "--pp", "9", "--ap", "3",
-                    "--b", "1", "--bp", "1", "--c", c, "--order", order])
+    single = ["verify", "--kind", "main", "--p", "2", "--pp", "9", "--ap", "3", "--b", "1", "--bp", "1"]
+    for argv in (single + ["--c", "3", "--order", "50"],  # a' > c violated
+                 single + ["--c", "1", "--order", "-1"],  # negative order
+                 ["verify", "--sweep", "--max-pp", "-5"],  # negative sweep bounds
+                 ["scan", "--sweep", "--max-size", "-3"]):
+        code = run(argv)
         assert code == 2
         assert "error:" in capsys.readouterr().err
 

@@ -4,7 +4,8 @@ Each digest is the sha256 of the concatenated stdout of its commands, run
 in-process on one thread; a change in one means the default output changed.
 The sweep digest was computed before the theta sums moved to ``Theta``
 records, the high-order one before the quintuple numerators were expanded in
-one binomial pass.
+one binomial pass, and the wide scan digest before the scan streams were
+built straight from theta terms and partition numbers.
 """
 
 import contextlib
@@ -19,6 +20,11 @@ COMMANDS = [["verify", "--kind", k, "--sweep", "--max-pp", "60", "--order", "90"
 COMMANDS.append(["scan", "--sweep", "--max-size", "20", "--order", "300", "--json"])
 
 GOLDEN = "9b26dd3829c56b679c88a8532022b6b59630b81eb274776c9581e681bd207c9a"
+
+#: a scan sweep at order 1000, where stream coefficients pass 2^63
+WIDE_SCAN = [["scan", "--sweep", "--max-size", "30", "--order", "1000", "--json"]]
+
+GOLDEN_WIDE_SCAN = "197bf89bd850b96ef838c7200302dbe54b59bdeec969ef677da76eb662e95cdd"
 
 #: single certificates at N = 10^4 and 12,000; the (2,9) numerator `(q;q)` peaks at 61 bits
 HIGH_ORDER = [
@@ -48,6 +54,11 @@ def _digest(commands) -> str:
 def test_default_sweep_json_is_byte_stable(monkeypatch):
     monkeypatch.setenv("CHARFACTOR_THREADS", "1")
     assert _digest(COMMANDS) == GOLDEN
+
+
+def test_wide_scan_json_is_byte_stable(monkeypatch):
+    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+    assert _digest(WIDE_SCAN) == GOLDEN_WIDE_SCAN
 
 
 def test_high_order_certificate_json_is_byte_stable():

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charfactor import products
-from charfactor.series import SeriesError, inverse_euler_power, pochhammer
+from charfactor.series import NEEDS_CONSTANT_SLOT, SeriesError, inverse_euler_power, pochhammer
 from charfactor.series import SignedMonomial as Q
 from charfactor.verifier import _QUINTUPLE_SIGNS, IdentityKind
 
@@ -38,6 +38,8 @@ quadruple = st.tuples(
 
 
 @given(quadruple)
+@example((9, 1, 1, 1, 600))  # coefficients reach 65 bits
+@example((9, 1, 5, 3, 600))
 @settings(max_examples=80, deadline=None)
 def test_triple_side_is_the_pochhammer_side(q):
     ap, B, c, n, order = q
@@ -45,19 +47,22 @@ def test_triple_side_is_the_pochhammer_side(q):
     c -= (ap - c) % 2
     got = products.triple_side(ap, B, c, n, order)
     want = products.triple_numerator(ap, B, c, order) * inverse_euler_power(n, order)
-    assert got.coeffs == want.coeffs
-    assert got.coeffs == triple_oracle(ap, B, c, n, order)
+    assert list(got.coeffs) == want.coeffs
+    assert list(got.coeffs) == triple_oracle(ap, B, c, n, order)
 
 
 @given(quadruple)
+@example((7, 1, 2, 1, 600))  # coefficients reach 67 bits
+@example((4, 1, 0, 2, 600))  # c = 0: the zero stream
+@example((8, 1, 3, 2, 600))
 @settings(max_examples=80, deadline=None)
 def test_quintuple_side_is_the_pochhammer_side(q):
     ap, B, c, n, order = q
     c = min(c, ap)
     got = products.quintuple_side(ap, B, c, n, order)
     want = products.quintuple_numerator(ap, B, c, order) * inverse_euler_power(n, order)
-    assert got.coeffs == want.coeffs
-    assert got.coeffs == quintuple_oracle(ap, B, c, n, order)
+    assert list(got.coeffs) == want.coeffs
+    assert list(got.coeffs) == quintuple_oracle(ap, B, c, n, order)
 
 
 def test_sides_reject_what_the_numerators_reject():
@@ -70,6 +75,15 @@ def test_sides_reject_what_the_numerators_reject():
             side(3, 1, c, 2, 30)
     with pytest.raises(ValueError, match="parity"):
         products.triple_side(3, 1, 2, 2, 30)
+    for side, args, text in (
+        (products.quintuple_side, (3, 1, 4, 2, 30), "divergent quintuple parameters: exponent -2 at index k=-1"),
+        (products.triple_side, (3, 0, 1, 2, 10), "non-convergent theta sum: v must have positive exponent"),
+        (products.quintuple_side, (2, 1, 1, 2, -3), NEEDS_CONSTANT_SLOT),
+        (products.triple_side, (3, 1, 1, 0, 10), "modulus must be a positive integer, got 0"),
+    ):
+        with pytest.raises(SeriesError) as err:
+            side(*args)
+        assert str(err.value) == text
 
 
 @pytest.mark.parametrize("kind", list(_QUINTUPLE_SIGNS), ids=lambda k: k.value)

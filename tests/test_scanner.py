@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from charfactor import scanner
 from charfactor.params import ParameterError, ProductParams, Scheme
 from charfactor.scanner import (
     Covered,
@@ -26,7 +27,7 @@ def quin(ap, B, c, n):
 
 
 def test_phi_3113_prefix():
-    assert phi_series(trip(3, 1, 1, 3), 6).coeffs == [1, -1, -1, 1, -1, 0, 2]
+    assert list(phi_series(trip(3, 1, 1, 3), 6).coeffs) == [1, -1, -1, 1, -1, 0, 2]
 
 
 def test_phi_n1_telescopes():
@@ -73,6 +74,19 @@ def test_scan_canonicalizes_first():
 def test_scan_n1_trivially_clean():
     for ap, B, c in ((3, 1, 1), (5, 2, 3), (7, 1, 5)):
         assert scan(trip(ap, B, c, 1), 200).violations == []
+
+
+@pytest.mark.parametrize("pp, dropped, message", [
+    (trip(5, 1, 1, 5), 1, "coefficient 1 at degree 11 outside residues [0, 2, 3, 4]"),
+    (quin(5, 1, 2, 7), 5, "coefficient -1 at degree 40 outside residues [0, 2, 6]"),
+])
+def test_scan_reports_the_lowest_coefficient_outside_the_support(monkeypatch, pp, dropped, message):
+    # the first nonzero of the dropped class lies past earlier nonzeros of the kept ones
+    real = scanner.support_residues
+    monkeypatch.setattr(scanner, "support_residues", lambda p: real(p) - {dropped})
+    with pytest.raises(RuntimeError) as err:
+        scan(pp, 60)
+    assert str(err.value) == "support violation: " + message
 
 
 def test_covered_cases():

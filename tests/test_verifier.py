@@ -259,8 +259,8 @@ def test_certificates_expand_the_product_factor_by_factor(monkeypatch):
     def refuse(*args):
         raise AssertionError("theta series on the certificate path")
 
-    monkeypatch.setattr(products, "triple_product", refuse)
-    monkeypatch.setattr(products, "quintuple_product", refuse)
+    monkeypatch.setattr(products, "triple_thetas", refuse)
+    monkeypatch.setattr(products, "quintuple_thetas", refuse)
     for kind in IdentityKind:
         for fp in iter_applicable_params(kind, 40):
             assert verify(kind, fp, 60).match
