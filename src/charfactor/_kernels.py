@@ -10,14 +10,14 @@ arbitrary-precision Python integers, and so is every kernel here.
   theta terms and the partition numbers.
 * :func:`invert_unit` inverts a unit series by the sparse recurrence over
   its nonzero terms.
-* :func:`binomial_product` expands products of binomials ``(1 -+ q^m)`` as
-  int64 slice operations on one limb while every coefficient stays below
-  2**62; past that it continues on base-2**30 int64 limbs.
+* :func:`binomial_product` expands products of binomials ``(1 -+ q^m)``,
+  one ufunc pass over the coefficients per factor, on one int64 limb while
+  every coefficient stays below 2**62; past that it continues on base-2**30
+  int64 limbs.  A factor whose read and write windows overlap writes into a
+  second array and the two swap, so no window is copied before it is read.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -28,6 +28,9 @@ LIMIT = 1 << 63
 HALF = LIMIT // 2
 LIMB_BITS = 30
 LIMB_MASK = (1 << LIMB_BITS) - 1
+
+#: the ufuncs of one binomial step, bound once
+_SUBTRACT, _ADD = np.subtract, np.add
 
 #: the only lane; kept as a constant for benchmark stamps
 LANE = "numpy"
@@ -113,66 +116,92 @@ def binomial_product(shifts, signs, n_out):
 
     Every shift lies in [1, n_out).  Returns ``(coeffs, one_limb)``: a list
     of Python ints, and whether every partial product fit one int64 limb.
-    Each factor is one slice operation on a 1-D int64 array until some
-    coefficient reaches HALF; from there the product runs on several limbs
-    (:func:`_limb_product`) to the end.
+    Each factor is one ufunc pass over a 1-D int64 array (:func:`_apply`).
+    A factor at most doubles max|c|, so a maximum of b bits lets the next
+    ``63 - b`` factors run with every coefficient below HALF before each;
+    then the true maximum is read again.  Once it reaches HALF the product
+    runs on several limbs (:func:`_limb_product`) to the end.
     """
     c = np.zeros(n_out, np.int64)
     c[0] = 1
-    cur = 1
-    top = 0
-    factors = zip(shifts.tolist(), signs.tolist())
-    for m, s in factors:
-        if cur >= HALF:
-            # cur only bounds max|c|; read the true maximum near the limit
-            cur = int(np.abs(c[: top + 1]).max())
-            if cur >= HALF:
-                return _limb_product(c[None], chain(((m, s),), factors), top), False
-        top = min(top + m, n_out - 1)
-        w = top + 1
-        seg = c[: w - m].copy()
-        if s > 0:
-            c[m:w] -= seg
-        else:
-            c[m:w] += seg
-        cur *= 2  # one factor (1 -+ q^m) at most doubles max|c|
-    return c.tolist(), True
+    factors = list(zip(shifts.tolist(), signs.tolist()))
+    spare, same, w, done, peak = None, 0, 1, 0, 1
+    while True:
+        steps = HALF.bit_length() - peak.bit_length()
+        c, spare, same, w = _apply(c, spare, same, w, factors[done : done + steps])
+        done += steps
+        if done >= len(factors):
+            return c.tolist(), True
+        peak = int(np.abs(c[:w]).max())
+        if peak >= HALF:
+            return _limb_product(c[:, None], factors[done:], w), False
 
 
-def _limb_product(limbs, factors, top):
-    """Continue the slice recurrence on base-2**LIMB_BITS limbs, one per row.
+def _apply(c, spare, same, w, factors):
+    """Apply each ``(m, s)`` of ``factors``, the factor ``(1 - s q**m)``, in one ufunc pass.
 
-    The recurrence is linear, so it runs on every row at once; the rows are
-    carried whenever the doubling bound on their magnitude reaches HALF.
+    ``c[:w]`` holds the coefficients (scalars, or rows of limbs) and the rest
+    of ``c`` is zero; returns the new ``(c, spare, same, w)``.  With w
+    widened by the factor, if ``2m >= w`` the read window ``[0, w-m)`` and
+    the write window ``[m, w)`` are disjoint, and the factor applies in
+    place.  Otherwise the result goes into ``spare``, allocated on first
+    use, which takes over ``c[:m]`` and swaps roles with ``c``.
+    ``spare[:same]`` already equals ``c[:same]``: ``same`` is the shift of
+    the last swap, below the shift of any later in-place step, and
+    coefficients below a shift do not change, so after ascending shifts
+    almost nothing is copied.  Both arrays stay zero from w on, because w
+    only grows.  No ufunc sees overlapping operands.
     """
-    n_out = limbs.shape[1]
-    cur = HALF  # split the one-limb row before the first factor
+    n_out = len(c)
     for m, s in factors:
-        if cur >= HALF:
-            limbs = _carry(limbs)
-            cur = 1 << (LIMB_BITS + 1)
-        top = min(top + m, n_out - 1)
-        w = top + 1
-        seg = limbs[:, : w - m].copy()
-        if s > 0:
-            limbs[:, m:w] -= seg
+        w += m
+        if w > n_out:
+            w = n_out
+        if 2 * m >= w:
+            if s > 0:
+                c[m:w] -= c[: w - m]
+            else:
+                c[m:w] += c[: w - m]
         else:
-            limbs[:, m:w] += seg
-        cur *= 2
-    out = limbs[-1].tolist()
-    for row in limbs[-2::-1]:
-        out = [(hi << LIMB_BITS) + lo for hi, lo in zip(out, row.tolist())]
+            if spare is None:
+                spare = np.zeros_like(c)
+            (_SUBTRACT if s > 0 else _ADD)(c[m:w], c[: w - m], spare[m:w])
+            if same < m:
+                spare[same:m] = c[same:m]
+            c, spare, same = spare, c, m
+    return c, spare, same, w
+
+
+def _limb_product(limbs, factors, w):
+    """Continue :func:`_apply` on base-2**LIMB_BITS int64 limbs, one per column.
+
+    The recurrence is linear, so each factor's pass runs on every limb at
+    once, and a window of rows is one contiguous block.  After each carry
+    every limb is below 2**(LIMB_BITS+1), so the next ``62 - LIMB_BITS``
+    factors keep them below HALF.
+    """
+    spare = None
+    steps = HALF.bit_length() - (LIMB_BITS + 1)
+    for done in range(0, len(factors), steps):
+        width = limbs.shape[1]
+        limbs = _carry(limbs)
+        if limbs.shape[1] != width:
+            spare = None
+        limbs, spare, _, w = _apply(limbs, spare, 0, w, factors[done : done + steps])
+    out = limbs[:, -1].tolist()
+    for col in limbs.T[-2::-1]:
+        out = [(hi << LIMB_BITS) + lo for hi, lo in zip(out, col.tolist())]
     return out
 
 
 def _carry(limbs):
-    """Carry every row but the signed top one into [0, 2**LIMB_BITS); add rows until |top| < 2**(LIMB_BITS+1)."""
-    for k in range(limbs.shape[0] - 1):
-        limbs[k + 1] += limbs[k] >> LIMB_BITS
-        limbs[k] &= LIMB_MASK
-    while np.abs(limbs[-1]).max() >= 1 << (LIMB_BITS + 1):
-        limbs = np.vstack((limbs, limbs[-1] >> LIMB_BITS))
-        limbs[-2] &= LIMB_MASK
+    """Carry every limb but the signed top one into [0, 2**LIMB_BITS); add limbs until |top| < 2**(LIMB_BITS+1)."""
+    for k in range(limbs.shape[1] - 1):
+        limbs[:, k + 1] += limbs[:, k] >> LIMB_BITS
+        limbs[:, k] &= LIMB_MASK
+    while np.abs(limbs[:, -1]).max() >= 1 << (LIMB_BITS + 1):
+        limbs = np.column_stack((limbs, limbs[:, -1] >> LIMB_BITS))
+        limbs[:, -2] &= LIMB_MASK
     return limbs
 
 

@@ -68,10 +68,14 @@ def _add_quadruple_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, required=True, help="character count n")
 
 
-def _tuple_from_args(scheme: Scheme, args) -> FactorizationParams:
-    missing = [f for f in ("p", "pp", "ap", "c") if getattr(args, f) is None]
+def _require_flags(args, flags) -> None:
+    missing = [f for f in flags if getattr(args, f) is None]
     if missing:
         raise ParameterError("missing flags: " + ", ".join("--" + f for f in missing))
+
+
+def _tuple_from_args(scheme: Scheme, args) -> FactorizationParams:
+    _require_flags(args, ("p", "pp", "ap", "c"))
     return FactorizationParams(scheme, args.p, args.pp, args.ap, args.b, args.bp, args.c)
 
 
@@ -197,6 +201,7 @@ def _cmd_scan(args) -> int:
         return 1 if bad else 0
     if not args.scheme:
         raise ParameterError("missing flag: --scheme")
+    _require_flags(args, ("ap", "c", "n"))
     pp = ProductParams(_SCHEMES[args.scheme], args.ap, args.B, args.c, args.n)
     rep = scanner.scan(pp, args.order)
     _emit(rep.to_json_dict(), args.json, _report_lines(rep))

@@ -141,15 +141,20 @@ class ProductParams:
 
     def __post_init__(self) -> None:
         problems = []
-        if self.a_prime < 1 or self.B < 1 or self.n < 1:
-            problems.append("range: a', B, n must be positive")
-        if self.c < 0:
-            problems.append("range: c must be nonnegative")
-        if self.a_prime <= self.c:
-            problems.append(f"range: a' must exceed c (a'={self.a_prime}, c={self.c})")
-        if self.scheme is Scheme.TRIPLE and (self.a_prime % 2 == 0 or self.c % 2 == 0):
-            problems.append(f"parity: a' and c must both be odd in the triple scheme "
-                            f"(a'={self.a_prime}, c={self.c})")
+        ints = {"a'": self.a_prime, "B": self.B, "c": self.c, "n": self.n}
+        for name, v in ints.items():
+            if not isinstance(v, int):
+                problems.append(f"type: {name} must be an integer")
+        if not problems:
+            if self.a_prime < 1 or self.B < 1 or self.n < 1:
+                problems.append("range: a', B, n must be positive")
+            if self.c < 0:
+                problems.append("range: c must be nonnegative")
+            if self.a_prime <= self.c:
+                problems.append(f"range: a' must exceed c (a'={self.a_prime}, c={self.c})")
+            if self.scheme is Scheme.TRIPLE and (self.a_prime % 2 == 0 or self.c % 2 == 0):
+                problems.append(f"parity: a' and c must both be odd in the triple scheme "
+                                f"(a'={self.a_prime}, c={self.c})")
         if problems:
             raise ParameterError("; ".join(problems))
 

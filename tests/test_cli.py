@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from charfactor.cli import run
 
@@ -72,6 +76,25 @@ def test_scan_command(capsys):
     assert doc["violations"] == []
     assert doc["covered"] == "case1"
     assert doc["support"] == [0, 1, 2]
+
+
+def test_scan_missing_quadruple_flags_exit_2(capsys):
+    assert run(["scan", "--scheme", "triple"]) == 2
+    assert capsys.readouterr().err == "error: missing flags: --ap, --c, --n\n"
+    assert run(["scan", "--scheme", "quint", "--ap", "2", "--order", "40"]) == 2
+    assert capsys.readouterr().err == "error: missing flags: --c, --n\n"
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "charfactor", "pairs", "--scheme", "triple",
+         "--p", "2", "--pp", "9", "--ap", "3", "--c", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "count=3 (n=3)"
 
 
 def test_realize_command(capsys):

@@ -139,6 +139,11 @@ _UP_AND_DOWN = [(-1, m) for m in range(1, 120)] * 8 + [(1, m) for m in range(1, 
 @example(binomials=[(1, 1)] * 300, n_out=120)  # the same magnitudes with alternating signs
 @example(binomials=[(-1, 2)] * 200 + [(1, 3)] * 120 + [(-1, 119)] * 3, n_out=120)
 @example(binomials=_UP_AND_DOWN, n_out=120)  # past 2^62 and back to 13 bits
+# steps in place, in place, five swaps, in place, with both signs
+@example(binomials=[(1, 60)] * 2 + [(-1, 1)] * 5 + [(1, 119)], n_out=120)
+# one step in place and 65 swaps, so the product bails to limbs from the second
+# array; then in-place and swap steps on the limbs
+@example(binomials=[(-1, 1)] * 66 + [(1, 90)] * 3 + [(-1, 2)] * 2, n_out=120)
 @settings(max_examples=100, deadline=None)
 def test_binomial_product_matches_naive_product(binomials, n_out):
     binomials = [(s, m) for s, m in binomials if m < n_out]

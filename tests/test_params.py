@@ -67,6 +67,17 @@ def test_product_params_validation():
         ProductParams(Scheme.TRIPLE, 3, 1, 3, 3)
 
 
+@pytest.mark.parametrize("args", [
+    (3, 1, None, 3),
+    (None, 1, 1, 3),
+    (3, 1.0, 1, 3),
+    (3, 1, 1, "3"),
+])
+def test_product_params_rejects_non_integers_by_name(args):
+    with pytest.raises(ParameterError, match="type: .* must be an integer"):
+        ProductParams(Scheme.TRIPLE, *args)
+
+
 def test_canonicalize_examples():
     reduced, k = canonicalize(ProductParams(Scheme.QUINTUPLE, 6, 1, 2, 5))
     assert (reduced.a_prime, reduced.B, reduced.c, reduced.n) == (3, 2, 1, 5)

@@ -1,11 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charfactor import products
+from charfactor import _kernels, products
 from charfactor.series import NEEDS_CONSTANT_SLOT, SeriesError, inverse_euler_power, pochhammer
 from charfactor.series import SignedMonomial as Q
-from charfactor.verifier import _QUINTUPLE_SIGNS, IdentityKind
+from charfactor.verifier import _QUINTUPLE_SIGNS, _TRIPLE_SIGNS, IdentityKind
 
 from oracles import brute_convolve, naive_pochhammer, partition_counts
 
@@ -106,3 +107,30 @@ def test_high_order_quintuple_numerators_match_the_two_symbol_form(kind, ap, B, 
     first = pochhammer((Q(s1, B * c), Q(s2, B * (2 * ap - c)), Q(s3, 2 * B * ap)), Q(sb, 2 * B * ap), order)
     second = pochhammer((Q(t1, 2 * B * (ap + c)), Q(t2, 2 * B * (ap - c))), Q(1, 4 * B * ap), order)
     assert products.quintuple_numerator(ap, B, c, order, signs).coeffs == (first * second).coeffs
+
+
+def test_high_order_numerators_stay_on_one_limb_with_ascending_shifts(monkeypatch):
+    # the numerators of the benchmark's five high-order certificates; an order
+    # that grouped the shifts by progression left one limb on all five (3-5x slower)
+    numerators = [
+        (products.triple_numerator, (3, 1, 1, 10_000, _TRIPLE_SIGNS[IdentityKind.MAIN])),  # (2,3) main
+        (products.quintuple_numerator, (4, 1, 1, 10_000, _QUINTUPLE_SIGNS[IdentityKind.QUINT])),  # (3,4) quint
+        (products.triple_numerator, (3, 1, 1, 10_000, _TRIPLE_SIGNS[IdentityKind.MAIN_B_EVEN])),  # (4,3) main_b
+        (products.quintuple_numerator, (4, 1, 3, 10_000, _QUINTUPLE_SIGNS[IdentityKind.QUINT_B])),  # (3,16) quint_b
+        (products.triple_numerator, (3, 1, 1, 12_000, _TRIPLE_SIGNS[IdentityKind.MAIN])),  # (2,9) main
+    ]
+    calls = []
+    real = _kernels.binomial_product
+
+    def spy(shifts, signs, n_out):
+        coeffs, one_limb = real(shifts, signs, n_out)
+        calls.append((shifts, one_limb))
+        return coeffs, one_limb
+
+    monkeypatch.setattr(_kernels, "binomial_product", spy)
+    for numerator, args in numerators:
+        numerator(*args)
+    assert len(calls) == len(numerators)
+    for shifts, one_limb in calls:
+        assert one_limb
+        assert (np.diff(shifts) >= 0).all()

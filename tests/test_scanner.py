@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from charfactor import scanner
+from charfactor import scanner, series
 from charfactor.params import ParameterError, ProductParams, Scheme
 from charfactor.scanner import (
     Covered,
@@ -74,6 +74,14 @@ def test_scan_canonicalizes_first():
 def test_scan_n1_trivially_clean():
     for ap, B, c in ((3, 1, 1), (5, 2, 3), (7, 1, 5)):
         assert scan(trip(ap, B, c, 1), 200).violations == []
+
+
+def test_scans_at_one_order_share_one_partition_table():
+    for fn in (series.euler_product, series.partition_series, series.inverse_euler_power):
+        fn.cache_clear()
+    for n in (1, 2, 3):
+        scan(trip(3, 1, 1, n), 300)
+    assert series.partition_series.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("pp, dropped, message", [
