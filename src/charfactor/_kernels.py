@@ -15,6 +15,8 @@ arbitrary-precision Python integers, and so is every kernel here.
   every coefficient stays below 2**62; past that it continues on base-2**30
   int64 limbs.  A factor whose read and write windows overlap writes into a
   second array and the two swap, so no window is copied before it is read.
+  Factors with ``2m >= n_out`` come as arithmetic progressions and apply
+  all at once, as windows of one strided prefix sum per step.
 """
 
 from __future__ import annotations
@@ -111,34 +113,79 @@ def invert_unit(a: list[int], n_out: int) -> tuple[list[int], int]:
 # binomial products
 # ---------------------------------------------------------------------------
 
-def binomial_product(shifts, signs, n_out):
-    """Coefficients 0..n_out-1 of ``prod_t (1 - signs[t] q**shifts[t])``, exact.
+def binomial_product(shifts, signs, n_out, tail=()):
+    """Coefficients 0..n_out-1 of ``prod_t (1 - signs[t] q**shifts[t])`` times the tail, exact.
 
-    Every shift lies in [1, n_out).  Returns ``(coeffs, one_limb)``: a list
-    of Python ints, and whether every partial product fit one int64 limb.
-    Each factor is one ufunc pass over a 1-D int64 array (:func:`_apply`).
-    A factor at most doubles max|c|, so a maximum of b bits lets the next
-    ``63 - b`` factors run with every coefficient below HALF before each;
-    then the true maximum is read again.  Once it reaches HALF the product
-    runs on several limbs (:func:`_limb_product`) to the end.
+    Every shift lies in [1, n_out).  ``tail`` holds progressions
+    ``(m0, d, count, s)``, the factors ``(1 - s q**(m0 + k d))`` for
+    ``0 <= k < count``, each with ``2 m0 >= n_out``.  Returns
+    ``(coeffs, one_limb)``: a list of Python ints, and whether every partial
+    product fit one int64 limb.  Each head factor is one ufunc pass over a
+    1-D int64 array (:func:`_apply`).  A factor at most doubles max|c|, so a
+    maximum of b bits lets the next ``63 - b`` factors run with every
+    coefficient below HALF before each; then the true maximum is read again.
+    Once it reaches HALF the product runs on several limbs
+    (:func:`_limb_product`) to the end, tail factors included.  The tail
+    applies at once (:func:`_collapse`) when ``(1 + T) max|c| < HALF`` for
+    its T factors, with max|c| the last chunk's doubling bound, or the true
+    maximum where that bound fails; where both fail, it runs factor by factor.
     """
     c = np.zeros(n_out, np.int64)
     c[0] = 1
-    factors = list(zip(shifts.tolist(), signs.tolist()))
+    ms, ss = shifts.tolist(), signs.tolist()
+    terms = 1 + sum(count for _, _, count, _ in tail)
     spare, same, w, done, peak = None, 0, 1, 0, 1
     while True:
-        steps = HALF.bit_length() - peak.bit_length()
-        c, spare, same, w = _apply(c, spare, same, w, factors[done : done + steps])
-        done += steps
-        if done >= len(factors):
+        start, done = done, min(done + HALF.bit_length() - peak.bit_length(), len(ms))
+        c, spare, same, w = _apply(c, spare, same, w, ms[start:done], ss[start:done])
+        if done < len(ms):
+            peak = int(np.abs(c[:w]).max())
+        elif not tail:
             return c.tolist(), True
-        peak = int(np.abs(c[:w]).max())
+        elif terms * (peak << done - start) < HALF or terms * (peak := int(np.abs(c[:w]).max())) < HALF:
+            return _collapse(c, tail).tolist(), True
+        if done == len(ms) or peak >= HALF:
+            for m0, d, count, s in tail:  # from here the tail runs factor by factor
+                ms += range(m0, m0 + count * d, d)
+                ss += [s] * count
+            tail = ()
         if peak >= HALF:
-            return _limb_product(c[:, None], factors[done:], w), False
+            return _limb_product(c[:, None], ms[done:], ss[done:], w), False
 
 
-def _apply(c, spare, same, w, factors):
-    """Apply each ``(m, s)`` of ``factors``, the factor ``(1 - s q**m)``, in one ufunc pass.
+def _collapse(c, tail):
+    """Multiply ``c`` in place by the ``tail`` progressions of :func:`binomial_product`.
+
+    The least tail shift m_min has ``2 m_min >= n_out``, so any two tail
+    factors multiply past the truncation: ``c[j] -= sum_t s_t c[j - m_t]``,
+    reading only ``c[:n_out - m_min]``, below every write.  Per progression
+    that is ``c[m0 + i] -= s (CS[i] - CS[i - count d])`` with CS the stride-d
+    prefix sum of that low part, one per distinct step.  The sums wrap
+    modulo 2**64 on a uint64 view; every true result is below
+    ``(1 + T) max|c| < HALF``, so the int64 it wraps to is exact.
+    """
+    n_out = len(c)
+    low = n_out - min(m0 for m0, _, _, _ in tail)
+    u, sums = c.view(np.uint64), {}
+    for m0, d, count, s in tail:
+        if d not in sums:
+            # rows end before n_out, as d < low <= m_min; sums past low are never read
+            sums[d] = u[: -(-low // d) * d].reshape(-1, d).cumsum(axis=0).ravel() if d < low else u[:low]
+        cs, end = sums[d], m0 + count * d
+        if s > 0:
+            u[m0:] -= cs[: n_out - m0]
+        else:
+            u[m0:] += cs[: n_out - m0]
+        if end < n_out:  # the window closes before the truncation
+            if s > 0:
+                u[end:] += cs[: n_out - end]
+            else:
+                u[end:] -= cs[: n_out - end]
+    return c
+
+
+def _apply(c, spare, same, w, shifts, signs):
+    """Apply each factor ``(1 - s q**m)`` for m, s in ``shifts``, ``signs``, in one ufunc pass.
 
     ``c[:w]`` holds the coefficients (scalars, or rows of limbs) and the rest
     of ``c`` is zero; returns the new ``(c, spare, same, w)``.  With w
@@ -153,7 +200,7 @@ def _apply(c, spare, same, w, factors):
     only grows.  No ufunc sees overlapping operands.
     """
     n_out = len(c)
-    for m, s in factors:
+    for m, s in zip(shifts, signs):
         w += m
         if w > n_out:
             w = n_out
@@ -172,7 +219,7 @@ def _apply(c, spare, same, w, factors):
     return c, spare, same, w
 
 
-def _limb_product(limbs, factors, w):
+def _limb_product(limbs, shifts, signs, w):
     """Continue :func:`_apply` on base-2**LIMB_BITS int64 limbs, one per column.
 
     The recurrence is linear, so each factor's pass runs on every limb at
@@ -182,12 +229,12 @@ def _limb_product(limbs, factors, w):
     """
     spare = None
     steps = HALF.bit_length() - (LIMB_BITS + 1)
-    for done in range(0, len(factors), steps):
+    for done in range(0, len(shifts), steps):
         width = limbs.shape[1]
         limbs = _carry(limbs)
         if limbs.shape[1] != width:
             spare = None
-        limbs, spare, _, w = _apply(limbs, spare, 0, w, factors[done : done + steps])
+        limbs, spare, _, w = _apply(limbs, spare, 0, w, shifts[done : done + steps], signs[done : done + steps])
     out = limbs[:, -1].tolist()
     for col in limbs.T[-2::-1]:
         out = [(hi << LIMB_BITS) + lo for hi, lo in zip(out, col.tolist())]

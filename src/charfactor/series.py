@@ -276,15 +276,18 @@ def pochhammer_product(symbols: Iterable[tuple], order: int) -> ShiftedSeries:
     """Truncated product of Pochhammer symbols, each a ``(factors, base)`` pair as in :func:`pochhammer`.
 
     One :func:`charfactor._kernels.binomial_product` call expands the binomials
-    of every symbol, exact at any size, in ascending order of their shifts
-    (a stable sort), whatever order the symbols list their factors in.
+    of every symbol, exact at any size.  Each factor gives one progression of
+    shifts, or two of twice the step when the base has sign -1.  Their head,
+    the shifts m with ``2m < order + 1``, goes to the kernel in ascending
+    order (a stable sort), whatever order the symbols list their factors in.
     Grouped by progression instead, partial products outgrow one int64 limb
     and the high-order numerators run 3-5x slower.  In ascending order no
     factor changes the coefficients below an earlier shift, so a kernel step
-    that writes into its second array copies almost nothing across, and the
-    large shifts, whose read and write windows no longer overlap, run last
-    and in place.  A factor that degenerates to (1 - q**0) annihilates the
-    whole product unexpanded; (1 + q**0) doubles it.
+    that writes into its second array copies almost nothing across.  The
+    rest of each progression, where any two factors multiply past the
+    truncation, goes as a tail progression and applies at once.  A factor
+    that degenerates to (1 - q**0) annihilates the whole product unexpanded;
+    (1 + q**0) doubles it, and its progression starts one step later.
     """
     symbols = [(tuple(factors), base) for factors, base in symbols]
     if order < 0:
@@ -292,31 +295,33 @@ def pochhammer_product(symbols: Iterable[tuple], order: int) -> ShiftedSeries:
     if any(base.exponent < 1 for _, base in symbols):
         raise SeriesError("non-convergent product: base monomial must have positive exponent")
     n_out = order + 1
+    half = (n_out + 1) // 2  # the least shift m with 2m >= n_out
     shifts: list[int] = []
     signs: list[int] = []
+    tail = []
     doubles = 0
     for factors, base in symbols:
-        min_fac = min((f.exponent for f in factors), default=n_out)
-        i = 0
-        while min_fac + i * base.exponent <= order:
-            stride = i * base.exponent
-            base_sign = -1 if (base.sign < 0 and i % 2) else 1
-            for f in factors:
-                m = f.exponent + stride
-                if m > order:
-                    continue
-                s = f.sign * base_sign
-                if m == 0:
+        v = base.exponent
+        for f in factors:
+            if base.sign > 0:
+                progressions = ((f.exponent, v, f.sign),)
+            else:
+                progressions = ((f.exponent, 2 * v, f.sign), (f.exponent + v, 2 * v, -f.sign))
+            for m0, d, s in progressions:
+                if m0 == 0:
                     if s == 1:
                         return ShiftedSeries._of_ints([0] * n_out)
                     doubles += 1
-                else:
-                    shifts.append(m)
-                    signs.append(s)
-            i += 1
+                    m0 = d
+                head = range(m0, half, d)
+                shifts += head
+                signs += [s] * len(head)
+                rest = range(m0, n_out, d)[len(head) :]
+                if rest:
+                    tail.append((rest.start, d, len(rest), s))
     shifts = np.array(shifts, np.int64)
     order_up = np.argsort(shifts, kind="stable")
-    coeffs, _ = _kernels.binomial_product(shifts[order_up], np.array(signs, np.int64)[order_up], n_out)
+    coeffs, _ = _kernels.binomial_product(shifts[order_up], np.array(signs, np.int64)[order_up], n_out, tail)
     if doubles:
         coeffs = [c << doubles for c in coeffs]
     return ShiftedSeries._of_ints(coeffs)

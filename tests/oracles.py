@@ -56,8 +56,8 @@ def naive_product(binomials: list[tuple[int, int]], order: int) -> list[int]:
     return [poly.get(k, 0) for k in range(order + 1)]
 
 
-def naive_pochhammer(factors: list[tuple[int, int]], base: tuple[int, int], order: int) -> list[int]:
-    """(u_1,...,u_k; v)_inf via naive_product; factors/base are (sign, exponent)."""
+def pochhammer_binomials(factors: list[tuple[int, int]], base: tuple[int, int], order: int) -> list[tuple[int, int]]:
+    """The (sign, exponent) binomials of (u_1,...,u_k; v)_inf up to q^order; factors/base are (sign, exponent)."""
     sb, eb = base
     binomials = []
     i = 0
@@ -68,7 +68,12 @@ def naive_pochhammer(factors: list[tuple[int, int]], base: tuple[int, int], orde
             if e + i * eb <= order:
                 binomials.append((s * (sb ** (i % 2)), e + i * eb))
         i += 1
-    return naive_product(binomials, order)
+    return binomials
+
+
+def naive_pochhammer(factors: list[tuple[int, int]], base: tuple[int, int], order: int) -> list[int]:
+    """(u_1,...,u_k; v)_inf via naive_product; factors/base are (sign, exponent)."""
+    return naive_product(pochhammer_binomials(factors, base, order), order)
 
 
 def brute_theta(records, order: int) -> list[int] | None:

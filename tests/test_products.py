@@ -122,15 +122,19 @@ def test_high_order_numerators_stay_on_one_limb_with_ascending_shifts(monkeypatc
     calls = []
     real = _kernels.binomial_product
 
-    def spy(shifts, signs, n_out):
-        coeffs, one_limb = real(shifts, signs, n_out)
-        calls.append((shifts, one_limb))
+    def spy(shifts, signs, n_out, tail=()):
+        coeffs, one_limb = real(shifts, signs, n_out, tail)
+        calls.append((shifts, n_out, tail, one_limb))
         return coeffs, one_limb
 
     monkeypatch.setattr(_kernels, "binomial_product", spy)
     for numerator, args in numerators:
         numerator(*args)
     assert len(calls) == len(numerators)
-    for shifts, one_limb in calls:
+    for shifts, n_out, tail, one_limb in calls:
         assert one_limb
         assert (np.diff(shifts) >= 0).all()
+        # every shift m with 2m >= n_out is passed as a tail progression
+        half = (n_out + 1) // 2
+        assert shifts.max() < half and tail
+        assert all(half <= m0 and m0 + (count - 1) * d < n_out for m0, d, count, _ in tail)

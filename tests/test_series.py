@@ -16,12 +16,21 @@ from charfactor.series import (
     inverse_euler_power,
     partition_series,
     pochhammer,
+    pochhammer_product,
     quadratic_window,
     quintuple_product,
     triple_product,
 )
 
-from oracles import brute_convolve, brute_theta, naive_pochhammer, partition_counts, signed_distinct_counts
+from oracles import (
+    brute_convolve,
+    brute_theta,
+    naive_pochhammer,
+    naive_product,
+    partition_counts,
+    pochhammer_binomials,
+    signed_distinct_counts,
+)
 
 Q = SignedMonomial
 
@@ -288,8 +297,8 @@ def test_pochhammer_past_the_int64_kernel_matches_naive_expansion(copies, extra,
     flags = []
     kernel = _kernels.binomial_product
 
-    def recording(shifts, signs, n_out):
-        out = kernel(shifts, signs, n_out)
+    def recording(shifts, signs, n_out, tail=()):
+        out = kernel(shifts, signs, n_out, tail)
         flags.append(out[1])
         return out
 
@@ -301,6 +310,38 @@ def test_pochhammer_past_the_int64_kernel_matches_naive_expansion(copies, extra,
     assert all(type(c) is int for c in got.coeffs)
 
 
+_symbol = st.tuples(
+    st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 130)), min_size=1, max_size=4),
+    st.tuples(st.sampled_from([1, -1]), st.integers(1, 130)),
+)
+
+
+@given(symbols=st.lists(_symbol, min_size=1, max_size=3), order=st.integers(0, 120))
+# n_out = 101: 51 = ceil(n_out/2) is tail, the two 50s are head and multiply to q^100
+@example(symbols=[([(1, 50), (-1, 50), (1, 51)], (1, 200)), ([(1, 1)], (1, 1))], order=100)
+# n_out = 100: 49 is head and 50 tail, and 49 + 50 = 99 is inside the truncation
+@example(symbols=[([(1, 49), (-1, 50), (1, 50)], (1, 200)), ([(-1, 1)], (1, 3))], order=99)
+# a base with sign -1: two progressions of step 6 with opposite signs
+@example(symbols=[([(1, 2), (-1, 5)], (-1, 3)), ([(1, 1)], (1, 1))], order=60)
+# (1 + q^0) doubles the product and its progression restarts one step later
+@example(symbols=[([(-1, 0), (1, 3)], (-1, 7)), ([(-1, 0)], (1, 20))], order=50)
+# (1 + q)^64 peaks near 2^60.7, so 61 * max|c| fails the bound and the 60 tail
+# factors (1 + q^m), m = 60..119, run one by one: the product passes 2^63
+@example(symbols=[([(-1, 1)] * 64, (1, 500)), ([(-1, 60)], (1, 1))], order=119)
+# (1 + q)^70 leaves one limb in the head; the tail follows on limbs
+@example(symbols=[([(-1, 1)] * 70, (1, 500)), ([(1, 61), (-1, 62)], (1, 5))], order=119)
+# the 66 factors (1 + q^m) give a low half of 1,500 positive coefficients
+# summing past 2^64, whose stride-1 prefix sums wrap; the result stays below 2^62
+@example(symbols=[([(-1, m) for m in range(1, 67)], (1, 5000)), ([(-1, 1501)], (1, 1400)),
+                  ([(-1, 2999)], (1, 1))], order=3000)
+@settings(max_examples=150, deadline=None)
+def test_pochhammer_product_tail_matches_naive_product(symbols, order):
+    got = pochhammer_product([(tuple(Q(s, e) for s, e in fs), Q(*base)) for fs, base in symbols], order)
+    binomials = [b for fs, base in symbols for b in pochhammer_binomials(fs, base, order)]
+    assert got.coeffs == naive_product(binomials, order)
+    assert all(type(c) is int for c in got.coeffs)
+
+
 def test_euler_product_at_workload_scale_is_the_pentagonal_series():
     # (q;q) at N = 12,000, the (2,9) numerator of the high-order benchmark,
     # peaks at 61 bits after 243 factors and stays on one limb; at N = 20,000
@@ -308,8 +349,8 @@ def test_euler_product_at_workload_scale_is_the_pentagonal_series():
     flags = []
     kernel = _kernels.binomial_product
 
-    def recording(shifts, signs, n_out):
-        out = kernel(shifts, signs, n_out)
+    def recording(shifts, signs, n_out, tail=()):
+        out = kernel(shifts, signs, n_out, tail)
         flags.append(out[1])
         return out
 
