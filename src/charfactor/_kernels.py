@@ -4,10 +4,9 @@ The series layer (:mod:`charfactor.series`) is exact: coefficients are
 arbitrary-precision Python integers, and so is every kernel here.
 
 * :func:`scatter` adds a multiple of one coefficient array per sparse term,
-  as slice operations on numpy ``dtype=object`` arrays.  It is the loop of
-  :func:`convolve`, which multiplies truncated series over the nonzero terms
-  of the sparser operand, and it builds the scan streams directly from their
-  theta terms and the partition numbers.
+  as slice operations on numpy ``dtype=object`` arrays: the partition
+  numbers on stride n in :func:`charfactor.series.over_euler`, and the loop
+  of :func:`convolve`, the general multiply that no package path calls.
 * :func:`invert_unit` inverts a unit series by the sparse recurrence over
   its nonzero terms.
 * :func:`binomial_product` expands products of binomials ``(1 -+ q^m)``,
@@ -16,7 +15,7 @@ arbitrary-precision Python integers, and so is every kernel here.
   int64 limbs.  A factor whose read and write windows overlap writes into a
   second array and the two swap, so no window is copied before it is read.
   Factors with ``2m >= n_out`` come as arithmetic progressions and apply
-  all at once, as windows of one strided prefix sum per step.
+  all at once, as windows of one strided prefix sum per step and limb.
 """
 
 from __future__ import annotations
@@ -62,13 +61,15 @@ def scatter(terms, y: np.ndarray, stride: int, n_out: int) -> np.ndarray:
     """Coefficients 0..n_out-1 of ``sum_{(i, c) in terms} c q**i * y(q**stride)``, exact.
 
     ``terms`` are ``(index, coefficient)`` pairs in ascending index order and
-    ``y`` an object array of Python ints; each term adds ``c * y`` as one
-    slice of a numpy object array, which is returned.
+    ``y`` an object array of Python ints; each nonzero term adds ``c * y`` as
+    one slice of a numpy object array, which is returned.
     """
     out = np.zeros(n_out, dtype=object)
     for i, c in terms:
         if i >= n_out:
             break
+        if not c:
+            continue
         seg = out[i::stride][: len(y)]
         if c == 1:
             seg += y[: len(seg)]
@@ -125,10 +126,10 @@ def binomial_product(shifts, signs, n_out, tail=()):
     maximum of b bits lets the next ``63 - b`` factors run with every
     coefficient below HALF before each; then the true maximum is read again.
     Once it reaches HALF the product runs on several limbs
-    (:func:`_limb_product`) to the end, tail factors included.  The tail
-    applies at once (:func:`_collapse`) when ``(1 + T) max|c| < HALF`` for
-    its T factors, with max|c| the last chunk's doubling bound, or the true
-    maximum where that bound fails; where both fail, it runs factor by factor.
+    (:func:`_limb_product`) to the end.  The tail applies at once
+    (:func:`_collapse`), on one limb when ``(1 + T) max|c| < HALF`` for its
+    T factors, with max|c| the last chunk's doubling bound or the true
+    maximum, and otherwise on limbs.
     """
     c = np.zeros(n_out, np.int64)
     c[0] = 1
@@ -138,19 +139,16 @@ def binomial_product(shifts, signs, n_out, tail=()):
     while True:
         start, done = done, min(done + HALF.bit_length() - peak.bit_length(), len(ms))
         c, spare, same, w = _apply(c, spare, same, w, ms[start:done], ss[start:done])
-        if done < len(ms):
-            peak = int(np.abs(c[:w]).max())
-        elif not tail:
-            return c.tolist(), True
-        elif terms * (peak << done - start) < HALF or terms * (peak := int(np.abs(c[:w]).max())) < HALF:
-            return _collapse(c, tail).tolist(), True
-        if done == len(ms) or peak >= HALF:
-            for m0, d, count, s in tail:  # from here the tail runs factor by factor
-                ms += range(m0, m0 + count * d, d)
-                ss += [s] * count
-            tail = ()
+        if done == len(ms):
+            break
+        peak = int(np.abs(c[:w]).max())
         if peak >= HALF:
-            return _limb_product(c[:, None], ms[done:], ss[done:], w), False
+            return _limb_product(c[:, None], ms[done:], ss[done:], w, tail), False
+    if not tail:
+        return c.tolist(), True
+    if terms * (peak << done - start) < HALF or terms * int(np.abs(c[:w]).max()) < HALF:
+        return _collapse(c, tail).tolist(), True
+    return _limb_product(c[:, None], [], [], w, tail), False
 
 
 def _collapse(c, tail):
@@ -160,17 +158,18 @@ def _collapse(c, tail):
     factors multiply past the truncation: ``c[j] -= sum_t s_t c[j - m_t]``,
     reading only ``c[:n_out - m_min]``, below every write.  Per progression
     that is ``c[m0 + i] -= s (CS[i] - CS[i - count d])`` with CS the stride-d
-    prefix sum of that low part, one per distinct step.  The sums wrap
-    modulo 2**64 on a uint64 view; every true result is below
+    prefix sum of that low part, one per distinct step and limb column.
+    The sums wrap modulo 2**64 on a uint64 view; every true result is below
     ``(1 + T) max|c| < HALF``, so the int64 it wraps to is exact.
     """
     n_out = len(c)
     low = n_out - min(m0 for m0, _, _, _ in tail)
-    u, sums = c.view(np.uint64), {}
+    u, sums, limb_axis = c.view(np.uint64), {}, c.shape[1:]
     for m0, d, count, s in tail:
         if d not in sums:
             # rows end before n_out, as d < low <= m_min; sums past low are never read
-            sums[d] = u[: -(-low // d) * d].reshape(-1, d).cumsum(axis=0).ravel() if d < low else u[:low]
+            sums[d] = (u[: -(-low // d) * d].reshape(-1, d, *limb_axis).cumsum(axis=0).reshape(-1, *limb_axis)
+                       if d < low else u[:low])
         cs, end = sums[d], m0 + count * d
         if s > 0:
             u[m0:] -= cs[: n_out - m0]
@@ -219,13 +218,13 @@ def _apply(c, spare, same, w, shifts, signs):
     return c, spare, same, w
 
 
-def _limb_product(limbs, shifts, signs, w):
-    """Continue :func:`_apply` on base-2**LIMB_BITS int64 limbs, one per column.
+def _limb_product(limbs, shifts, signs, w, tail=()):
+    """Continue :func:`_apply`, then :func:`_collapse` the ``tail``, on base-2**LIMB_BITS int64 limb columns.
 
     The recurrence is linear, so each factor's pass runs on every limb at
     once, and a window of rows is one contiguous block.  After each carry
     every limb is below 2**(LIMB_BITS+1), so the next ``62 - LIMB_BITS``
-    factors keep them below HALF.
+    factors keep them below HALF, and so does any tail.
     """
     spare = None
     steps = HALF.bit_length() - (LIMB_BITS + 1)
@@ -235,6 +234,8 @@ def _limb_product(limbs, shifts, signs, w):
         if limbs.shape[1] != width:
             spare = None
         limbs, spare, _, w = _apply(limbs, spare, 0, w, shifts[done : done + steps], signs[done : done + steps])
+    if tail:
+        limbs = _collapse(_carry(limbs), tail)
     out = limbs[:, -1].tolist()
     for col in limbs.T[-2::-1]:
         out = [(hi << LIMB_BITS) + lo for hi, lo in zip(out, col.tolist())]

@@ -230,7 +230,7 @@ def _cmd_remark(args) -> int:
 
 
 def _selftest_checks():
-    from .series import SignedMonomial, pochhammer, quintuple_product, triple_product
+    from .series import SignedMonomial, pochhammer, pochhammer_product, quintuple_product, triple_product
 
     def theta_oracles():
         for eu in range(0, 5):
@@ -250,9 +250,8 @@ def _selftest_checks():
                         u = SignedMonomial(su, eu)
                         v = SignedMonomial(sv, ev)
                         lhs = quintuple_product(u, v, 60)
-                        rhs = pochhammer((v, u, SignedMonomial(su * sv, ev - eu)), v, 60) * pochhammer(
-                            (SignedMonomial(sv, 2 * eu + ev), SignedMonomial(sv, ev - 2 * eu)),
-                            SignedMonomial(1, 2 * ev), 60)
+                        rhs = pochhammer_product((((v, u, SignedMonomial(su * sv, ev - eu)), v), (
+                            (SignedMonomial(sv, 2 * eu + ev), SignedMonomial(sv, ev - 2 * eu)), SignedMonomial(1, 2 * ev))), 60)
                         if lhs != rhs:
                             return f"quintuple product mismatch at u={u}, v={v}"
         return None

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import ShiftedSeries, Theta, bilateral_sum, partition_series
+from .series import ShiftedSeries, Theta, bilateral_sum, over_euler
 
 
 class InvalidModel(ValueError):
@@ -87,7 +87,7 @@ def bosonic_numerator(model: MinimalModel, label: CharacterLabel, order: int) ->
 
 def normalized_character(model: MinimalModel, label: CharacterLabel, order: int) -> ShiftedSeries:
     """Character divided by q**Delta: offset 0, constant term 1, exact to ``order``."""
-    return ShiftedSeries(bosonic_numerator(model, label, order)) * partition_series(order)
+    return ShiftedSeries(over_euler(enumerate(bosonic_numerator(model, label, order)), 1, order))
 
 
 def character(model: MinimalModel, label: CharacterLabel, order: int) -> ShiftedSeries:

@@ -9,8 +9,8 @@ certificate's product side never relies on a product identity.
 The plain sides, which the scanner streams, are exactly a Jacobi triple
 product and a quintuple product divided by (q^n; q^n).  Each is built in one
 pass by :func:`~charfactor.series.theta_stream`: the O(sqrt(N)) terms of its
-theta records, each times the partition numbers on stride n, summed into a
-numpy object array.
+theta records, each times the partition numbers on stride n, summed by
+:func:`~charfactor.series.over_euler`, the one division by (q^n; q^n).
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ TRIPLE_PLAIN = (1, 1, 1, 1)
 QUINTUPLE_PLAIN = (1, 1, 1, 1, 1, 1)
 
 
-def triple_numerator(ap: int, B: int, c: int, order: int,
-                     signs: tuple[int, int, int, int] = TRIPLE_PLAIN) -> ShiftedSeries:
-    """(s1 q^{B(a'-c)/2}, s2 q^{B(a'+c)/2}, s3 q^{Ba'}; sb q^{Ba'})."""
+def triple_symbol(ap: int, B: int, c: int, signs: tuple[int, int, int, int] = TRIPLE_PLAIN) -> tuple:
+    """The ``(factors, base)`` pair of (s1 q^{B(a'-c)/2}, s2 q^{B(a'+c)/2}, s3 q^{Ba'}; sb q^{Ba'})."""
     s1, s2, s3, sb = signs
     if (ap - c) % 2 != 0:
         raise ValueError(f"a' and c must have equal parity for a triple product (a'={ap}, c={c})")
@@ -42,7 +41,13 @@ def triple_numerator(ap: int, B: int, c: int, order: int,
         SignedMonomial(s2, B * (ap + c) // 2),
         SignedMonomial(s3, B * ap),
     )
-    return pochhammer(factors, SignedMonomial(sb, B * ap), order)
+    return factors, SignedMonomial(sb, B * ap)
+
+
+def triple_numerator(ap: int, B: int, c: int, order: int,
+                     signs: tuple[int, int, int, int] = TRIPLE_PLAIN) -> ShiftedSeries:
+    """The Pochhammer symbol of :func:`triple_symbol`, expanded to ``order``."""
+    return pochhammer(*triple_symbol(ap, B, c, signs), order)
 
 
 def quintuple_numerator(ap: int, B: int, c: int, order: int,

@@ -5,17 +5,15 @@ with arbitrary-precision integer coefficients.  The trusted truncation bound
 is ``offset + order`` inclusive: every operation keeps the tightest bound of
 its operands, and equality never reads past it.
 
-All arithmetic is exact and has one code path per operation: multiplication
-runs on :func:`charfactor._kernels.convolve` (slice operations on numpy
-``dtype=object`` arrays), inversion on :func:`charfactor._kernels.invert_unit`
-(a sparse recurrence on Python ints), and Pochhammer products on
-:func:`charfactor._kernels.binomial_product`, which carries coefficients past
-int64 on several int64 limbs.  Every bilateral theta sum, on the product and
-the character side alike, is a list of :class:`Theta` records expanded by
-:func:`bilateral_sum`.  A theta sum divided by (q^n; q^n), the scanner's
-stream, is built in one pass by :func:`theta_stream`, which adds the
-partition numbers on stride n once per theta term, with no dense theta list
-and no multiply.
+All arithmetic is exact and has one code path per operation.  Every
+quotient by (q^n; q^n) is one :func:`over_euler` call, which adds the
+partition numbers on stride n once per term; every Pochhammer product is one
+:func:`charfactor._kernels.binomial_product` call, which carries
+coefficients past int64 on several int64 limbs; inversion is
+:func:`charfactor._kernels.invert_unit`.  No package code path multiplies
+two series (``ShiftedSeries.__mul__``).  Every
+bilateral theta sum is a list of :class:`Theta` records expanded by
+:func:`bilateral_sum`, or by :func:`theta_stream` divided by (q^n; q^n).
 """
 
 from __future__ import annotations
@@ -136,9 +134,6 @@ class ShiftedSeries:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __neg__(self) -> "ShiftedSeries":
-        return ShiftedSeries._of_ints([-c for c in self.coeffs], self.offset)
-
     def __add__(self, other):
         if isinstance(other, int):
             return self if other == 0 else NotImplemented
@@ -160,11 +155,6 @@ class ShiftedSeries:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if not isinstance(other, ShiftedSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return ShiftedSeries._of_ints([c * other for c in self.coeffs], self.offset)
@@ -184,29 +174,9 @@ class ShiftedSeries:
         coeffs, _ = _kernels.invert_unit(self.coeffs, self.order + 1)
         return ShiftedSeries._of_ints(coeffs, -self.offset)
 
-    def substitute_power(self, n: int) -> "ShiftedSeries":
-        """Substitute q -> q**n; offset, exponents and order all scale by n."""
-        if not isinstance(n, int) or n < 1:
-            raise SeriesError(f"substitution power must be a positive integer, got {n}")
-        if n == 1:
-            return self
-        out = [0] * (self.order * n + 1)
-        out[::n] = self.coeffs
-        return ShiftedSeries._of_ints(out, self.offset * n)
-
     def shift(self, delta) -> "ShiftedSeries":
         """Multiply by q**delta (exact rational exponent shift)."""
         return ShiftedSeries._of_ints(self.coeffs, self.offset + Fraction(delta))
-
-    def truncated(self, bound) -> "ShiftedSeries":
-        """Drop coefficients above an absolute exponent bound."""
-        bound = Fraction(bound)
-        if bound >= self.bound:
-            return self
-        new_order = math.floor(bound - self.offset)
-        if new_order < 0:
-            raise SeriesError(f"truncation bound {bound} lies below the offset {self.offset}")
-        return ShiftedSeries._of_ints(self.coeffs[: new_order + 1], self.offset)
 
     def as_integer_series(self) -> "ShiftedSeries":
         """Re-index on the integer grid, asserting exponents are integers >= 0.
@@ -382,23 +352,29 @@ def theta_stream(thetas: Iterable[Theta], n: int, order: int,
                  error_label: str = "divergent theta parameters") -> ShiftedSeries:
     """The sum of the ``thetas`` divided by (q^n; q^n), exact to ``order``.
 
-    Built in one pass: the records' terms are collected sparsely, equal
-    exponents summed, and each surviving term ``c q**e`` adds ``c`` times the
-    partition numbers at ``e, e + n, ...`` (:func:`charfactor._kernels.scatter`).
-    The coefficients stay the numpy object array that pass fills.  The
-    partition numbers P(0..order // n) are read off the cached table up to
-    ``order``, so streams of every n at one order share one inversion of
-    (q; q); a lone stream with n > 1 builds that table, at most what n = 1
-    costs.
+    The records' terms are collected sparsely, equal exponents summed, and
+    divided by :func:`over_euler`; the coefficients stay the numpy object
+    array it fills.
     """
     terms = _add_terms(defaultdict(int), thetas, order, error_label)
+    return ShiftedSeries._of_ints(over_euler(sorted((e, c) for e, c in terms.items() if c), n, order))
+
+
+def over_euler(terms: Iterable[tuple[int, int]], n: int, order: int) -> np.ndarray:
+    """Coefficients 0..order of ``sum c q**e`` over the ascending ``(e, c)`` terms, divided by (q^n; q^n).
+
+    Each term adds ``c`` times the partition numbers at ``e, e + n, ...``
+    into the returned numpy object array (:func:`charfactor._kernels.scatter`);
+    terms past ``order`` are ignored.  The partition numbers are read off the
+    cached table up to ``order``, so all quotients at one order share one
+    inversion of (q; q).
+    """
     if order < 0:
         raise SeriesError(NEEDS_CONSTANT_SLOT)
     if not isinstance(n, int) or n < 1:
         raise SeriesError(f"modulus must be a positive integer, got {n}")
     p = np.array(partition_series(order).coeffs[: order // n + 1], dtype=object)
-    coeffs = _kernels.scatter(sorted((e, c) for e, c in terms.items() if c), p, n, order + 1)
-    return ShiftedSeries._of_ints(coeffs)
+    return _kernels.scatter(terms, p, n, order + 1)
 
 
 def triple_thetas(u: SignedMonomial, v: SignedMonomial) -> tuple[Theta, Theta]:
@@ -469,7 +445,4 @@ def partition_series(order: int) -> ShiftedSeries:
 @lru_cache(maxsize=None)
 def inverse_euler_power(n: int, order: int) -> ShiftedSeries:
     """1/(q**n; q**n)_inf truncated at ``order``."""
-    if not isinstance(n, int) or n < 1:
-        raise SeriesError(f"modulus must be a positive integer, got {n}")
-    m = -(-order // n)
-    return partition_series(m).substitute_power(n).truncated(order)
+    return ShiftedSeries(over_euler(((0, 1),), n, order))

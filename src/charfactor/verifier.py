@@ -18,9 +18,9 @@ E + n*Delta and signed, all expanded by one :func:`~charfactor.series.bilateral_
 Because (q^n;q^n) has constant term 1, two series agree up to degree d exactly
 when their numerators do, so the verdict and the first mismatch degree are
 those of the full sides.  The certificate's 16-term prefixes are still
-full-side coefficients: each is its numerator's first terms times the first
-terms of 1/(q^n;q^n).  :func:`build_lhs` and :func:`build_rhs` give the full
-sides as the same numerators times 1/(q^n;q^n).
+full-side coefficients, and :func:`build_lhs` and :func:`build_rhs` give the
+full sides: each divides its numerator by (q^n;q^n) in one
+:func:`~charfactor.series.over_euler` call, with no series multiply.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .minimal_model import CharacterLabel, MinimalModel, bosonic_thetas
 from .minimal_model import normalized_character  # noqa: F401  (perfbench/tracing.py patches this name)
 from .pairs import ContributingPair, contributing_pairs
 from .params import FactorizationParams, ParameterError, Scheme, divisors
-from .series import SeriesError, ShiftedSeries, Theta, inverse_euler_power, partition_series
+from .series import SeriesError, ShiftedSeries, SignedMonomial, Theta, over_euler
 
 AS_STATED = "as_stated"
 SWAPPED = "swapped"
@@ -133,7 +133,7 @@ def _lhs_numerator(kind: IdentityKind, fp: FactorizationParams, order: int) -> S
 def build_lhs(kind: IdentityKind, fp: FactorizationParams, order: int) -> ShiftedSeries:
     """The exact product side on the integer grid, truncated at ``order``."""
     _require_applicable(kind, fp)
-    return _lhs_numerator(kind, fp, order) * inverse_euler_power(fp.n, order)
+    return ShiftedSeries(over_euler(enumerate(_lhs_numerator(kind, fp, order).coeffs), fp.n, order))
 
 
 def prefactor_exponent(fp: FactorizationParams) -> Fraction:
@@ -227,7 +227,7 @@ def build_rhs(kind: IdentityKind, fp: FactorizationParams, order: int,
     _require_applicable(kind, fp)
     pairs = contributing_pairs(fp)
     num = _signed_sum(kind, pairs, _character_thetas(fp, pairs), variant, order)
-    return ShiftedSeries(num) * inverse_euler_power(fp.n, order)
+    return ShiftedSeries(over_euler(enumerate(num), fp.n, order))
 
 
 @dataclass
@@ -288,12 +288,6 @@ def first_mismatch_degree(lhs: list[int], rhs: list[int]) -> int | None:
     return None
 
 
-def _full_prefix(numerator: list[int], n: int, length: int) -> list[int]:
-    """The first ``length`` coefficients of numerator / (q^n; q^n)."""
-    p = partition_series(length - 1).coeffs
-    return [sum(numerator[d - n * k] * p[k] for k in range(d // n + 1)) for d in range(length)]
-
-
 def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCertificate:
     """Compare both numerators exactly to ``order``; failure is a certificate, not an error.
 
@@ -313,8 +307,8 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
             variant = SWAPPED
             mismatch = None
     match = mismatch is None
-    length = min(PREFIX_LEN, order + 1)
-    lhs_prefix = _full_prefix(lhs, fp.n, length)
+    top = min(PREFIX_LEN - 1, order)
+    lhs_prefix = over_euler(enumerate(lhs), fp.n, top).tolist()
     return IdentityCertificate(
         kind=kind,
         params=fp,
@@ -324,7 +318,7 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
         sign_variant=variant if match else FAILED,
         first_mismatch=mismatch,
         lhs_prefix=lhs_prefix,
-        rhs_prefix=list(lhs_prefix) if match else _full_prefix(rhs, fp.n, length),
+        rhs_prefix=list(lhs_prefix) if match else over_euler(enumerate(rhs), fp.n, top).tolist(),
     )
 
 
@@ -332,18 +326,18 @@ def verify_remark_products(a_prime: int, c: int, order: int) -> bool:
     """Check the telescoping product relation among plain triple sides.
 
     For odd a' > c odd, the product of phi(a',1,c,1) with phi(a',1,2j-1,a')
-    over j = 1..(a'-1)/2, j != (c+1)/2, must be the constant series 1.
+    over j = 1..(a'-1)/2, j != (c+1)/2, must be the constant series 1: the
+    product of their numerators must be (q;q) (q^{a'};q^{a'})^{(a'-3)/2}.
     """
     if a_prime % 2 == 0 or c % 2 == 0:
         raise ParameterError(f"parity: a' and c must be odd (a'={a_prime}, c={c})")
     if not 0 < c < a_prime:
         raise ParameterError(f"range: need 0 < c < a' (a'={a_prime}, c={c})")
-    acc = products.triple_side(a_prime, 1, c, 1, order)
-    for j in range(1, (a_prime - 1) // 2 + 1):
-        if j == (c + 1) // 2:
-            continue
-        acc = acc * products.triple_side(a_prime, 1, 2 * j - 1, a_prime, order)
-    return acc == ShiftedSeries.one(order)
+    numerators = [products.triple_symbol(a_prime, 1, c)]
+    numerators += [products.triple_symbol(a_prime, 1, 2 * j - 1)
+                   for j in range(1, (a_prime - 1) // 2 + 1) if j != (c + 1) // 2]
+    euler = [((SignedMonomial(1, v),), SignedMonomial(1, v)) for v in [1] + [a_prime] * ((a_prime - 3) // 2)]
+    return series.pochhammer_product(numerators, order) == series.pochhammer_product(euler, order)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,12 @@ def partition_counts(order: int) -> list[int]:
     return ways
 
 
+def euler_power_oracle(n: int, order: int) -> list[int]:
+    """Coefficients 0..order of 1/(q^n; q^n) from the partition-counting DP."""
+    p = partition_counts(order // n)
+    return [p[k // n] if k % n == 0 else 0 for k in range(order + 1)]
+
+
 def signed_distinct_counts(order: int) -> list[int]:
     """Coefficients of prod_{m>=1} (1 - q^m): partitions into distinct parts
     weighted by (-1)^(number of parts)."""

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from charfactor import _kernels
 
-from oracles import brute_convolve, naive_product
+from oracles import brute_convolve, naive_pochhammer, naive_product
 
 
 def _random_arrays(rng, n):
@@ -176,3 +176,14 @@ def test_binomial_product_carries_past_two_hundred_bits():
     assert max(out) > 2**200 and min(out) < -(2**200)
     assert out == naive_product(list(zip(signs.tolist(), shifts.tolist())), n - 1)
 
+
+def test_binomial_product_collapses_a_tail_on_limbs():
+    # (1 + q)^64 ends on one limb at C(64, 32) ~ 2^60.7, but its 60 tail factors
+    # (1 + q^60) ... (1 + q^119) fail (1 + T) max|c| < 2^62 and their sums pass
+    # 2^63: the tail collapses on the limb columns, after a carry
+    n = 120
+    head = np.ones(64, np.int64)
+    out, one_limb = _kernels.binomial_product(head, -head, n, [(60, 1, 60, -1)])
+    assert not one_limb
+    assert max(out) > 2**63
+    assert out == naive_pochhammer([(-1, 1)] * 64 + [(-1, m) for m in range(60, n)], (1, n), n - 1)

@@ -8,13 +8,7 @@ from charfactor.series import NEEDS_CONSTANT_SLOT, SeriesError, inverse_euler_po
 from charfactor.series import SignedMonomial as Q
 from charfactor.verifier import _QUINTUPLE_SIGNS, _TRIPLE_SIGNS, IdentityKind
 
-from oracles import brute_convolve, naive_pochhammer, partition_counts
-
-
-def euler_power_oracle(n, order):
-    """Coefficients of 1/(q^n; q^n) from the partition-counting DP."""
-    p = partition_counts(order // n)
-    return [p[k // n] if k % n == 0 else 0 for k in range(order + 1)]
+from oracles import brute_convolve, euler_power_oracle, naive_pochhammer
 
 
 def triple_oracle(ap, B, c, n, order):

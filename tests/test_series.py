@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from charfactor import _kernels
 from charfactor.series import (
+    NEEDS_CONSTANT_SLOT,
     SeriesError,
     ShiftedSeries,
     SignedMonomial,
@@ -14,6 +15,7 @@ from charfactor.series import (
     bilateral_sum,
     euler_product,
     inverse_euler_power,
+    over_euler,
     partition_series,
     pochhammer,
     pochhammer_product,
@@ -25,6 +27,7 @@ from charfactor.series import (
 from oracles import (
     brute_convolve,
     brute_theta,
+    euler_power_oracle,
     naive_pochhammer,
     naive_product,
     partition_counts,
@@ -179,21 +182,8 @@ def test_invert_round_trip(tail, lead):
 
 
 # ----------------------------------------------------------------------------
-# substitution, shift, truncation, integer grid
+# integer grid
 # ----------------------------------------------------------------------------
-
-def test_substitute_power_examples():
-    assert series([1, -1]).substitute_power(3).coeffs == [1, 0, 0, -1]
-    s = series([1], F(1, 2)).substitute_power(2)
-    assert s.offset == 1 and s.coeffs == [1]
-    assert series([1, -1, -1]).substitute_power(2).coeffs == [1, 0, -1, 0, -1]
-
-
-def test_substitute_scales_order():
-    s = series([1, 2, 3]).substitute_power(4)
-    assert s.order == 8
-    assert s.bound == 8
-
 
 def test_as_integer_series_collects_half_integers():
     s = series([1, 1], F(1, 2)) * series([1, 0], F(1, 2))
@@ -492,3 +482,34 @@ def test_inverse_euler_power_matches_partitions():
     want = [p[k // 3] if k % 3 == 0 else 0 for k in range(21)]
     assert inv.coeffs == want
     assert partition_series(12).coeffs == partition_counts(12)
+
+
+_terms = st.lists(st.tuples(st.integers(0, 70), st.integers(-(2**70), 2**70)), max_size=12)
+
+
+@given(terms=_terms, n=st.integers(1, 12), order=st.integers(0, 60))
+@example(terms=[(0, 1), (3, -2)], n=9, order=5)  # n > order: only the constant partition number
+@example(terms=[(0, 1), (1, -1), (2, -1), (5, 1), (7, 1)], n=1, order=30)  # (q;q) / (q;q) = 1
+@example(terms=[(2, 5), (40, 3), (41, -7)], n=2, order=39)  # terms past the order
+@example(terms=[(0, 0), (4, 0), (9, 0)], n=3, order=20)  # all-zero terms
+@example(terms=[(0, 2**64), (1, -(2**63) - 1), (6, 3**45)], n=2, order=40)  # past 2^63
+@settings(max_examples=150, deadline=None)
+def test_over_euler_matches_the_partition_oracle(terms, n, order):
+    terms = sorted(terms)
+    num = [0] * (order + 1)
+    for e, c in terms:
+        if e <= order:
+            num[e] += c
+    got = over_euler(terms, n, order).tolist()
+    assert got == brute_convolve(num, euler_power_oracle(n, order), order + 1)
+    assert all(type(c) is int for c in got)
+
+
+def test_over_euler_rejects_a_negative_order_and_a_bad_modulus():
+    with pytest.raises(SeriesError) as err:
+        over_euler([(0, 1)], 2, -1)
+    assert str(err.value) == NEEDS_CONSTANT_SLOT
+    for n in (0, -3, 2.0):
+        with pytest.raises(SeriesError) as err:
+            over_euler([(0, 1)], n, 10)
+        assert str(err.value) == f"modulus must be a positive integer, got {n}"

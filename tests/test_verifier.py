@@ -5,12 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 import charfactor.verifier as vf
-from charfactor import _kernels, products
-from charfactor.minimal_model import CharacterLabel, MinimalModel, conformal_dim, normalized_character
+from charfactor import _kernels, cli, products, series
+from charfactor.minimal_model import CharacterLabel, MinimalModel, character, conformal_dim, normalized_character
 from charfactor.pairs import contributing_pairs
 from charfactor.params import ParameterError, ProductParams, Scheme, validate
-from charfactor.scanner import phi_series
-from charfactor.series import SeriesError, ShiftedSeries, partition_series, pochhammer_product
+from charfactor.scanner import phi_series, scan
+from charfactor.series import SeriesError, ShiftedSeries, inverse_euler_power, partition_series, pochhammer_product
 from charfactor.series import SignedMonomial as Q
 from charfactor.verifier import (
     AS_STATED,
@@ -31,7 +31,7 @@ from charfactor.verifier import (
     verify_remark_products,
 )
 
-from oracles import naive_pochhammer
+from oracles import naive_pochhammer, rc_normalized_character
 
 
 def triple(p, pp, ap, b=1, bp=1, c=1):
@@ -185,6 +185,20 @@ def test_remark_products_telescope():
     assert verify_remark_products(5, 3, 100)
 
 
+def test_remark_products_fail_on_a_corrupted_numerator(monkeypatch):
+    # one flipped factor sign in one numerator symbol breaks the relation
+    real = products.triple_symbol
+
+    def corrupted(ap, B, c, signs=products.TRIPLE_PLAIN):
+        factors, base = real(ap, B, c, signs)
+        return ((-factors[0],) + factors[1:], base) if c == 3 else (factors, base)
+
+    monkeypatch.setattr(products, "triple_symbol", corrupted)
+    assert verify_remark_products(5, 1, 100) is False
+    assert verify_remark_products(7, 1, 100) is False
+    assert verify_remark_products(3, 1, 100)  # no symbol with c = 3
+
+
 def test_remark_products_validation():
     with pytest.raises(ParameterError, match="parity"):
         verify_remark_products(4, 1, 50)
@@ -238,19 +252,22 @@ def test_numerator_certificates_equal_full_side_certificates(monkeypatch, rule):
 
 
 def test_build_rhs_is_the_shifted_character_sum():
-    # the character side from its definition: sum of sign * q^(E + n*Delta) * chi(q^n)/q^Delta
+    # the character side from its definition: sum of sign * q^(E + n*Delta) * chi(q^n)/q^Delta,
+    # each normalized character straight from the bosonic double sum
     order = 90
     for kind in IdentityKind:
         for fp in iter_applicable_params(kind, 60):
             model = MinimalModel(fp.p, fp.p_prime)
-            acc = ShiftedSeries.zero(order)
+            want = [0] * (order + 1)
             for pair in contributing_pairs(fp):
                 label = CharacterLabel(pair.r * fp.b, pair.s * fp.b_prime)
                 offset = prefactor_exponent(fp) + fp.n * conformal_dim(model, label)
-                term = normalized_character(model, label, -(-order // fp.n))
-                acc = acc + term.substitute_power(fp.n).shift(offset) * pair_sign(kind, pair)
-            want = acc.as_integer_series().truncated(order)
-            assert build_rhs(kind, fp, order).coeffs == want.coeffs, (kind, fp)
+                assert offset.denominator == 1 and offset >= 0, (fp, pair)
+                chi = rc_normalized_character(fp.p, fp.p_prime, label.r, label.s, order // fp.n)
+                for k, x in enumerate(chi):
+                    if int(offset) + fp.n * k <= order:
+                        want[int(offset) + fp.n * k] += pair_sign(kind, pair) * x
+            assert build_rhs(kind, fp, order).coeffs == want, (kind, fp)
 
 
 def test_certificates_expand_the_product_factor_by_factor(monkeypatch):
@@ -330,3 +347,29 @@ def test_off_grid_character_side_is_rejected_with_its_exponent(monkeypatch, kind
     with pytest.raises(SeriesError) as err:
         verify(kind, fp, 30)
     assert str(err.value) == "non-integral identity side: " + message
+
+
+def test_no_package_path_multiplies_two_series(monkeypatch, capsys):
+    # every quotient by (q^n;q^n) goes through over_euler and every product
+    # through one Pochhammer expansion; the general multiply is for outside callers
+    def refuse(*args):
+        raise AssertionError("a series multiply on a package path")
+
+    for fn in (series.euler_product, series.partition_series, series.inverse_euler_power):
+        fn.cache_clear()
+    monkeypatch.setattr(_kernels, "convolve", refuse)
+    monkeypatch.setattr(ShiftedSeries, "__mul__", refuse)
+    monkeypatch.setattr(ShiftedSeries, "__rmul__", refuse)
+    for kind in IdentityKind:
+        for fp in list(iter_applicable_params(kind, 40))[:4]:
+            cert = verify(kind, fp, 50)
+            assert cert.match and build_lhs(kind, fp, 50) == build_rhs(kind, fp, 50, cert.sign_variant)
+    for pp in (ProductParams(Scheme.TRIPLE, 3, 1, 1, 3), ProductParams(Scheme.QUINTUPLE, 4, 1, 1, 2)):
+        scan(pp, 200)
+    model, label = MinimalModel(3, 4), CharacterLabel(1, 2)
+    assert normalized_character(model, label, 30).coeffs == rc_normalized_character(3, 4, 1, 2, 30)
+    assert character(model, label, 30).offset == conformal_dim(model, label)
+    assert verify_remark_products(7, 3, 100)
+    assert inverse_euler_power(3, 9).coeffs == [1, 0, 0, 1, 0, 0, 2, 0, 0, 3]
+    assert cli.run(["selftest"]) == 0
+    capsys.readouterr()
