@@ -1,24 +1,35 @@
 """Exact series kernels: one code path per operation.
 
 The series layer (:mod:`charfactor.series`) is exact: coefficients are
-arbitrary-precision Python integers, and so is every kernel here.
+arbitrary-precision Python integers.  The kernels here compute on int64
+arrays and carry past int64 on one representation, base-2**LIMB_BITS limb
+columns with a signed top limb (:func:`_carry`), from which
+:func:`limb_ints` builds Python ints and :func:`limb_signs` reads signs.
 
-* :func:`scatter` adds a multiple of one coefficient array per sparse term,
-  as slice operations on numpy ``dtype=object`` arrays: the partition
-  numbers on stride n in :func:`charfactor.series.over_euler`, and the loop
-  of :func:`convolve`, the general multiply that no package path calls.
+* :func:`scatter` adds a multiple of one coefficient list per sparse term:
+  the partition numbers on stride n in :func:`charfactor.series.over_euler`,
+  and the loop of :func:`convolve`, the general multiply that no package
+  path calls.  Below 2**62 it sums one int64 column of values.  Past that
+  it runs residue-major, ``(n, rows, W)``, so that each digit of a term is
+  one contiguous add of the limb table, and it carries only when the
+  digits added since the last carry could push a limb past 2**62.
 * :func:`invert_unit` inverts a unit series by the sparse recurrence over
   its nonzero terms.
 * :func:`binomial_product` expands products of binomials ``(1 -+ q^m)``,
   one ufunc pass over the coefficients per factor, on one int64 limb while
-  every coefficient stays below 2**62; past that it continues on base-2**30
-  int64 limbs.  A factor whose read and write windows overlap writes into a
+  every coefficient stays below 2**62; past that it continues on the limb
+  columns.  A factor whose read and write windows overlap writes into a
   second array and the two swap, so no window is copied before it is read.
   Factors with ``2m >= n_out`` come as arithmetic progressions and apply
   all at once, as windows of one strided prefix sum per step and limb.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_left
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +41,7 @@ HALF = LIMIT // 2
 LIMB_BITS = 30
 LIMB_MASK = (1 << LIMB_BITS) - 1
 
-#: the ufuncs of one binomial step, bound once
+#: the ufuncs of one binomial step or scatter add, bound once
 _SUBTRACT, _ADD = np.subtract, np.add
 
 #: the only lane; kept as a constant for benchmark stamps
@@ -38,8 +49,49 @@ LANE = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# convolution and inversion
+# sparse-times-dense sums on limb columns
 # ---------------------------------------------------------------------------
+
+class LimbTable(NamedTuple):
+    """A coefficient list prepared for :func:`scatter`: built once, read by every call.
+
+    ``peaks[k]`` is ``max |values[:k+1]|``; ``small`` holds, as int64, the
+    values before the first one of magnitude HALF or more; ``limbs`` holds
+    them all as signed base-2**LIMB_BITS digits (:func:`_to_limbs`).
+    """
+
+    peaks: list[int]
+    small: np.ndarray
+    limbs: np.ndarray
+
+
+def limb_table(values: list[int]) -> LimbTable:
+    """The :class:`LimbTable` of a list of Python ints."""
+    peaks = list(accumulate(map(abs, values), max))
+    small = np.array(values[: bisect_left(peaks, HALF)], np.int64)
+    return LimbTable(peaks, small, _to_limbs(values, _width(peaks[-1] if peaks else 0)))
+
+
+def _width(bound: int) -> int:
+    """Limbs that hold every magnitude up to ``bound``: ``bound < 2**(LIMB_BITS * width)``."""
+    return max(1, -(-bound.bit_length() // LIMB_BITS))
+
+
+def _to_limbs(values: list[int], width: int) -> np.ndarray:
+    """``width`` int64 limb columns of each value: the base-2**LIMB_BITS digits of ``|v|``, signed like v.
+
+    Every limb is below 2**LIMB_BITS in magnitude, and the limbs of a value
+    below ``2**(LIMB_BITS * k)`` vanish from column k on, whatever its sign.
+    """
+    limbs = np.empty((len(values), width), np.int64)
+    mags = [abs(v) for v in values]
+    for k in range(width):
+        limbs[:, k] = [(m >> (k * LIMB_BITS)) & LIMB_MASK for m in mags]
+    negative = [v < 0 for v in values]
+    if any(negative):
+        limbs[negative] *= -1
+    return limbs
+
 
 def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
     """Coefficients 0..n_out-1 of the product of two coefficient lists, exact.
@@ -53,41 +105,115 @@ def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
     y, sy, ky = _thinned(b)
     if kx * len(y) > ky * len(x):
         x, sx, y, sy = y, sy, x, sx
-    terms = ((d * sx, x[d]) for d in np.flatnonzero(x).tolist())
-    return scatter(terms, y, sy, n_out).tolist()
+    terms = [(d * sx, c) for d, c in enumerate(x) if c]
+    return limb_ints(scatter(terms, limb_table(y), sy, n_out))
 
 
-def scatter(terms, y: np.ndarray, stride: int, n_out: int) -> np.ndarray:
-    """Coefficients 0..n_out-1 of ``sum_{(i, c) in terms} c q**i * y(q**stride)``, exact.
+def _thinned(coeffs: list[int]) -> tuple[list[int], int, int]:
+    """(coefficients, stride, nonzero count) of ``coeffs`` on the coarsest grid keeping its terms."""
+    nz = [i for i, c in enumerate(coeffs) if c]
+    g = math.gcd(*nz) or 1  # only the constant term is nonzero, or none is
+    return coeffs[::g], g, len(nz)
+
+
+def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
+    """Carried limbs of coefficients 0..n_out-1 of ``sum_{(i, c) in terms} c q**i * y(q**stride)``, exact.
 
     ``terms`` are ``(index, coefficient)`` pairs in ascending index order and
-    ``y`` an object array of Python ints; each nonzero term adds ``c * y`` as
-    one slice of a numpy object array, which is returned.
+    ``table`` is :func:`limb_table` of y.  Returns an int64 array of shape
+    ``(n_out, W)``: row i holds coefficient i as ``sum_k limbs[i, k]
+    2**(LIMB_BITS k)``, every limb but the signed top one in
+    ``[0, 2**LIMB_BITS)`` (read by :func:`limb_ints` and
+    :func:`limb_signs`).  W comes from the bound ``sum |c| * max |y|`` on
+    every partial sum.  Below HALF, W = 1: the one column holds the values,
+    and each term is one strided int64 add.  Otherwise the sum runs
+    residue-major, as ``out[r, q*W + j:]`` for index ``r + stride*q``, so
+    that each base-2**LIMB_BITS digit d of ``|c|`` is one contiguous add of
+    ``d * y``'s limbs, shifted by the digit's place j.  The bound leaves
+    the top j limbs of every row of y it reaches zero, so no limb crosses
+    into the next row.  After a carry every limb is at most 2**LIMB_BITS in
+    magnitude and an add of d raises it by less than ``d * 2**LIMB_BITS``,
+    so the kernel carries again only before the digits since the last carry
+    would sum past ``HALF / 2**LIMB_BITS - 1``.
     """
-    out = np.zeros(n_out, dtype=object)
+    rows = -(-n_out // stride)
+    t = min(rows, len(table.peaks))
+    kept, total = [], 0
     for i, c in terms:
         if i >= n_out:
             break
-        if not c:
-            continue
-        seg = out[i::stride][: len(y)]
-        if c == 1:
-            seg += y[: len(seg)]
-        elif c == -1:
-            seg -= y[: len(seg)]
-        else:
-            seg += c * y[: len(seg)]
+        if c:
+            kept.append((i, c))
+            total += abs(c)
+    bound = total * table.peaks[t - 1] if t else 0
+    if bound < HALF:
+        out = np.zeros(n_out, np.int64)
+        y = table.small
+        for i, c in kept:
+            seg = out[i::stride][:t]
+            if c == 1:
+                seg += y[: len(seg)]
+            elif c == -1:
+                seg -= y[: len(seg)]
+            else:
+                seg += c * y[: len(seg)]
+        return out[:, None]
+    w = _width(bound)
+    y = table.limbs[:t]
+    if y.shape[1] != w:  # the columns past either width are zero
+        y, k = np.zeros((t, w), np.int64), min(w, y.shape[1])
+        y[:, :k] = table.limbs[:t, :k]
+    y = y.reshape(-1)
+    out = np.zeros((stride, rows * w), np.int64)
+    cap, load = (HALF >> LIMB_BITS) - 1, 0
+    for i, c in kept:
+        q, r = divmod(i, stride)
+        row, start, span = out[r], q * w, min(rows - q, t) * w
+        add = _ADD if c > 0 else _SUBTRACT
+        mag, j = abs(c), 0
+        while mag:
+            d = mag & LIMB_MASK
+            if d:
+                if load + d > cap:
+                    _carry(out.reshape(-1, w))  # in place, as below
+                    load = 0
+                seg = row[start + j : start + span]
+                add(seg, y[: span - j] if d == 1 else d * y[: span - j], seg)
+                load += d
+            mag >>= LIMB_BITS
+            j += 1
+    # |partial sums| <= bound < 2**(LIMB_BITS w): every carry leaves |top| <= 2**LIMB_BITS, in place
+    limbs = _carry(out.reshape(-1, w))
+    return limbs.reshape(stride, rows, w).transpose(1, 0, 2).reshape(-1, w)[:n_out]
+
+
+def limb_ints(limbs: np.ndarray) -> list[int]:
+    """The Python ints ``sum_k limbs[:, k] 2**(LIMB_BITS k)`` of rows of limb columns."""
+    cols = limbs.T.tolist()
+    out = cols.pop()
+    while cols:
+        out = [(hi << LIMB_BITS) + lo for hi, lo in zip(out, cols.pop())]
     return out
 
 
-def _thinned(coeffs: list[int]) -> tuple[np.ndarray, int, int]:
-    """(object array, stride, nonzero count) of ``coeffs`` on the coarsest grid keeping its terms."""
-    arr = np.array(coeffs, dtype=object)
-    nz = np.flatnonzero(arr)
-    g = int(np.gcd.reduce(nz)) if nz.size else 1
-    g = g or 1  # only the constant term is nonzero
-    return arr[::g], g, nz.size
+def limb_signs(limbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(negative, positive) masks of the rows of carried limbs, read without building their ints.
 
+    Below a signed top limb every limb lies in [0, 2**LIMB_BITS), so a row
+    is negative exactly when its top limb is; otherwise it is positive when
+    any of its limbs is nonzero.
+    """
+    top = limbs[:, -1]
+    neg = top < 0
+    nonzero = top.copy()
+    for col in limbs.T[:-1]:
+        nonzero |= col
+    return neg, (nonzero != 0) & ~neg
+
+
+# ---------------------------------------------------------------------------
+# inversion
+# ---------------------------------------------------------------------------
 
 def invert_unit(a: list[int], n_out: int) -> tuple[list[int], int]:
     """``(coeffs, n_out)``: coefficients 0..n_out-1 of ``1/a`` for ``a[0]`` = +-1, exact.
@@ -236,10 +362,7 @@ def _limb_product(limbs, shifts, signs, w, tail=()):
         limbs, spare, _, w = _apply(limbs, spare, 0, w, shifts[done : done + steps], signs[done : done + steps])
     if tail:
         limbs = _collapse(_carry(limbs), tail)
-    out = limbs[:, -1].tolist()
-    for col in limbs.T[-2::-1]:
-        out = [(hi << LIMB_BITS) + lo for hi, lo in zip(out, col.tolist())]
-    return out
+    return limb_ints(limbs)
 
 
 def _carry(limbs):
@@ -257,5 +380,6 @@ def warmup() -> None:
     """Run tiny inputs through every kernel."""
     a = [1, -1]
     convolve(a, a, 3)
+    scatter([(0, HALF)], limb_table(a), 1, 3)  # past one column: the limb path
     invert_unit(a, 3)
     binomial_product(np.array([1, 2], np.int64), np.array([1, -1], np.int64), 4)

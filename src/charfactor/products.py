@@ -8,9 +8,10 @@ certificate's product side never relies on a product identity.
 
 The plain sides, which the scanner streams, are exactly a Jacobi triple
 product and a quintuple product divided by (q^n; q^n).  Each is built in one
-pass by :func:`~charfactor.series.theta_stream`: the O(sqrt(N)) terms of its
-theta records, each times the partition numbers on stride n, summed by
-:func:`~charfactor.series.over_euler`, the one division by (q^n; q^n).
+pass from its theta records (:func:`triple_side_thetas`,
+:func:`quintuple_side_thetas`): their O(sqrt(N)) terms, each times the
+partition numbers on stride n, summed on int64 limb columns by
+:func:`~charfactor.series.over_euler_limbs`, the one division by (q^n; q^n).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .series import (
     DIVERGENT_QUINTUPLE,
     ShiftedSeries,
     SignedMonomial,
+    Theta,
     pochhammer,
     pochhammer_product,
     quintuple_thetas,
@@ -63,26 +65,23 @@ def quintuple_numerator(ap: int, B: int, c: int, order: int,
     return pochhammer_product(((first, v), (second, SignedMonomial(1, 4 * B * ap))), order)
 
 
-def triple_side(ap: int, B: int, c: int, n: int, order: int) -> ShiftedSeries:
-    """The plain :func:`triple_numerator` / (q^n; q^n).
-
-    (u, u^-1 v, v; v) with u = q^{B(a'-c)/2}, v = q^{Ba'} is the Jacobi
-    triple product, streamed here from its theta records.
-    """
+def triple_side_thetas(ap: int, B: int, c: int) -> tuple[Theta, Theta]:
+    """The theta records of the Jacobi triple product (u, u^-1 v, v; v), u = q^{B(a'-c)/2}, v = q^{Ba'}."""
     if (ap - c) % 2 != 0:
         raise ValueError(f"a' and c must have equal parity for a triple product (a'={ap}, c={c})")
-    u = SignedMonomial(1, B * (ap - c) // 2)
-    v = SignedMonomial(1, B * ap)
-    return theta_stream(triple_thetas(u, v), n, order)
+    return triple_thetas(SignedMonomial(1, B * (ap - c) // 2), SignedMonomial(1, B * ap))
+
+
+def quintuple_side_thetas(ap: int, B: int, c: int) -> tuple[Theta, Theta, Theta, Theta]:
+    """The theta records of the quintuple product (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2), u = q^{Bc}, v = q^{2Ba'}."""
+    return quintuple_thetas(SignedMonomial(1, B * c), SignedMonomial(1, 2 * B * ap))
+
+
+def triple_side(ap: int, B: int, c: int, n: int, order: int) -> ShiftedSeries:
+    """The plain :func:`triple_numerator` / (q^n; q^n), streamed from :func:`triple_side_thetas`."""
+    return theta_stream(triple_side_thetas(ap, B, c), n, order)
 
 
 def quintuple_side(ap: int, B: int, c: int, n: int, order: int) -> ShiftedSeries:
-    """The plain :func:`quintuple_numerator` / (q^n; q^n).
-
-    With u = q^{Bc}, v = q^{2Ba'} the two plain products are
-    (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2), the quintuple product, streamed
-    here from its theta records.
-    """
-    u = SignedMonomial(1, B * c)
-    v = SignedMonomial(1, 2 * B * ap)
-    return theta_stream(quintuple_thetas(u, v), n, order, DIVERGENT_QUINTUPLE)
+    """The plain :func:`quintuple_numerator` / (q^n; q^n), streamed from :func:`quintuple_side_thetas`."""
+    return theta_stream(quintuple_side_thetas(ap, B, c), n, order, DIVERGENT_QUINTUPLE)

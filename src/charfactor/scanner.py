@@ -8,12 +8,15 @@ falsifiable conjecture elsewhere, where a violation is a reportable
 counterexample candidate.  Scans always canonicalize the quadruple first,
 so the gcd-reduction identities are exercised on every entry point.
 
-The streams come from :func:`products.triple_side` and
-:func:`products.quintuple_side`, which build each plain product divided by
-(q^n; q^n) in one pass from the terms of its theta series (Jacobi triple and
-quintuple product) and the partition numbers; the Pochhammer expansion stays
-with the verifier.  :func:`scan` reads the stream as the numpy object array
-that pass fills and checks its support and signs with array operations.
+Each stream is a plain product divided by (q^n; q^n), built in one pass
+from the terms of its theta series (Jacobi triple and quintuple product,
+:func:`products.triple_side_thetas` and :func:`products.quintuple_side_thetas`)
+and the partition numbers; the Pochhammer expansion stays with the verifier.
+:func:`phi_series` and :func:`psi_series` give the stream as Python ints
+(:func:`products.triple_side`, :func:`products.quintuple_side`).
+:func:`scan` keeps it as the int64 limb columns that pass fills, reads every
+sign from them with array operations, and builds Python ints only for the
+coefficients it reports.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from typing import Iterator
 
 import numpy as np
 
+from ._kernels import limb_ints, limb_signs
 from .params import ParameterError, ProductParams, Scheme, canonicalize, is_prime, prime_factors
-from .products import quintuple_side, triple_side
-from .series import ShiftedSeries
+from .products import quintuple_side, quintuple_side_thetas, triple_side, triple_side_thetas
+from .series import DIVERGENT_QUINTUPLE, ShiftedSeries, theta_limbs
 
 
 class Covered(enum.Enum):
@@ -84,9 +88,21 @@ def psi_series(pp: ProductParams, order: int) -> ShiftedSeries:
     """The quintuple-scheme product series; zero when c = 0 (factor 1 - q^0)."""
     if pp.scheme is not Scheme.QUINTUPLE:
         raise ParameterError("scheme: psi_series needs a quintuple-scheme quadruple")
+    _require_quintuple_modulus(pp)
+    return quintuple_side(pp.a_prime, pp.B, pp.c, pp.n, order)
+
+
+def _require_quintuple_modulus(pp: ProductParams) -> None:
     if pp.a_prime % 3 == 0:
         raise ParameterError(f"divisibility: a' must not be divisible by 3, got {pp.a_prime}")
-    return quintuple_side(pp.a_prime, pp.B, pp.c, pp.n, order)
+
+
+def _stream_limbs(pp: ProductParams, order: int) -> np.ndarray:
+    """The limb columns of :func:`phi_series` or :func:`psi_series`, by the quadruple's scheme."""
+    if pp.scheme is Scheme.TRIPLE:
+        return theta_limbs(triple_side_thetas(pp.a_prime, pp.B, pp.c), pp.n, order)
+    _require_quintuple_modulus(pp)
+    return theta_limbs(quintuple_side_thetas(pp.a_prime, pp.B, pp.c), pp.n, order, DIVERGENT_QUINTUPLE)
 
 
 def covered_case(pp: ProductParams) -> Covered:
@@ -132,12 +148,11 @@ def scan(pp: ProductParams, order: int) -> SignReport:
     residue classes would contradict the factorization theorems and raises.
     """
     reduced, _ = canonicalize(pp)
-    series = phi_series(reduced, order) if reduced.scheme is Scheme.TRIPLE else psi_series(reduced, order)
-    coeffs = series.coeffs
+    limbs = _stream_limbs(reduced, order)
     n = reduced.n
     support = support_residues(reduced)
     # read signs only: a product of two big coefficients per j would cost more than the test needs
-    neg, pos = coeffs < 0, coeffs > 0
+    neg, pos = limb_signs(limbs)
     nz = np.flatnonzero(neg | pos)
     allowed = np.zeros(n, bool)
     allowed[list(support)] = True
@@ -145,10 +160,11 @@ def scan(pp: ProductParams, order: int) -> SignReport:
     if off.size:
         j = int(off[0])
         raise RuntimeError(
-            f"support violation: coefficient {coeffs[j]} at degree {j} outside residues {sorted(support)}"
+            f"support violation: coefficient {limb_ints(limbs[j : j + 1])[0]} at degree {j}"
+            f" outside residues {sorted(support)}"
         )
-    flips = (neg[:-n] & pos[n:]) | (pos[:-n] & neg[n:])
-    violations = [SignViolation(j, coeffs[j], coeffs[j + n]) for j in np.flatnonzero(flips).tolist()]
+    flips = np.flatnonzero((neg[:-n] & pos[n:]) | (pos[:-n] & neg[n:]))
+    violations = list(map(SignViolation, flips.tolist(), limb_ints(limbs[flips]), limb_ints(limbs[flips + n])))
     return SignReport(
         params=reduced,
         order=order,

@@ -6,10 +6,11 @@ is ``offset + order`` inclusive: every operation keeps the tightest bound of
 its operands, and equality never reads past it.
 
 All arithmetic is exact and has one code path per operation.  Every
-quotient by (q^n; q^n) is one :func:`over_euler` call, which adds the
-partition numbers on stride n once per term; every Pochhammer product is one
+quotient by (q^n; q^n) is one :func:`over_euler_limbs` call, which adds the
+partition numbers on stride n once per term on int64 limb columns, and
+:func:`over_euler` assembles its Python ints; every Pochhammer product is one
 :func:`charfactor._kernels.binomial_product` call, which carries
-coefficients past int64 on several int64 limbs; inversion is
+coefficients past int64 on the same limbs; inversion is
 :func:`charfactor._kernels.invert_unit`.  No package code path multiplies
 two series (``ShiftedSeries.__mul__``).  Every
 bilateral theta sum is a list of :class:`Theta` records expanded by
@@ -69,8 +70,7 @@ class SignedMonomial:
 class ShiftedSeries:
     """Truncated formal power series ``q**offset * sum coeffs[d] q**d``.
 
-    ``coeffs`` is a list of Python ints, or, for a :func:`theta_stream`, the
-    numpy object array of Python ints that built it.
+    ``coeffs`` is a list of Python ints.
     """
 
     __slots__ = ("offset", "coeffs")
@@ -80,7 +80,7 @@ class ShiftedSeries:
 
     @classmethod
     def _of_ints(cls, coeffs, offset=0) -> "ShiftedSeries":
-        """Take over a list or object array that already holds Python ints, skipping ``int()`` per coefficient."""
+        """Take over a list that already holds Python ints, skipping ``int()`` per coefficient."""
         self = cls.__new__(cls)
         self._init(coeffs, offset)
         return self
@@ -350,31 +350,42 @@ def _add_terms(acc, thetas: Iterable[Theta], order: int, error_label: str):
 
 def theta_stream(thetas: Iterable[Theta], n: int, order: int,
                  error_label: str = "divergent theta parameters") -> ShiftedSeries:
-    """The sum of the ``thetas`` divided by (q^n; q^n), exact to ``order``.
+    """The sum of the ``thetas`` divided by (q^n; q^n), exact to ``order``, as Python ints."""
+    return ShiftedSeries._of_ints(_kernels.limb_ints(theta_limbs(thetas, n, order, error_label)))
+
+
+def theta_limbs(thetas: Iterable[Theta], n: int, order: int,
+                error_label: str = "divergent theta parameters") -> np.ndarray:
+    """:func:`theta_stream` as the carried limbs of :func:`over_euler_limbs`.
 
     The records' terms are collected sparsely, equal exponents summed, and
-    divided by :func:`over_euler`; the coefficients stay the numpy object
-    array it fills.
+    divided by (q^n; q^n) in one pass.
     """
     terms = _add_terms(defaultdict(int), thetas, order, error_label)
-    return ShiftedSeries._of_ints(over_euler(sorted((e, c) for e, c in terms.items() if c), n, order))
+    return over_euler_limbs(sorted(terms.items()), n, order)
 
 
-def over_euler(terms: Iterable[tuple[int, int]], n: int, order: int) -> np.ndarray:
+def over_euler(terms: Iterable[tuple[int, int]], n: int, order: int) -> list[int]:
     """Coefficients 0..order of ``sum c q**e`` over the ascending ``(e, c)`` terms, divided by (q^n; q^n).
 
-    Each term adds ``c`` times the partition numbers at ``e, e + n, ...``
-    into the returned numpy object array (:func:`charfactor._kernels.scatter`);
-    terms past ``order`` are ignored.  The partition numbers are read off the
-    cached table up to ``order``, so all quotients at one order share one
-    inversion of (q; q).
+    The Python ints of :func:`over_euler_limbs`.
+    """
+    return _kernels.limb_ints(over_euler_limbs(terms, n, order))
+
+
+def over_euler_limbs(terms: Iterable[tuple[int, int]], n: int, order: int) -> np.ndarray:
+    """:func:`over_euler` as int64 limb columns, one row per coefficient (:func:`charfactor._kernels.scatter`).
+
+    Each term adds ``c`` times the partition numbers at ``e, e + n, ...``;
+    terms past ``order`` are ignored.  The partition numbers come from one
+    limb table per order, so all quotients at one order share one inversion
+    of (q; q) and one conversion to limbs.
     """
     if order < 0:
         raise SeriesError(NEEDS_CONSTANT_SLOT)
     if not isinstance(n, int) or n < 1:
         raise SeriesError(f"modulus must be a positive integer, got {n}")
-    p = np.array(partition_series(order).coeffs[: order // n + 1], dtype=object)
-    return _kernels.scatter(terms, p, n, order + 1)
+    return _kernels.scatter(terms, _partition_table(order), n, order + 1)
 
 
 def triple_thetas(u: SignedMonomial, v: SignedMonomial) -> tuple[Theta, Theta]:
@@ -440,6 +451,24 @@ def euler_product(order: int) -> ShiftedSeries:
 def partition_series(order: int) -> ShiftedSeries:
     """1/(q; q)_inf — the partition generating function."""
     return euler_product(order).invert()
+
+
+#: order -> (the partition_series(order) it was built from, its limb table)
+_PARTITION_TABLES: dict[int, tuple[ShiftedSeries, _kernels.LimbTable]] = {}
+
+
+def _partition_table(order: int) -> _kernels.LimbTable:
+    """The limb table of the partition numbers 0..order.
+
+    It is kept beside the cached :func:`partition_series` object it was built
+    from and rebuilt whenever that cache hands out a new one, so a cleared
+    cache builds the table again.
+    """
+    p = partition_series(order)
+    held = _PARTITION_TABLES.get(order)
+    if held is None or held[0] is not p:
+        held = _PARTITION_TABLES[order] = (p, _kernels.limb_table(p.coeffs))
+    return held[1]
 
 
 @lru_cache(maxsize=None)

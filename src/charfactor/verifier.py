@@ -308,7 +308,7 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
             mismatch = None
     match = mismatch is None
     top = min(PREFIX_LEN - 1, order)
-    lhs_prefix = over_euler(enumerate(lhs), fp.n, top).tolist()
+    lhs_prefix = over_euler(enumerate(lhs), fp.n, top)
     return IdentityCertificate(
         kind=kind,
         params=fp,
@@ -318,7 +318,7 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
         sign_variant=variant if match else FAILED,
         first_mismatch=mismatch,
         lhs_prefix=lhs_prefix,
-        rhs_prefix=list(lhs_prefix) if match else over_euler(enumerate(rhs), fp.n, top).tolist(),
+        rhs_prefix=list(lhs_prefix) if match else over_euler(enumerate(rhs), fp.n, top),
     )
 
 

@@ -1,9 +1,10 @@
 import json
+import math
 from collections import Counter
 
 import pytest
 
-from charfactor import scanner, series
+from charfactor import _kernels, scanner, series
 from charfactor.params import ParameterError, ProductParams, Scheme
 from charfactor.scanner import (
     Covered,
@@ -16,6 +17,8 @@ from charfactor.scanner import (
     support_residues,
 )
 from charfactor.series import ShiftedSeries
+
+from oracles import brute_convolve, euler_power_oracle, naive_pochhammer, partition_counts
 
 
 def trip(ap, B, c, n):
@@ -76,12 +79,19 @@ def test_scan_n1_trivially_clean():
         assert scan(trip(ap, B, c, 1), 200).violations == []
 
 
-def test_scans_at_one_order_share_one_partition_table():
+def test_scans_at_one_order_share_one_partition_table(monkeypatch):
+    built = []
+    real = _kernels.limb_table
+    monkeypatch.setattr(_kernels, "limb_table", lambda values: built.append(len(values)) or real(values))
     for fn in (series.euler_product, series.partition_series, series.inverse_euler_power):
         fn.cache_clear()
     for n in (1, 2, 3):
         scan(trip(3, 1, 1, n), 300)
     assert series.partition_series.cache_info().misses == 1
+    assert built == [301]
+    series.partition_series.cache_clear()  # a new partition list, so a new table
+    scan(trip(3, 1, 1, 2), 300)
+    assert built == [301, 301]
 
 
 @pytest.mark.parametrize("pp, dropped, message", [
@@ -199,3 +209,50 @@ def test_violations_are_every_strict_sign_change_at_distance_n():
                 assert scan(pp, order).violations == want
                 found += len(want)
     assert found > 0
+
+
+def _psi_coefficient(ap, B, c, n, k, p):
+    """Coefficient k of the plain quintuple product over (q^n;q^n), with p the partition counts.
+
+    The product is the theta sum sum_j (u^{-3j} - u^{3j+1}) v^{j(3j+1)/2},
+    u = q^{Bc}, v = q^{2Ba'}, and each term at exponent e <= k adds p((k - e)/n)
+    when n divides k - e.
+    """
+    total = 0
+    reach = math.isqrt(k) + 2
+    for j in range(-reach, reach + 1):
+        base = B * ap * j * (3 * j + 1)
+        for e, s in ((base - 3 * B * c * j, 1), (base + B * c * (3 * j + 1), -1)):
+            if 0 <= e <= k and (k - e) % n == 0:
+                total += s * p[(k - e) // n]
+    return total
+
+
+def test_psi_coefficient_oracle_is_the_quintuple_product():
+    ap, B, c, n, order = 5, 1, 3, 11, 80
+    first = naive_pochhammer([(1, B * c), (1, B * (2 * ap - c)), (1, 2 * B * ap)], (1, 2 * B * ap), order)
+    second = naive_pochhammer([(1, 2 * B * (ap + c)), (1, 2 * B * (ap - c))], (1, 4 * B * ap), order)
+    want = brute_convolve(brute_convolve(first, second, order + 1), euler_power_oracle(n, order), order + 1)
+    p = partition_counts(order // n)
+    assert [_psi_coefficient(ap, B, c, n, k, p) for k in range(order + 1)] == want
+
+
+#: quintuple quadruples (a', B, c, n), clean at N = 1000, and their first violation j
+DEEP_COUNTEREXAMPLES = [
+    ((5, 1, 3, 11), 992), ((2, 1, 1, 26), 1184), ((8, 1, 1, 7), 1323),
+    ((4, 1, 1, 11), 1557), ((2, 1, 1, 28), 1604), ((4, 1, 3, 15), 2508),
+    ((4, 1, 3, 14), 2646), ((5, 1, 4, 11), 2829), ((4, 1, 3, 13), 3075),
+    ((4, 1, 1, 15), 3136), ((2, 1, 1, 30), 5017),
+]
+
+
+@pytest.mark.parametrize("quad, j", DEEP_COUNTEREXAMPLES)
+def test_deep_quintuple_counterexamples(quad, j):
+    ap, B, c, n = quad
+    rep = scan(quin(*quad), j + n + 5)
+    assert rep.covered is Covered.NONE
+    first = rep.violations[0]
+    assert first.j == j
+    p = partition_counts((j + n) // n)
+    assert (first.lo, first.hi) == (_psi_coefficient(ap, B, c, n, j, p), _psi_coefficient(ap, B, c, n, j + n, p))
+    assert first.lo * first.hi < 0

@@ -16,6 +16,7 @@ from charfactor.series import (
     euler_product,
     inverse_euler_power,
     over_euler,
+    over_euler_limbs,
     partition_series,
     pochhammer,
     pochhammer_product,
@@ -500,9 +501,53 @@ def test_over_euler_matches_the_partition_oracle(terms, n, order):
     for e, c in terms:
         if e <= order:
             num[e] += c
-    got = over_euler(terms, n, order).tolist()
+    got = over_euler(terms, n, order)
     assert got == brute_convolve(num, euler_power_oracle(n, order), order + 1)
     assert all(type(c) is int for c in got)
+
+
+_wide = st.one_of(st.integers(-9, 9), st.integers(-(2**210), 2**210))
+
+#: sixteen terms of three full digits each: 48 digit adds of 2^30 - 1 onto rows
+#: whose partition numbers have a full low limb, far past one batch's budget
+_FULL_DIGITS = [(k, 2**90 - 1) for k in range(16)]
+
+#: X (q;q) up to q^21, over (q;q): X, then exact zeros from cancellation
+_X = 2**100 + 3
+_EULER_TIMES_X = [(0, _X), (1, -_X), (2, -_X), (5, _X), (7, _X), (12, -_X), (15, -_X)]
+
+
+@given(terms=st.lists(st.tuples(st.integers(0, 70), _wide), max_size=12), n=st.integers(1, 12),
+       order=st.integers(0, 60))
+@example(terms=[(0, 2**200 + 12345), (2, -(2**63) - 7), (5, 3**130)], n=1, order=60)  # several digits
+@example(terms=_FULL_DIGITS, n=1, order=200)  # carries between batches
+@example(terms=_FULL_DIGITS, n=3, order=200)
+@example(terms=[(0, -1), (1, 2**70), (4, -5)], n=1, order=30)  # -1: top limb -1 over full lower limbs
+@example(terms=_EULER_TIMES_X, n=1, order=21)  # exact zeros on several limbs
+@example(terms=[(0, 2**90), (1, -(2**90)), (2, 2**90 - 1), (3, 1 - 2**90)], n=10, order=3)
+@example(terms=[(0, 2**60), (1, -(2**60)), (2, 2**60 - 1), (3, 1 - 2**60)], n=10, order=3)
+@example(terms=[(0, 2**30), (1, -(2**30)), (2, 2**30 - 1), (3, 1 - 2**30), (4, 2**62)], n=10, order=4)
+@settings(max_examples=300, deadline=None)
+def test_over_euler_limbs_are_exact_and_read_their_signs(terms, n, order):
+    terms = sorted(terms)
+    num = [0] * (order + 1)
+    for e, c in terms:
+        if e <= order:
+            num[e] += c
+    want = brute_convolve(num, euler_power_oracle(n, order), order + 1)
+    limbs = over_euler_limbs(terms, n, order)
+    assert _kernels.limb_ints(limbs) == want
+    neg, pos = _kernels.limb_signs(limbs)
+    assert neg.tolist() == [c < 0 for c in want]
+    assert pos.tolist() == [c > 0 for c in want]
+
+
+def test_over_euler_takes_one_column_below_the_int64_bound():
+    # sum |c| * p(order // n) < 2^62: one column of values, no limbs
+    p = partition_counts(390)
+    assert p[390] < 2**62 <= 2 * p[390]
+    assert over_euler_limbs([(0, 1)], 1, 390).shape == (391, 1)
+    assert over_euler_limbs([(0, 1), (3, -1)], 1, 390).shape == (391, 3)
 
 
 def test_over_euler_rejects_a_negative_order_and_a_bad_modulus():
