@@ -149,7 +149,7 @@ def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
     if bound < HALF:
         out = np.zeros(n_out, np.int64)
         y = table.small
-        for i, c in kept:
+        for i, c in kept if bound else ():  # y is zero where the terms reach; c may pass int64
             seg = out[i::stride][:t]
             if c == 1:
                 seg += y[: len(seg)]

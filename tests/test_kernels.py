@@ -49,6 +49,7 @@ def on_stride(coeffs, stride):
 @example(a=[3, -(2**65)], sa=3, b=[0], sb=1, n_out=4)
 @example(a=[1, 0, 2**63], sa=1, b=[-1, 5, 0, 7], sb=2, n_out=9)
 @example(a=[-1, 5, 0, 7], sa=2, b=[1, 0, -(2**63)], sb=1, n_out=9)
+@example(a=[0, 0, 1, 0, 1], sa=1, b=[2**63, 0], sb=1, n_out=1)  # huge term meets only zeros
 @settings(max_examples=200, deadline=None)
 def test_convolve_matches_brute_force(a, sa, b, sb, n_out):
     # zero-stuffed operands exercise the thinning to the gcd of nonzero indices
