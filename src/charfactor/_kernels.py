@@ -20,15 +20,22 @@ columns with a signed top limb (:func:`_carry`), from which
   every coefficient stays below 2**62; past that it continues on the limb
   columns.  A factor whose read and write windows overlap writes into a
   second array and the two swap, so no window is copied before it is read.
-  Factors with ``2m >= n_out`` come as arithmetic progressions and apply
-  all at once, as windows of one strided prefix sum per step and limb.
+  Factors come as arithmetic progressions, and every factor with
+  ``(k+1) m >= n_out`` applies at once: any k+1 of them multiply past the
+  truncation, so their product is ``sum_{j<=k} (-1)^j e_j``, built by
+  Newton's identities from power sums that are windows of strided prefix
+  sums.  That runs modulo 2**64, losing ``v2(k!)`` bits to the divisions
+  by j, and only where a bound on the result leaves room; k is the largest
+  degree that saves ufunc passes over expanding those factors one by one,
+  and degree 1 on the limb columns.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -244,69 +251,231 @@ def binomial_product(shifts, signs, n_out, tail=()):
     """Coefficients 0..n_out-1 of ``prod_t (1 - signs[t] q**shifts[t])`` times the tail, exact.
 
     Every shift lies in [1, n_out).  ``tail`` holds progressions
-    ``(m0, d, count, s)``, the factors ``(1 - s q**(m0 + k d))`` for
-    ``0 <= k < count``, each with ``2 m0 >= n_out``.  Returns
-    ``(coeffs, one_limb)``: a list of Python ints, and whether every partial
-    product fit one int64 limb.  Each head factor is one ufunc pass over a
-    1-D int64 array (:func:`_apply`).  A factor at most doubles max|c|, so a
-    maximum of b bits lets the next ``63 - b`` factors run with every
-    coefficient below HALF before each; then the true maximum is read again.
-    Once it reaches HALF the product runs on several limbs
-    (:func:`_limb_product`) to the end.  The tail applies at once
-    (:func:`_collapse`), on one limb when ``(1 + T) max|c| < HALF`` for its
-    T factors, with max|c| the last chunk's doubling bound or the true
-    maximum, and otherwise on limbs.
+    ``(m0, d, count, s)``, the factors ``(1 - s q**(m0 + t d))`` for
+    ``0 <= t < count``, all below n_out; progressions that share a step
+    should be adjacent, as :func:`charfactor.series.pochhammer_product`
+    lists them, else :func:`_collapse` sums their stride again.  Returns
+    ``(coeffs, one_limb)``: a list of Python ints, and whether every
+    partial product fit one int64 limb.
+
+    The head runs one factor at a time, one ufunc pass over a 1-D int64
+    array each (:func:`_apply`): first every flat factor in the order given,
+    then the tail's factors below a cut in ascending order.  A factor at
+    most doubles max|c|, so a maximum of b bits lets the next ``63 - b``
+    factors run with every coefficient below HALF before each; then the
+    true maximum is read again.  The tail's factors at or past the cut
+    ``ceil(n_out / (k+1))`` form the group G_k, which :func:`_collapse`
+    applies at once at degree k.  :func:`_degrees` lists the candidate
+    degrees, each cheaper in ufunc passes than the one before; with none,
+    the whole tail runs in the head.  At each candidate cut, largest k
+    first, the head collapses when max|c| (its doubling bound, else the
+    true maximum, read as max and -min) meets ``max|c| S_k < 2**(62 -
+    v2(k!))``.  Once max|c| reaches HALF the head runs on several limbs
+    (:func:`_limb_product`) to the degree-1 cut, and G_1 collapses there on
+    the limb columns; so does a G_1 that fails its bound.
     """
+    plan = _degrees(tail, n_out)
+    rest = plan[-1][2] if plan and plan[-1][1] == 1 else ()  # the degree-1 group, else none
+    flat = len(shifts)
+    ms, ss = _head(tail, plan[-1][0] if rest else n_out)
+    if flat:
+        ms, ss = shifts.tolist() + ms, signs.tolist() + ss
     c = np.zeros(n_out, np.int64)
     c[0] = 1
-    ms, ss = shifts.tolist(), signs.tolist()
-    terms = 1 + sum(count for _, _, count, _ in tail)
     spare, same, w, done, peak = None, 0, 1, 0, 1
+    for cut, k, group, most in plan + [(n_out, 0, rest, -1)]:
+        stop = bisect_left(ms, cut, flat)
+        while done < stop:
+            start, done = done, min(done + HALF.bit_length() - peak.bit_length(), stop)
+            c, spare, same, w = _apply(c, spare, same, w, ms[start:done], ss[start:done])
+            peak <<= done - start  # a factor at most doubles max|c|
+            if done < stop or peak > most >= 0:
+                peak = max(int(c[:w].max()), -int(c[:w].min()))
+                if peak >= HALF:
+                    return _limb_product(c[:, None], ms[done:], ss[done:], w, rest), False
+        if peak <= most:
+            spare = None
+            return _collapse(c, group, k).tolist(), True
+    if rest:
+        return _limb_product(c[:, None], [], [], w, rest), False
+    return c.tolist(), True
+
+
+def _degrees(factors, n_out):
+    """Candidate collapses ``(cut, k, group, most)`` of the progressions ``factors``, in ascending cut order.
+
+    The group G_k holds every factor with ``(k+1) m >= n_out``, as
+    progressions; ``most`` is the largest max|c| with ``max|c| S_k <
+    2**(62 - v2(k!))``, the bound of :func:`_collapse` with ``S_k =
+    sum_{j<=k} C(T_j, j)``.  Degree k replaces the head factors of G_k, one
+    ufunc pass each, by the passes of its rounds: round (j, i), for ``1 <=
+    i <= j <= k``, applies P_i, one prefix sum per stride and one or two
+    windows per progression while ``i m0 < n_out``, so what lives for ``i
+    <= r`` runs in ``sum_{i<=r} (k - i + 1) = r (2k + 1 - r) / 2`` rounds
+    (r at most k); past degree 1 each j also allocates z_j, divides by j
+    and adds z_j into R, and R is sign extended in two passes.
+
+    A degree is a candidate when it saves more passes than the last
+    candidate saved (degree 0, every factor in the head, saves none), and
+    when its bound could hold.  So each candidate costs fewer passes than
+    the one before, and a group too small to pay runs factor by factor.
+    A degree whose group gains no factor is skipped.  The search stops at
+    the first degree that saves no more; once the bound fails at ``max|c| =
+    1``, as S_k grows with k; and before degree k+1 when it cannot save
+    more: it gains at most ``ceil((cut_k - cut_{k+1}) / d)`` factors of
+    each progression, and adds at least 3 passes for its j (8 after degree
+    1), the round-1 passes of degree k, one stride and one window per
+    progression that gains.
+    """
+    top = n_out - 1
+    plan, saved, size, k = [], 0, 0, 1
     while True:
-        start, done = done, min(done + HALF.bit_length() - peak.bit_length(), len(ms))
-        c, spare, same, w = _apply(c, spare, same, w, ms[start:done], ss[start:done])
-        if done == len(ms):
+        cut, twice = -(-n_out // (k + 1)), 2 * k + 1
+        gap = cut + n_out // -(k + 2) - 1  # ceil((cut - cut') / d) - 1 = gap // d, with cut' the next cut
+        group, grown, total, spread, least, round_one = [], 0, 0, 0, {}, 0
+        passes = 3 * k + 2 if k > 1 else 0
+        for m0, d, count, s in factors:
+            total += count
+            spread += gap // d
+            if m0 < cut:
+                skip = (cut - m0 + d - 1) // d
+                if skip >= count:
+                    continue
+                m0, count = m0 + skip * d, count - skip
+            group.append((m0, d, count, s))
+            grown += count
+            r, e = top // m0, top // (m0 + count * d)  # P_i reaches below n_out, and closes there, for i <= r, e
+            r, e = r if r < k else k, e if e < k else k
+            passes += (r * (twice - r) + e * (twice - e)) >> 1
+            round_one += 1 + (e > 0)
+            if least.get(d, n_out) > m0:
+                least[d] = m0
+        if grown > size:
+            for m0 in least.values():
+                r = top // m0
+                r = r if r < k else k
+                passes += (r * (twice - r)) >> 1
+            if passes - grown >= saved:
+                break
+            m_min = min(least.values())
+            bound = 1 + grown  # T_1: every group factor
+            for j in range(2, k + 1):
+                reach = top - (j - 1) * m_min
+                bound += math.comb(sum(min(count, (reach - m0) // d + 1) for m0, d, count, _ in group if m0 <= reach), j)
+            most = ((1 << (62 - k + k.bit_count())) - 1) // bound  # v2(k!) = k - popcount(k)
+            if not most:
+                break
+            plan.append((cut, k, group, most))
+            saved, size = passes - grown, grown
+            if spread <= round_one + len(least) + 4 + 5 * (k == 1):
+                break  # degree k+1 cannot save more
+        if grown == total:
             break
-        peak = int(np.abs(c[:w]).max())
-        if peak >= HALF:
-            return _limb_product(c[:, None], ms[done:], ss[done:], w, tail), False
-    if not tail:
-        return c.tolist(), True
-    if terms * (peak << done - start) < HALF or terms * int(np.abs(c[:w]).max()) < HALF:
-        return _collapse(c, tail).tolist(), True
-    return _limb_product(c[:, None], [], [], w, tail), False
+        k += 1
+    return plan[::-1]
 
 
-def _collapse(c, tail):
-    """Multiply ``c`` in place by the ``tail`` progressions of :func:`binomial_product`.
+def _head(tail, cut):
+    """(shifts, signs): the factors of the ``tail`` progressions below ``cut``, as lists stable-sorted by shift."""
+    shifts = []
+    for m0, d, count, s in tail:
+        if s < 0:
+            break
+        shifts += range(m0, min(m0 + count * d, cut), d)
+    else:
+        shifts.sort()
+        return shifts, [1] * len(shifts)
+    pairs = []
+    for m0, d, count, s in tail:
+        pairs += zip(range(m0, min(m0 + count * d, cut), d), repeat(s))
+    pairs.sort(key=itemgetter(0))
+    return [m for m, _ in pairs], [s for _, s in pairs]
 
-    The least tail shift m_min has ``2 m_min >= n_out``, so any two tail
-    factors multiply past the truncation: ``c[j] -= sum_t s_t c[j - m_t]``,
-    reading only ``c[:n_out - m_min]``, below every write.  Per progression
-    that is ``c[m0 + i] -= s (CS[i] - CS[i - count d])`` with CS the stride-d
-    prefix sum of that low part, one per distinct step and limb column.
-    The sums wrap modulo 2**64 on a uint64 view; every true result is below
-    ``(1 + T) max|c| < HALF``, so the int64 it wraps to is exact.
+
+def _collapse(c, group, k):
+    """Multiply ``c`` in place by the ``group`` progressions of :func:`binomial_product`, at degree k.
+
+    Every group shift m has ``(k+1) m >= n_out``, so any k+1 group factors
+    multiply past the truncation and ``prod_G (1 - x_t) = sum_{j<=k} (-1)^j
+    e_j`` for ``x_t = s_t q**m_t``.  With ``z_j = (-1)^j c e_j``, Newton's
+    identities give ``j z_j = -sum_{i=1..j} P_i(z_{j-i})``, where ``P_i(v) =
+    v sum_G s^i q**(i m)``; the result is ``R = sum_j z_j``.  Per progression
+    ``(m0, d, count, s)``, P_i is the progression ``(i m0, i d, count,
+    s^i)``, applied as windows of one stride-(i d) prefix sum (:func:`_prefix_sum`).
+
+    Everything wraps modulo 2**64 on a uint64 view.  Dividing by ``j = 2^a
+    b``, b odd, multiplies by ``b^-1`` mod 2**64 and shifts right by a, so
+    z_j is exact modulo ``2**(64 - v2(j!))``, and R is read by sign
+    extension from bit ``63 - v2(k!)``.  That is exact when ``max|c| S_k <
+    2**(62 - v2(k!))`` for ``S_k = sum_{j<=k} C(T_j, j)``, as ``|R| <=
+    max|c| S_k``: each coefficient of R sums, over j, coefficients of c
+    times products of j distinct group factors below q**n_out, at most
+    ``C(T_j, j)`` of them with ``T_j`` the group factors with ``m <= n_out -
+    1 - (j-1) m_min``.  At degree 1, R is written into c directly, as
+    ``P_1(c)`` reads only ``c[:n_out - m_min]``, below every write; it may
+    then carry a trailing limb axis.  At most k+2 coefficient arrays are
+    alive: c, z_1..z_k and one prefix sum.
     """
     n_out = len(c)
-    low = n_out - min(m0 for m0, _, _, _ in tail)
-    u, sums, limb_axis = c.view(np.uint64), {}, c.shape[1:]
-    for m0, d, count, s in tail:
-        if d not in sums:
-            # rows end before n_out, as d < low <= m_min; sums past low are never read
-            sums[d] = (u[: -(-low // d) * d].reshape(-1, d, *limb_axis).cumsum(axis=0).reshape(-1, *limb_axis)
-                       if d < low else u[:low])
-        cs, end = sums[d], m0 + count * d
-        if s > 0:
-            u[m0:] -= cs[: n_out - m0]
-        else:
-            u[m0:] += cs[: n_out - m0]
-        if end < n_out:  # the window closes before the truncation
-            if s > 0:
-                u[end:] += cs[: n_out - end]
-            else:
-                u[end:] -= cs[: n_out - end]
+    m_min = min(m0 for m0, _, _, _ in group)
+    u = c.view(np.uint64)
+    zs = [u]
+    for j in range(1, k + 1):
+        z = u if k == 1 else np.zeros_like(u)
+        for i in range(1, j + 1):  # z -= P_i(zs[j - i]); zs[j - i] is zero below lo
+            v, lo, step, cs = zs[j - i], (j - i) * m_min, 0, None
+            for m0, d, count, s in group:
+                start, end = i * m0 + lo, i * (m0 + count * d) + lo
+                if start >= n_out:
+                    continue
+                if i * d != step:
+                    step, cs = i * d, None
+                    cs = _prefix_sum(v, lo, n_out - lo - i * m_min, step)
+                negative = s < 0 and i & 1  # s^i = -1
+                seg = z[start:]
+                if negative:
+                    seg += cs[: n_out - start]
+                else:
+                    seg -= cs[: n_out - start]
+                if end < n_out:  # the window closes before the truncation
+                    seg = z[end:]
+                    if negative:
+                        seg -= cs[: n_out - end]
+                    else:
+                        seg += cs[: n_out - end]
+        a = (j & -j).bit_length() - 1  # j = 2**a * odd
+        if j >> a > 1:
+            z *= np.uint64(pow(j >> a, -1, 1 << 64))
+        if a:
+            z >>= np.uint64(a)
+        zs.append(z)
+    if k > 1:
+        for z in zs[1:]:
+            u += z
+        e = k - k.bit_count()  # v2(k!)
+        if e:
+            u <<= np.uint64(e)
+            c >>= e
     return c
+
+
+def _prefix_sum(v, lo, span, step):
+    """``cs[x] = sum_t v[lo + x - t step]`` for ``0 <= x < span``, modulo 2**64, for ``v`` zero below ``lo``.
+
+    One cumsum over rows of ``step``; the rows may run past ``span``, as
+    their sums there are never read, unless they would pass the end of v.
+    """
+    if span <= step:
+        return v[lo:]
+    rows, tail_axes = -(-span // step), v.shape[1:]
+    if lo + rows * step <= len(v):
+        return v[lo : lo + rows * step].reshape(rows, step, *tail_axes).cumsum(axis=0).reshape(-1, *tail_axes)
+    rows -= 1  # the last row is partial
+    full = rows * step
+    cs = np.empty((span, *tail_axes), np.uint64)
+    v[lo : lo + full].reshape(rows, step, *tail_axes).cumsum(axis=0, out=cs[:full].reshape(rows, step, *tail_axes))
+    _ADD(cs[full - step : span - step], v[lo + full : lo + span], cs[full:])
+    return cs
 
 
 def _apply(c, spare, same, w, shifts, signs):
@@ -361,7 +530,7 @@ def _limb_product(limbs, shifts, signs, w, tail=()):
             spare = None
         limbs, spare, _, w = _apply(limbs, spare, 0, w, shifts[done : done + steps], signs[done : done + steps])
     if tail:
-        limbs = _collapse(_carry(limbs), tail)
+        limbs = _collapse(_carry(limbs), tail, 1)
     return limb_ints(limbs)
 
 

@@ -6,8 +6,9 @@ Exit codes: 0 = verified / no violations, 1 = mismatch or violation found
 (output still emitted), 2 = invalid parameters or flags.
 
 Sweeps (``verify --sweep``, ``scan --sweep``) iterate every valid instance
-below a size bound; CHARFACTOR_THREADS caps their process parallelism, and
-results are always emitted in canonical instance order.
+below a size bound; CHARFACTOR_THREADS caps their process parallelism (never
+more workers than cores or than chunks of 8 instances), and results are
+always emitted in canonical instance order.
 """
 
 from __future__ import annotations
@@ -117,12 +118,17 @@ def _scan_task(job: tuple) -> dict:
     return scanner.scan(pp, order).to_json_dict()
 
 
+#: jobs per task the sweep pool hands a worker
+_CHUNK = 8
+
+
 def _run_pool(task, jobs: list[tuple]) -> list[dict]:
-    threads = _thread_count()
-    if threads <= 1 or len(jobs) <= 1:
+    # a worker past the chunk count or the cores would only start and wait
+    workers = min(_thread_count(), -(-len(jobs) // _CHUNK), os.cpu_count() or 1)
+    if workers <= 1:
         return [task(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(task, jobs, chunksize=8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, jobs, chunksize=_CHUNK))
 
 
 def _cmd_verify(args) -> int:

@@ -242,22 +242,29 @@ def pochhammer(factors: Iterable[SignedMonomial], base: SignedMonomial, order: i
     return pochhammer_product(((factors, base),), order)
 
 
+_NO_SHIFTS = np.zeros(0, np.int64)
+
+
 def pochhammer_product(symbols: Iterable[tuple], order: int) -> ShiftedSeries:
     """Truncated product of Pochhammer symbols, each a ``(factors, base)`` pair as in :func:`pochhammer`.
 
     One :func:`charfactor._kernels.binomial_product` call expands the binomials
     of every symbol, exact at any size.  Each factor gives one progression of
-    shifts, or two of twice the step when the base has sign -1.  Their head,
-    the shifts m with ``2m < order + 1``, goes to the kernel in ascending
-    order (a stable sort), whatever order the symbols list their factors in.
-    Grouped by progression instead, partial products outgrow one int64 limb
-    and the high-order numerators run 3-5x slower.  In ascending order no
-    factor changes the coefficients below an earlier shift, so a kernel step
-    that writes into its second array copies almost nothing across.  The
-    rest of each progression, where any two factors multiply past the
-    truncation, goes as a tail progression and applies at once.  A factor
-    that degenerates to (1 - q**0) annihilates the whole product unexpanded;
-    (1 + q**0) doubles it, and its progression starts one step later.
+    shifts, or two of twice the step when the base has sign -1, and the
+    kernel gets every factor as these progressions, those of one symbol
+    adjacent.  It expands the factors below a cut one by one in ascending
+    order (a stable sort), whatever order the symbols list them in; grouped
+    by progression instead, partial products outgrow one int64 limb and the
+    high-order numerators run 3-5x slower.  In ascending order no factor
+    changes the coefficients below an earlier shift, so a kernel step that
+    writes into its second array copies almost nothing across.  The factors
+    at or past the cut, ``ceil((order + 1) / (k+1))``, any k+1 of which
+    multiply past the truncation, apply at once as a polynomial of degree k
+    in their power sums (Newton's identities), modulo 2**64 where a bound
+    on the result leaves ``v2(k!)`` bits to spare; the kernel picks the
+    largest k that saves ufunc passes.  A factor that degenerates to
+    (1 - q**0) annihilates the whole product unexpanded; (1 + q**0) doubles
+    it, and its progression starts one step later.
     """
     symbols = [(tuple(factors), base) for factors, base in symbols]
     if order < 0:
@@ -265,9 +272,6 @@ def pochhammer_product(symbols: Iterable[tuple], order: int) -> ShiftedSeries:
     if any(base.exponent < 1 for _, base in symbols):
         raise SeriesError("non-convergent product: base monomial must have positive exponent")
     n_out = order + 1
-    half = (n_out + 1) // 2  # the least shift m with 2m >= n_out
-    shifts: list[int] = []
-    signs: list[int] = []
     tail = []
     doubles = 0
     for factors, base in symbols:
@@ -283,15 +287,9 @@ def pochhammer_product(symbols: Iterable[tuple], order: int) -> ShiftedSeries:
                         return ShiftedSeries._of_ints([0] * n_out)
                     doubles += 1
                     m0 = d
-                head = range(m0, half, d)
-                shifts += head
-                signs += [s] * len(head)
-                rest = range(m0, n_out, d)[len(head) :]
-                if rest:
-                    tail.append((rest.start, d, len(rest), s))
-    shifts = np.array(shifts, np.int64)
-    order_up = np.argsort(shifts, kind="stable")
-    coeffs, _ = _kernels.binomial_product(shifts[order_up], np.array(signs, np.int64)[order_up], n_out, tail)
+                if m0 < n_out:
+                    tail.append((m0, d, (order - m0) // d + 1, s))
+    coeffs, _ = _kernels.binomial_product(_NO_SHIFTS, _NO_SHIFTS, n_out, tail)
     if doubles:
         coeffs = [c << doubles for c in coeffs]
     return ShiftedSeries._of_ints(coeffs)

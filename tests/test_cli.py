@@ -159,3 +159,42 @@ def test_selftest_runs_clean(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "all self-tests passed" in out
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs every task in this process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+def test_sweep_pool_is_capped_by_chunks_and_cores(capsys, monkeypatch):
+    from charfactor import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("CHARFACTOR_THREADS", "100000")
+    _InlinePool.workers.clear()
+    args = ["verify", "--kind", "main", "--sweep", "--max-pp", "40", "--order", "30", "--json"]
+    assert run(args) == 0
+    jobs = json.loads(capsys.readouterr().out)["instances"]
+    assert jobs > 16  # three chunks of 8 or more, so the core count caps the pool
+    assert _InlinePool.workers.pop() == 3
+    # two chunks of 8 cap it at 2 workers; one chunk runs inline, with no pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    for n in (9, 16):
+        assert cli._run_pool(len, [(1,)] * n) == [1] * n
+        assert _InlinePool.workers.pop() == 2
+    assert cli._run_pool(len, [(1,)] * 8) == [1] * 8
+    assert _InlinePool.workers == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -188,3 +190,113 @@ def test_binomial_product_collapses_a_tail_on_limbs():
     assert not one_limb
     assert max(out) > 2**63
     assert out == naive_pochhammer([(-1, 1)] * 64 + [(-1, m) for m in range(60, n)], (1, n), n - 1)
+
+
+# ---------------------------------------------------------------------------
+# the degree-k collapse
+# ---------------------------------------------------------------------------
+
+def _v2_factorial(k):
+    """Legendre's formula for the exponent of 2 in k!."""
+    return sum(k >> i for i in range(1, k.bit_length()))
+
+
+def _most(group, k, n_out):
+    """The largest max|c| with ``max|c| * sum_{j<=k} C(T_j, j) < 2**(62 - v2(k!))``.
+
+    T_j counts the group factors with ``m <= n_out - 1 - (j-1) m_min``.
+    """
+    ms = [m0 + t * d for m0, d, count, _ in group for t in range(count)]
+    m_min = min(ms)
+    bound = sum(math.comb(sum(m <= n_out - 1 - (j - 1) * m_min for m in ms), j) for j in range(k + 1))
+    return ((1 << (62 - _v2_factorial(k))) - 1) // bound
+
+
+def _group_binomials(group):
+    return [(s, m0 + t * d) for m0, d, count, s in group for t in range(count)]
+
+
+@st.composite
+def _collapses(draw):
+    """(c, group, k): a group whose every shift has (k+1) m >= n_out, and c with max|c| at most the bound."""
+    k = draw(st.integers(1, 5))
+    n_out = draw(st.integers(k + 1, 160))
+    least = -(-n_out // (k + 1))
+    group = [
+        (m0, d, min(count, (n_out - 1 - m0) // d + 1), s)
+        for m0, d, count, s in draw(st.lists(
+            st.tuples(st.integers(least, n_out - 1), st.integers(1, 12), st.integers(1, 40), st.sampled_from([1, -1])),
+            min_size=1, max_size=4))
+    ]
+    most = _most(group, k, n_out)
+    extreme = st.sampled_from([most, -most])
+    c = draw(st.lists(st.one_of(st.integers(-most, most), extreme), min_size=n_out, max_size=n_out))
+    return c, group, k
+
+
+# n_out = 300, k = 2: 100 coefficients at the bound, ~2^58.2, whose prefix sums
+# pass 2^64, and so do those of z_1; the result stays below 2^61
+_WRAP = ([_most([(100, 1, 3, 1)], 2, 300)] * 100 + [0] * 200, [(100, 1, 3, 1)], 2)
+
+
+@given(_collapses())
+@example(([3, -1, 4, 1, -5] + [0] * 55, [(30, 1, 30, 1)], 1))  # degree 1
+@example(([1, 2, -3] + [0] * 97, [(34, 1, 66, -1)], 2))  # degree 2, one sign -1 progression
+@example(([1, -1, 1] + [0] * 97, [(25, 1, 75, 1)], 3))  # degree 3
+@example(([2, 0, -1] + [0] * 117, [(24, 2, 48, 1), (25, 2, 47, -1)], 4))  # degree 4, a base with sign -1
+@example(([1] * 6 + [0] * 114, [(20, 3, 34, -1), (21, 3, 33, 1), (22, 3, 33, -1)], 5))  # degree 5
+@example(_WRAP)  # intermediate sums pass 2^64 while the result stays small
+@example(([_most([(40, 1, 80, 1)], 2, 120)] + [0] * 119, [(40, 1, 80, 1)], 2))  # max|c| at the bound
+@example(([-_most([(30, 1, 30, -1), (31, 7, 5, 1)], 3, 120)] * 4 + [0] * 116,
+          [(30, 1, 30, -1), (31, 7, 5, 1)], 3))  # at the bound, with a closing window
+@settings(max_examples=150, deadline=None)
+def test_collapse_matches_naive_product(case):
+    c, group, k = case
+    n_out = len(c)
+    want = brute_convolve(c, naive_product(_group_binomials(group), n_out - 1), n_out)
+    got = _kernels._collapse(np.array(c, np.int64), group, k).tolist()
+    assert got == want
+
+
+def test_collapse_wraps_its_intermediate_sums():
+    # _WRAP's stride-1 prefix sums of c pass 2^64, but its result stays below 2^61
+    c, group, _ = _WRAP
+    assert sum(c) >= 2**64
+    assert max(map(abs, brute_convolve(c, naive_product(_group_binomials(group), 299), 300))) < 2**61
+
+
+@given(
+    tail=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 20), st.integers(1, 80), st.sampled_from([1, -1])),
+                  max_size=5),
+    n_out=st.integers(2, 400),
+)
+@settings(max_examples=150, deadline=None)
+def test_degrees_list_every_group_with_its_bound(tail, n_out):
+    tail = [(m0, d, min(count, (n_out - 1 - m0) // d + 1), s) for m0, d, count, s in tail if m0 < n_out]
+    plan = _kernels._degrees(tail, n_out)
+    assert [k for _, k, _, _ in plan] == sorted({k for _, k, _, _ in plan}, reverse=True)
+    for cut, k, group, most in plan:
+        assert cut == -(-n_out // (k + 1))
+        want = sorted((m, s) for s, m in _group_binomials(tail) if m >= cut)
+        assert sorted((m, s) for s, m in _group_binomials(group)) == want
+        assert most == _most(group, k, n_out) > 0
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_binomial_product_collapses_only_inside_the_bound(monkeypatch, past):
+    # (1 + q)^40 peaks at C(40, 20) before the tail (1 - q^40)...(1 - q^119):
+    # with a bound just at that peak the tail collapses at degree 2; one below,
+    # degree 2 is refused and the tail collapses at degree 1
+    n, peak = 120, math.comb(40, 20)
+    head = np.ones(40, np.int64)
+    tail = [(40, 1, 80, 1)]
+    plan = _kernels._degrees(tail, n)
+    assert [k for _, k, _, _ in plan][-2:] == [2, 1]
+    plan = [(cut, k, group, peak - past if k == 2 else most) for cut, k, group, most in plan if k <= 2]
+    degrees = []
+    collapse = _kernels._collapse
+    monkeypatch.setattr(_kernels, "_degrees", lambda tail, n_out: plan)
+    monkeypatch.setattr(_kernels, "_collapse", lambda c, group, k: degrees.append(k) or collapse(c, group, k))
+    out, one_limb = _kernels.binomial_product(head, -head, n, tail)
+    assert one_limb and degrees == [2 - past]
+    assert out == naive_product([(-1, 1)] * 40 + [(1, m) for m in range(40, n)], n - 1)

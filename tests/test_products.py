@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -114,21 +113,31 @@ def test_high_order_numerators_stay_on_one_limb_with_ascending_shifts(monkeypatc
         (products.triple_numerator, (3, 1, 1, 12_000, _TRIPLE_SIGNS[IdentityKind.MAIN])),  # (2,9) main
     ]
     calls = []
-    real = _kernels.binomial_product
+    real, apply, collapse = _kernels.binomial_product, _kernels._apply, _kernels._collapse
 
     def spy(shifts, signs, n_out, tail=()):
+        head, collapses = [], []
+        monkeypatch.setattr(_kernels, "_apply", lambda c, spare, same, w, ms, ss: head.extend(ms)
+                            or apply(c, spare, same, w, ms, ss))
+        monkeypatch.setattr(_kernels, "_collapse", lambda c, group, k: collapses.append((group, k))
+                            or collapse(c, group, k))
         coeffs, one_limb = real(shifts, signs, n_out, tail)
-        calls.append((shifts, n_out, tail, one_limb))
+        calls.append((head, collapses, n_out, tail, one_limb))
         return coeffs, one_limb
 
     monkeypatch.setattr(_kernels, "binomial_product", spy)
     for numerator, args in numerators:
         numerator(*args)
     assert len(calls) == len(numerators)
-    for shifts, n_out, tail, one_limb in calls:
+    for head, collapses, n_out, tail, one_limb in calls:
         assert one_limb
-        assert (np.diff(shifts) >= 0).all()
-        # every shift m with 2m >= n_out is passed as a tail progression
-        half = (n_out + 1) // 2
-        assert shifts.max() < half and tail
-        assert all(half <= m0 and m0 + (count - 1) * d < n_out for m0, d, count, _ in tail)
+        [(group, k)] = collapses
+        assert k >= 3
+        # the head runs below the cut in ascending order, and every factor at
+        # or past the cut is in the collapsed group
+        cut = -(-n_out // (k + 1))
+        assert head == sorted(head) and head[-1] < cut
+        factors = sorted((m0 + t * d, s) for m0, d, count, s in tail for t in range(count))
+        assert sorted(head) == [m for m, _ in factors if m < cut]
+        assert sorted((m0 + t * d, s) for m0, d, count, s in group for t in range(count)) == [
+            (m, s) for m, s in factors if m >= cut]

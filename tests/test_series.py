@@ -316,21 +316,54 @@ _symbol = st.tuples(
 @example(symbols=[([(1, 2), (-1, 5)], (-1, 3)), ([(1, 1)], (1, 1))], order=60)
 # (1 + q^0) doubles the product and its progression restarts one step later
 @example(symbols=[([(-1, 0), (1, 3)], (-1, 7)), ([(-1, 0)], (1, 20))], order=50)
-# (1 + q)^64 peaks near 2^60.7, so 61 * max|c| fails the bound and the 60 tail
-# factors (1 + q^m), m = 60..119, run one by one: the product passes 2^63
+# (1 + q)^64 peaks near 2^60.7, so 61 * max|c| fails the bound and the 60
+# factors (1 + q^m), m = 60..119, collapse on limbs: the product passes 2^63
 @example(symbols=[([(-1, 1)] * 64, (1, 500)), ([(-1, 60)], (1, 1))], order=119)
 # (1 + q)^70 leaves one limb in the head; the tail follows on limbs
 @example(symbols=[([(-1, 1)] * 70, (1, 500)), ([(1, 61), (-1, 62)], (1, 5))], order=119)
 # the 66 factors (1 + q^m) give a low half of 1,500 positive coefficients
-# summing past 2^64, whose stride-1 prefix sums wrap; the result stays below 2^62
+# summing past 2^64; the two factors past it do not pay for a collapse
 @example(symbols=[([(-1, m) for m in range(1, 67)], (1, 5000)), ([(-1, 1501)], (1, 1400)),
                   ([(-1, 2999)], (1, 1))], order=3000)
+# one example per degree of the collapse (see the test below): 1 to 5, a base
+# with sign -1 at degree 3, whose even power sums have sign +1, and (1 + q^0)
+# at degree 5
+@example(symbols=[([(1, 1)], (-1, 1))], order=60)
+@example(symbols=[([(1, 1)], (1, 1))], order=100)
+@example(symbols=[([(1, 1)], (1, 1))], order=150)
+@example(symbols=[([(1, 1)], (1, 1))], order=300)
+@example(symbols=[([(1, 1)], (1, 1))], order=400)
+@example(symbols=[([(1, 1)], (-1, 1))], order=150)
+@example(symbols=[([(-1, 0), (1, 1)], (1, 1))], order=300)
 @settings(max_examples=150, deadline=None)
 def test_pochhammer_product_tail_matches_naive_product(symbols, order):
     got = pochhammer_product([(tuple(Q(s, e) for s, e in fs), Q(*base)) for fs, base in symbols], order)
     binomials = [b for fs, base in symbols for b in pochhammer_binomials(fs, base, order)]
     assert got.coeffs == naive_product(binomials, order)
     assert all(type(c) is int for c in got.coeffs)
+
+
+@pytest.mark.parametrize("symbols, order, degree, one_limb", [
+    ([([(1, 1)], (-1, 1))], 60, 1, True),
+    ([([(1, 1)], (1, 1))], 100, 2, True),
+    ([([(1, 1)], (1, 1))], 150, 3, True),
+    ([([(1, 1)], (1, 1))], 300, 4, True),
+    ([([(1, 1)], (1, 1))], 400, 5, True),
+    ([([(1, 1)], (-1, 1))], 150, 3, True),
+    ([([(-1, 0), (1, 1)], (1, 1))], 300, 5, True),
+    ([([(-1, 1)] * 70, (1, 500)), ([(1, 61), (-1, 62)], (1, 5))], 119, 1, False),
+    ([([(-1, m) for m in range(1, 67)], (1, 5000)), ([(-1, 1501)], (1, 1400)), ([(-1, 2999)], (1, 1))], 3000, 0, True),
+])
+def test_pochhammer_product_collapses_at_the_expected_degree(monkeypatch, symbols, order, degree, one_limb):
+    # the examples of the test above reach the paths their comments name
+    degrees, flags = [], []
+    collapse, kernel = _kernels._collapse, _kernels.binomial_product
+    monkeypatch.setattr(_kernels, "_collapse", lambda c, group, k: degrees.append(k) or collapse(c, group, k))
+    monkeypatch.setattr(_kernels, "binomial_product",
+                        lambda *args: (lambda out: flags.append(out[1]) or out)(kernel(*args)))
+    pochhammer_product([(tuple(Q(s, e) for s, e in fs), Q(*base)) for fs, base in symbols], order)
+    assert degrees == ([degree] if degree else [])
+    assert flags == [one_limb]
 
 
 def test_euler_product_at_workload_scale_is_the_pentagonal_series():
