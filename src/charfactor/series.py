@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -451,22 +451,30 @@ def partition_series(order: int) -> ShiftedSeries:
     return euler_product(order).invert()
 
 
+_T = TypeVar("_T")
+
+
+def beside_partition_series(store: dict, order: int, build: Callable[[ShiftedSeries], _T]) -> _T:
+    """``build(p)`` for the cached ``p = partition_series(order)``, kept in ``store`` as ``order -> (p, value)``.
+
+    The value is built again whenever that cache hands out a new object, so
+    it lives exactly as long as one generation of the package's caches: a
+    cleared cache starts it afresh.
+    """
+    p = partition_series(order)
+    held = store.get(order)
+    if held is None or held[0] is not p:
+        held = store[order] = (p, build(p))
+    return held[1]
+
+
 #: order -> (the partition_series(order) it was built from, its limb table)
 _PARTITION_TABLES: dict[int, tuple[ShiftedSeries, _kernels.LimbTable]] = {}
 
 
 def _partition_table(order: int) -> _kernels.LimbTable:
-    """The limb table of the partition numbers 0..order.
-
-    It is kept beside the cached :func:`partition_series` object it was built
-    from and rebuilt whenever that cache hands out a new one, so a cleared
-    cache builds the table again.
-    """
-    p = partition_series(order)
-    held = _PARTITION_TABLES.get(order)
-    if held is None or held[0] is not p:
-        held = _PARTITION_TABLES[order] = (p, _kernels.limb_table(p.coeffs))
-    return held[1]
+    """The limb table of the partition numbers 0..order, one per cache generation."""
+    return beside_partition_series(_PARTITION_TABLES, order, lambda p: _kernels.limb_table(p.coeffs))
 
 
 @lru_cache(maxsize=None)

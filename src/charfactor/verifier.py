@@ -21,6 +21,17 @@ those of the full sides.  The certificate's 16-term prefixes are still
 full-side coefficients, and :func:`build_lhs` and :func:`build_rhs` give the
 full sides: each divides its numerator by (q^n;q^n) in one
 :func:`~charfactor.series.over_euler` call, with no series multiply.
+
+The product-side numerator depends only on (kind, a', B, c, order), not on
+p, p', b, b' or n, so many certificates share it.  :func:`verify` expands
+each distinct numerator once per cache generation and keeps it as its
+nonzero terms, one flat tuple ``(e0, c0, e1, c1, ...)``; later certificates
+rebuild their dense numerator from it.  The memo is held beside the cached
+``partition_series(top)`` object the 16-term prefixes divide by
+(:func:`~charfactor.series.beside_partition_series`) and started empty
+whenever that cache hands out a new one, so clearing the three
+``lru_cache``s of :mod:`charfactor.series` clears it too.  Each process of
+the CLI's sweep pool holds its own.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from typing import Iterator
 
 from . import products, series
@@ -128,6 +140,43 @@ def _lhs_numerator(kind: IdentityKind, fp: FactorizationParams, order: int) -> S
     if kind.scheme is Scheme.TRIPLE:
         return products.triple_numerator(fp.a_prime, fp.B, fp.c, order, _TRIPLE_SIGNS[kind])
     return products.quintuple_numerator(fp.a_prime, fp.B, fp.c, order, _QUINTUPLE_SIGNS[kind])
+
+
+#: prefix top -> (the partition_series(top) object its memo was started beside,
+#: the memo (kind, a', B, c, order) -> nonzero numerator terms)
+_NUMERATORS: dict[int, tuple[ShiftedSeries, dict]] = {}
+
+
+def _numerator_memo(top: int) -> dict:
+    """The numerator memo of the current cache generation for the certificates whose prefixes end at ``top``."""
+    return series.beside_partition_series(_NUMERATORS, top, lambda p: {})
+
+
+def _term_pairs(terms: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The ``(e, c)`` pairs of a flat ``(e0, c0, e1, c1, ...)`` tuple."""
+    it = iter(terms)
+    return zip(it, it)
+
+
+def _numerator(kind: IdentityKind, fp: FactorizationParams, order: int) -> tuple[list[int], tuple[int, ...]]:
+    """Dense coefficients 0..order of the product-side numerator, and its nonzero terms as a flat tuple.
+
+    A miss expands the numerator and keeps the expanded list, which the
+    expansion built fresh with exactly order + 1 coefficients; a hit
+    rebuilds a fresh dense list from the memoised terms.
+    """
+    memo = _numerator_memo(min(PREFIX_LEN - 1, order))
+    key = (kind, fp.a_prime, fp.B, fp.c, order)
+    terms = memo.get(key)
+    if terms is None:
+        lhs = _lhs_numerator(kind, fp, order).coeffs
+        exps = list(compress(range(order + 1), lhs))
+        terms = memo[key] = tuple(chain.from_iterable(zip(exps, map(lhs.__getitem__, exps))))
+        return lhs, terms
+    lhs = [0] * (order + 1)
+    for e, c in _term_pairs(terms):
+        lhs[e] = c
+    return lhs, terms
 
 
 def build_lhs(kind: IdentityKind, fp: FactorizationParams, order: int) -> ShiftedSeries:
@@ -270,6 +319,7 @@ class IdentityCertificate:
         }
 
 
+# not on verify's path, which keeps the expanded numerator list; perfbench/tracing.py patches this name
 def integer_coefficients(series: ShiftedSeries, order: int) -> list[int]:
     """Dense integer-grid coefficients 0..order of an offset-0 series."""
     if series.offset != 0:
@@ -293,10 +343,12 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
 
     For the signed kinds the stated rule is tried first and the swapped rule
     second; a failed certificate reports the mismatch against the stated rule.
+    The product-side numerator comes from the memo of the current cache
+    generation when an earlier certificate expanded it (see the module docstring).
     """
     _require_applicable(kind, fp)
     pairs = contributing_pairs(fp)
-    lhs = integer_coefficients(_lhs_numerator(kind, fp, order), order)
+    lhs, terms = _numerator(kind, fp, order)
     thetas = _character_thetas(fp, pairs)
     rhs = _signed_sum(kind, pairs, thetas, AS_STATED, order)
     variant = AS_STATED
@@ -308,7 +360,7 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
             mismatch = None
     match = mismatch is None
     top = min(PREFIX_LEN - 1, order)
-    lhs_prefix = over_euler(enumerate(lhs), fp.n, top)
+    lhs_prefix = over_euler(_term_pairs(terms), fp.n, top)
     return IdentityCertificate(
         kind=kind,
         params=fp,

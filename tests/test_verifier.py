@@ -1,8 +1,10 @@
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charfactor.verifier as vf
 from charfactor import _kernels, cli, products, series
@@ -32,6 +34,11 @@ from charfactor.verifier import (
 )
 
 from oracles import naive_pochhammer, rc_normalized_character
+
+
+def _clear_caches():
+    for fn in (series.euler_product, series.partition_series, series.inverse_euler_power):
+        fn.cache_clear()
 
 
 def triple(p, pp, ap, b=1, bp=1, c=1):
@@ -276,6 +283,7 @@ def test_certificates_expand_the_product_factor_by_factor(monkeypatch):
     def refuse(*args):
         raise AssertionError("theta series on the certificate path")
 
+    _clear_caches()  # a cold numerator memo, so every certificate below expands its numerator
     monkeypatch.setattr(products, "triple_thetas", refuse)
     monkeypatch.setattr(products, "quintuple_thetas", refuse)
     for kind in IdentityKind:
@@ -355,8 +363,7 @@ def test_no_package_path_multiplies_two_series(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("a series multiply on a package path")
 
-    for fn in (series.euler_product, series.partition_series, series.inverse_euler_power):
-        fn.cache_clear()
+    _clear_caches()
     monkeypatch.setattr(_kernels, "convolve", refuse)
     monkeypatch.setattr(ShiftedSeries, "__mul__", refuse)
     monkeypatch.setattr(ShiftedSeries, "__rmul__", refuse)
@@ -373,3 +380,120 @@ def test_no_package_path_multiplies_two_series(monkeypatch, capsys):
     assert inverse_euler_power(3, 9).coeffs == [1, 0, 0, 1, 0, 0, 2, 0, 0, 3]
     assert cli.run(["selftest"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the numerator memo
+# ---------------------------------------------------------------------------
+
+def _memo_snapshot():
+    return {top: dict(memo) for top, (_, memo) in vf._NUMERATORS.items()}
+
+
+def test_shared_numerators_expand_once_per_cache_generation(monkeypatch):
+    # (2,9) and (4,9) with a' = 3, b = b' = 1 both have B = 1 and c = 1: one numerator
+    first, second = triple(2, 9, 3), triple(4, 9, 3)
+    assert (first.a_prime, first.B, first.c) == (second.a_prime, second.B, second.c)
+    assert (first.p, first.n) != (second.p, second.n)
+    calls = Counter()
+    real = _kernels.binomial_product
+
+    def counted(*args):
+        calls["binomial_product"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "binomial_product", counted)
+    order = 80
+
+    def warm_partitions():
+        # the partition numbers are one more binomial pass each; count only numerators
+        series.partition_series(PREFIX_LEN - 1)
+        series.partition_series(order)
+        calls.clear()
+
+    _clear_caches()
+    warm_partitions()
+    want = verify(IdentityKind.MAIN, second, order).to_json_dict()
+    assert calls["binomial_product"] == 1
+    _clear_caches()
+    warm_partitions()
+    assert verify(IdentityKind.MAIN, first, order).match
+    assert verify(IdentityKind.MAIN, second, order).to_json_dict() == want
+    assert calls["binomial_product"] == 1
+    assert len(vf._numerator_memo(PREFIX_LEN - 1)) == 1
+
+    _clear_caches()
+    assert vf._numerator_memo(PREFIX_LEN - 1) == {}  # the cleared caches start a cold memo
+    warm_partitions()
+    assert verify(IdentityKind.MAIN, second, order).to_json_dict() == want
+    assert calls["binomial_product"] == 1
+
+
+@pytest.mark.parametrize("kind,fp", [
+    (IdentityKind.MAIN, triple(2, 9, 3)),
+    (IdentityKind.QUINT, quintuple(9, 2, 2)),
+])
+def test_negative_order_adds_no_memo_entry(kind, fp):
+    verify(kind, fp, 20)
+    before = _memo_snapshot()
+    with pytest.raises(SeriesError, match="order >= 0"):
+        verify(kind, fp, -1)
+    assert _memo_snapshot() == before
+
+
+def test_memo_values_are_immutable_and_prefixes_fresh(monkeypatch):
+    # mutating one certificate's prefixes must not reach the next certificate of the same instance
+    fp = triple(2, 9, 3)
+    for rule in ("pair_sign", "constant"):
+        monkeypatch.setattr(vf, "pair_sign", SIGN_RULES[rule])
+        cert = verify(IdentityKind.MAIN, fp, 40)
+        assert cert.match == (rule == "pair_sign")
+        want = json.loads(json.dumps(cert.to_json_dict()))
+        assert cert.lhs_prefix is not cert.rhs_prefix
+        cert.lhs_prefix[0] += 7
+        cert.rhs_prefix[1] -= 5
+        cert.rhs_prefix.append(3)
+        again = verify(IdentityKind.MAIN, fp, 40)
+        assert again.to_json_dict() == want
+        assert again.lhs_prefix is not cert.lhs_prefix and again.rhs_prefix is not cert.rhs_prefix
+    for _, memo in vf._NUMERATORS.values():
+        for terms in memo.values():
+            assert type(terms) is tuple and all(type(x) is int for x in terms)
+
+
+def _memo_groups():
+    """Every applicable (kind, fp) with pp' <= 60, grouped by (scheme, a', B).
+
+    One drawn group's certificates share numerators across kinds, c and orders.
+    """
+    groups = defaultdict(list)
+    for kind in IdentityKind:
+        for fp in iter_applicable_params(kind, 60):
+            groups[kind.scheme, fp.a_prime, fp.B].append((kind, fp))
+    return list(groups.values())
+
+
+_MEMO_GROUPS = _memo_groups()
+
+
+@st.composite
+def _verify_sequences(draw):
+    group = draw(st.sampled_from(_MEMO_GROUPS))
+    return draw(st.lists(st.tuples(st.sampled_from(group), st.sampled_from((0, 7, 15, 16, 40))),
+                         min_size=2, max_size=10))
+
+
+@pytest.mark.parametrize("rule", ["pair_sign", "constant"])
+@settings(max_examples=80, deadline=None)
+@given(calls=_verify_sequences())
+def test_memoised_certificates_equal_cold_certificates(rule, calls):
+    # the memo key must hold everything the numerator depends on
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vf, "pair_sign", SIGN_RULES[rule])
+        cold = []
+        for (kind, fp), order in calls:
+            _clear_caches()
+            cold.append(verify(kind, fp, order).to_json_dict())
+        _clear_caches()
+        for ((kind, fp), order), want in zip(calls, cold):
+            assert verify(kind, fp, order).to_json_dict() == want, (kind, fp, order)
