@@ -107,15 +107,11 @@ def _report_lines(rep: scanner.SignReport):
 
 
 def _verify_task(job: tuple) -> dict:
-    kind_value, scheme_value, p, pp_, ap, b, bp, c, order = job
-    fp = FactorizationParams(_SCHEMES[scheme_value], p, pp_, ap, b, bp, c)
-    return verifier.verify(_KINDS[kind_value], fp, order).to_json_dict()
+    return verifier.verify(*job).to_json_dict()
 
 
 def _scan_task(job: tuple) -> dict:
-    scheme_value, ap, B, c, n, order = job
-    pp = ProductParams(_SCHEMES[scheme_value], ap, B, c, n)
-    return scanner.scan(pp, order).to_json_dict()
+    return scanner.scan(*job).to_json_dict()
 
 
 #: jobs per task the sweep pool hands a worker
@@ -134,10 +130,7 @@ def _run_pool(task, jobs: list[tuple]) -> list[dict]:
 def _cmd_verify(args) -> int:
     kind = _KINDS[args.kind]
     if args.sweep:
-        jobs = [
-            (kind.value, fp.scheme.value, fp.p, fp.p_prime, fp.a_prime, fp.b, fp.b_prime, fp.c, args.order)
-            for fp in verifier.iter_applicable_params(kind, args.max_pp)
-        ]
+        jobs = [(kind, fp, args.order) for fp in verifier.iter_applicable_params(kind, args.max_pp)]
         certs = _run_pool(_verify_task, jobs)
         failures = sum(not c["match"] for c in certs)
         if args.json:
@@ -189,11 +182,8 @@ def _cmd_series(args) -> int:
 def _cmd_scan(args) -> int:
     if args.sweep:
         schemes = [_SCHEMES[args.scheme]] if args.scheme else [Scheme.TRIPLE, Scheme.QUINTUPLE]
-        jobs = [
-            (pp.scheme.value, pp.a_prime, pp.B, pp.c, pp.n, args.order)
-            for scheme in schemes
-            for pp in scanner.iter_canonical_quadruples(scheme, args.max_size)
-        ]
+        jobs = [(pp, args.order) for scheme in schemes
+                for pp in scanner.iter_canonical_quadruples(scheme, args.max_size)]
         reports = _run_pool(_scan_task, jobs)
         bad = sum(bool(r["violations"]) for r in reports)
         if args.json:

@@ -242,9 +242,6 @@ def pochhammer(factors: Iterable[SignedMonomial], base: SignedMonomial, order: i
     return pochhammer_product(((factors, base),), order)
 
 
-_NO_SHIFTS = np.zeros(0, np.int64)
-
-
 def pochhammer_product(symbols: Iterable[tuple], order: int) -> ShiftedSeries:
     """Truncated product of Pochhammer symbols, each a ``(factors, base)`` pair as in :func:`pochhammer`.
 
@@ -272,7 +269,7 @@ def pochhammer_product(symbols: Iterable[tuple], order: int) -> ShiftedSeries:
     if any(base.exponent < 1 for _, base in symbols):
         raise SeriesError("non-convergent product: base monomial must have positive exponent")
     n_out = order + 1
-    tail = []
+    kernel_factors = []
     doubles = 0
     for factors, base in symbols:
         v = base.exponent
@@ -288,8 +285,8 @@ def pochhammer_product(symbols: Iterable[tuple], order: int) -> ShiftedSeries:
                     doubles += 1
                     m0 = d
                 if m0 < n_out:
-                    tail.append((m0, d, (order - m0) // d + 1, s))
-    coeffs, _ = _kernels.binomial_product(_NO_SHIFTS, _NO_SHIFTS, n_out, tail)
+                    kernel_factors.append((m0, d, s))
+    coeffs, _ = _kernels.binomial_product(n_out, kernel_factors)
     if doubles:
         coeffs = [c << doubles for c in coeffs]
     return ShiftedSeries._of_ints(coeffs)

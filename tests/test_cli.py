@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from charfactor.cli import run
 
 
@@ -137,14 +139,30 @@ def test_scan_sweep_small(capsys, monkeypatch):
 
 
 def test_sweep_parallel_matches_serial(capsys, monkeypatch):
-    args = ["verify", "--kind", "quint", "--sweep", "--max-pp", "30", "--order", "40", "--json"]
-    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
-    assert run(args) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("CHARFACTOR_THREADS", "2")
-    assert run(args) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+    # the pool gets (kind, params, order) and (params, order) jobs, pickled
+    verify = ["verify", "--kind", "quint", "--sweep", "--max-pp", "30", "--order", "40", "--json"]
+    scan = ["scan", "--scheme", "triple", "--sweep", "--max-size", "12", "--order", "100", "--json"]
+    for args in (verify, scan):
+        monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+        assert run(args) == 0
+        serial = capsys.readouterr().out
+        monkeypatch.setenv("CHARFACTOR_THREADS", "2")
+        assert run(args) == 0
+        parallel = capsys.readouterr().out
+        assert serial == parallel
+        assert json.loads(serial)["instances"] >= 9  # two chunks of 8, so two workers where two cores are
+
+
+def test_main_exits_with_the_command_status(capsys, monkeypatch):
+    # the console script's entry point: argv from sys.argv, status through SystemExit
+    from charfactor.cli import main
+
+    monkeypatch.setattr(sys, "argv", ["charfactor", "pairs", "--scheme", "triple",
+                                      "--p", "2", "--pp", "9", "--ap", "3", "--c", "1"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.endswith("count=3 (n=3)\n")
 
 
 def test_human_output_default(capsys):

@@ -1,4 +1,5 @@
 import math
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -94,12 +95,22 @@ def test_invert_unit_is_exact_past_int64():
     assert all(type(c) is int for c in out)
 
 
+def _binomials_as_factors(binomials, n_out):
+    """Single binomials ``(s, m)`` as kernel factors ``(m, n_out, s)``."""
+    return [(m, n_out, s) for s, m in binomials]
+
+
+def _progression_binomials(factors, n_out):
+    """The binomials ``(s, m)`` of the kernel factors ``(m0, d, s)`` below ``n_out``."""
+    return [(s, m) for m0, d, s in factors for m in range(m0, n_out, d)]
+
+
 def test_binomial_product_matches_reference():
     rng = np.random.default_rng(13)
     n = 60
     shifts = rng.integers(1, 12, size=20).astype(np.int64)
     signs = rng.choice(np.array([1, -1], np.int64), size=20)
-    out, one_limb = _kernels.binomial_product(shifts, signs, n)
+    out, one_limb = _kernels.binomial_product(n, [(m, n, s) for m, s in zip(shifts.tolist(), signs.tolist())])
     assert one_limb
     want = np.zeros(n, np.int64)
     want[0] = 1
@@ -121,8 +132,7 @@ def test_binomial_product_bails_where_the_true_maximum_reaches_the_limit(copies)
         if max(map(abs, want)) >= _kernels.HALF:
             one_limb = False
         want = [want[0]] + [want[k] + want[k - 1] for k in range(1, n)]
-    shifts = np.ones(copies, np.int64)
-    out, got_one_limb = _kernels.binomial_product(shifts, -shifts, n)
+    out, got_one_limb = _kernels.binomial_product(n, [(1, n, -1)] * copies)
     assert got_one_limb == one_limb
     assert out == want
 
@@ -142,21 +152,28 @@ _UP_AND_DOWN = [(-1, m) for m in range(1, 120)] * 8 + [(1, m) for m in range(1, 
 @example(binomials=[(1, 1)] * 300, n_out=120)  # the same magnitudes with alternating signs
 @example(binomials=[(-1, 2)] * 200 + [(1, 3)] * 120 + [(-1, 119)] * 3, n_out=120)
 @example(binomials=_UP_AND_DOWN, n_out=120)  # past 2^62 and back to 13 bits
-# steps in place, in place, five swaps, in place, with both signs
-@example(binomials=[(1, 60)] * 2 + [(-1, 1)] * 5 + [(1, 119)], n_out=120)
-# one step in place and 65 swaps, so the product bails to limbs from the second
-# array; then in-place and swap steps on the limbs
-@example(binomials=[(-1, 1)] * 66 + [(1, 90)] * 3 + [(-1, 2)] * 2, n_out=120)
+# in ascending order: a step in place, four swaps, one in place and two
+# swaps, with both signs
+@example(binomials=[(1, 60)] * 2 + [(-1, 1)] * 5 + [(1, 119)], n_out=240)
+# one step in place and 65 swaps, so the product bails to limbs from the
+# second array; then swap and in-place steps on the limbs
+@example(binomials=[(-1, 1)] * 66 + [(1, 90)] * 3 + [(-1, 2)] * 2, n_out=240)
 @settings(max_examples=100, deadline=None)
 def test_binomial_product_matches_naive_product(binomials, n_out):
     binomials = [(s, m) for s, m in binomials if m < n_out]
-    shifts = np.array([m for _, m in binomials], np.int64)
-    signs = np.array([s for s, _ in binomials], np.int64)
-    out, one_limb = _kernels.binomial_product(shifts, signs, n_out)
+    out, one_limb = _kernels.binomial_product(n_out, _binomials_as_factors(binomials, n_out))
     want = naive_product(binomials, n_out - 1)
     assert out == want
     assert all(type(c) is int for c in out)
-    assert one_limb == (_peak_before_a_factor(binomials, n_out - 1) < _kernels.HALF)
+    # the kernel applies the binomials in ascending order, stable among equal shifts
+    peak = _peak_before_a_factor(sorted(binomials, key=itemgetter(1)), n_out - 1)
+    if all(2 * m < n_out for _, m in binomials):
+        assert one_limb == (peak < _kernels.HALF)
+    else:
+        # shifts at or past ceil(n_out/2) may collapse at degree 1 on limb
+        # columns although every partial product stays below HALF; one limb
+        # still means that none reached it
+        assert peak < _kernels.HALF or not one_limb
 
 
 def _peak_before_a_factor(binomials, order):
@@ -172,12 +189,11 @@ def _peak_before_a_factor(binomials, order):
 def test_binomial_product_carries_past_two_hundred_bits():
     # (1 + q)^300 (1 - q^2)^40: coefficients past 2^200 of both signs
     n = 301
-    shifts = np.array([1] * 300 + [2] * 40, np.int64)
-    signs = np.array([-1] * 300 + [1] * 40, np.int64)
-    out, one_limb = _kernels.binomial_product(shifts, signs, n)
+    binomials = [(-1, 1)] * 300 + [(1, 2)] * 40
+    out, one_limb = _kernels.binomial_product(n, _binomials_as_factors(binomials, n))
     assert not one_limb
     assert max(out) > 2**200 and min(out) < -(2**200)
-    assert out == naive_product(list(zip(signs.tolist(), shifts.tolist())), n - 1)
+    assert out == naive_product(binomials, n - 1)
 
 
 def test_binomial_product_collapses_a_tail_on_limbs():
@@ -185,11 +201,47 @@ def test_binomial_product_collapses_a_tail_on_limbs():
     # (1 + q^60) ... (1 + q^119) fail (1 + T) max|c| < 2^62 and their sums pass
     # 2^63: the tail collapses on the limb columns, after a carry
     n = 120
-    head = np.ones(64, np.int64)
-    out, one_limb = _kernels.binomial_product(head, -head, n, [(60, 1, 60, -1)])
+    out, one_limb = _kernels.binomial_product(n, [(1, n, -1)] * 64 + [(60, 1, -1)])
     assert not one_limb
     assert max(out) > 2**63
     assert out == naive_pochhammer([(-1, 1)] * 64 + [(-1, m) for m in range(60, n)], (1, n), n - 1)
+
+
+#: shared strides, bases of sign -1 (two progressions of twice the step with
+#: opposite signs) and single binomials (m, n_out, s)
+@st.composite
+def _factor_lists(draw):
+    n_out = draw(st.integers(2, 200))
+    factors = []
+    for _ in range(draw(st.integers(0, 6))):
+        m0 = draw(st.integers(1, n_out - 1))
+        s = draw(st.sampled_from([1, -1]))
+        shape = draw(st.sampled_from(["progression", "negative base", "binomial"]))
+        if shape == "binomial":
+            factors += [(m0, n_out, s)] * draw(st.integers(1, 40))
+            continue
+        d = draw(st.sampled_from([1, 2, 3, 5]))
+        if shape == "progression":
+            factors.append((m0, d, s))
+        else:
+            factors += [(m0, 2 * d, s)] + ([(m0 + d, 2 * d, -s)] if m0 + d < n_out else [])
+    return n_out, factors
+
+
+@given(_factor_lists())
+# (1 + q)^70 (1 + q^2)^70 (q^3;q): the head leaves one limb, the stride-1
+# group collapses on the limb columns, and coefficients reach 2^138
+@example((150, [(1, 150, -1)] * 70 + [(2, 150, -1)] * 70 + [(3, 1, 1)]))
+@example((120, [(1, 1, 1), (2, 2, -1), (3, 2, 1), (40, 120, -1)]))  # shared stride 2, a single binomial
+@settings(max_examples=150, deadline=None)
+def test_binomial_product_of_progressions_matches_naive_product(case):
+    n_out, factors = case
+    out, one_limb = _kernels.binomial_product(n_out, factors)
+    binomials = _progression_binomials(factors, n_out)
+    assert out == naive_product(binomials, n_out - 1)
+    assert all(type(c) is int for c in out)
+    if one_limb:
+        assert _peak_before_a_factor(sorted(binomials, key=itemgetter(1)), n_out - 1) < _kernels.HALF
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +258,10 @@ def _most(group, k, n_out):
 
     T_j counts the group factors with ``m <= n_out - 1 - (j-1) m_min``.
     """
-    ms = [m0 + t * d for m0, d, count, _ in group for t in range(count)]
+    ms = [m for _, m in _progression_binomials(group, n_out)]
     m_min = min(ms)
     bound = sum(math.comb(sum(m <= n_out - 1 - (j - 1) * m_min for m in ms), j) for j in range(k + 1))
     return ((1 << (62 - _v2_factorial(k))) - 1) // bound
-
-
-def _group_binomials(group):
-    return [(s, m0 + t * d) for m0, d, count, s in group for t in range(count)]
 
 
 @st.composite
@@ -222,63 +270,46 @@ def _collapses(draw):
     k = draw(st.integers(1, 5))
     n_out = draw(st.integers(k + 1, 160))
     least = -(-n_out // (k + 1))
-    group = [
-        (m0, d, min(count, (n_out - 1 - m0) // d + 1), s)
-        for m0, d, count, s in draw(st.lists(
-            st.tuples(st.integers(least, n_out - 1), st.integers(1, 12), st.integers(1, 40), st.sampled_from([1, -1])),
-            min_size=1, max_size=4))
-    ]
+    group = draw(st.lists(
+        st.tuples(st.integers(least, n_out - 1), st.integers(1, 12), st.sampled_from([1, -1])),
+        min_size=1, max_size=4))
     most = _most(group, k, n_out)
     extreme = st.sampled_from([most, -most])
     c = draw(st.lists(st.one_of(st.integers(-most, most), extreme), min_size=n_out, max_size=n_out))
     return c, group, k
 
 
-# n_out = 300, k = 2: 100 coefficients at the bound, ~2^58.2, whose prefix sums
-# pass 2^64, and so do those of z_1; the result stays below 2^61
-_WRAP = ([_most([(100, 1, 3, 1)], 2, 300)] * 100 + [0] * 200, [(100, 1, 3, 1)], 2)
-
-
 @given(_collapses())
-@example(([3, -1, 4, 1, -5] + [0] * 55, [(30, 1, 30, 1)], 1))  # degree 1
-@example(([1, 2, -3] + [0] * 97, [(34, 1, 66, -1)], 2))  # degree 2, one sign -1 progression
-@example(([1, -1, 1] + [0] * 97, [(25, 1, 75, 1)], 3))  # degree 3
-@example(([2, 0, -1] + [0] * 117, [(24, 2, 48, 1), (25, 2, 47, -1)], 4))  # degree 4, a base with sign -1
-@example(([1] * 6 + [0] * 114, [(20, 3, 34, -1), (21, 3, 33, 1), (22, 3, 33, -1)], 5))  # degree 5
-@example(_WRAP)  # intermediate sums pass 2^64 while the result stays small
-@example(([_most([(40, 1, 80, 1)], 2, 120)] + [0] * 119, [(40, 1, 80, 1)], 2))  # max|c| at the bound
-@example(([-_most([(30, 1, 30, -1), (31, 7, 5, 1)], 3, 120)] * 4 + [0] * 116,
-          [(30, 1, 30, -1), (31, 7, 5, 1)], 3))  # at the bound, with a closing window
+@example(([3, -1, 4, 1, -5] + [0] * 55, [(30, 1, 1)], 1))  # degree 1
+@example(([1, 2, -3] + [0] * 97, [(34, 1, -1)], 2))  # degree 2, one sign -1 progression
+@example(([1, -1, 1] + [0] * 97, [(25, 1, 1)], 3))  # degree 3
+@example(([2, 0, -1] + [0] * 117, [(24, 2, 1), (25, 2, -1)], 4))  # degree 4, a base with sign -1
+@example(([1] * 6 + [0] * 114, [(20, 3, -1), (21, 3, 1), (22, 3, -1)], 5))  # degree 5
+@example(([_most([(40, 1, 1)], 2, 120)] + [0] * 119, [(40, 1, 1)], 2))  # max|c| at the bound
+@example(([-_most([(30, 1, -1), (31, 7, 1)], 3, 120)] * 4 + [0] * 116,
+          [(30, 1, -1), (31, 7, 1)], 3))  # at the bound, with two strides
 @settings(max_examples=150, deadline=None)
 def test_collapse_matches_naive_product(case):
     c, group, k = case
     n_out = len(c)
-    want = brute_convolve(c, naive_product(_group_binomials(group), n_out - 1), n_out)
+    want = brute_convolve(c, naive_product(_progression_binomials(group, n_out), n_out - 1), n_out)
     got = _kernels._collapse(np.array(c, np.int64), group, k).tolist()
     assert got == want
 
 
-def test_collapse_wraps_its_intermediate_sums():
-    # _WRAP's stride-1 prefix sums of c pass 2^64, but its result stays below 2^61
-    c, group, _ = _WRAP
-    assert sum(c) >= 2**64
-    assert max(map(abs, brute_convolve(c, naive_product(_group_binomials(group), 299), 300))) < 2**61
-
-
 @given(
-    tail=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 20), st.integers(1, 80), st.sampled_from([1, -1])),
-                  max_size=5),
+    factors=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 20), st.sampled_from([1, -1])), max_size=5),
     n_out=st.integers(2, 400),
 )
 @settings(max_examples=150, deadline=None)
-def test_degrees_list_every_group_with_its_bound(tail, n_out):
-    tail = [(m0, d, min(count, (n_out - 1 - m0) // d + 1), s) for m0, d, count, s in tail if m0 < n_out]
-    plan = _kernels._degrees(tail, n_out)
+def test_degrees_list_every_group_with_its_bound(factors, n_out):
+    factors = [f for f in factors if f[0] < n_out]
+    plan = _kernels._degrees(factors, n_out)
     assert [k for _, k, _, _ in plan] == sorted({k for _, k, _, _ in plan}, reverse=True)
     for cut, k, group, most in plan:
         assert cut == -(-n_out // (k + 1))
-        want = sorted((m, s) for s, m in _group_binomials(tail) if m >= cut)
-        assert sorted((m, s) for s, m in _group_binomials(group)) == want
+        want = sorted((m, s) for s, m in _progression_binomials(factors, n_out) if m >= cut)
+        assert sorted((m, s) for s, m in _progression_binomials(group, n_out)) == want
         assert most == _most(group, k, n_out) > 0
 
 
@@ -288,15 +319,14 @@ def test_binomial_product_collapses_only_inside_the_bound(monkeypatch, past):
     # with a bound just at that peak the tail collapses at degree 2; one below,
     # degree 2 is refused and the tail collapses at degree 1
     n, peak = 120, math.comb(40, 20)
-    head = np.ones(40, np.int64)
-    tail = [(40, 1, 80, 1)]
-    plan = _kernels._degrees(tail, n)
+    factors = [(1, n, -1)] * 40 + [(40, 1, 1)]
+    plan = _kernels._degrees(factors, n)
     assert [k for _, k, _, _ in plan][-2:] == [2, 1]
     plan = [(cut, k, group, peak - past if k == 2 else most) for cut, k, group, most in plan if k <= 2]
     degrees = []
     collapse = _kernels._collapse
-    monkeypatch.setattr(_kernels, "_degrees", lambda tail, n_out: plan)
+    monkeypatch.setattr(_kernels, "_degrees", lambda factors, n_out: plan)
     monkeypatch.setattr(_kernels, "_collapse", lambda c, group, k: degrees.append(k) or collapse(c, group, k))
-    out, one_limb = _kernels.binomial_product(head, -head, n, tail)
+    out, one_limb = _kernels.binomial_product(n, factors)
     assert one_limb and degrees == [2 - past]
     assert out == naive_product([(-1, 1)] * 40 + [(1, m) for m in range(40, n)], n - 1)

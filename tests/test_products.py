@@ -115,21 +115,21 @@ def test_high_order_numerators_stay_on_one_limb_with_ascending_shifts(monkeypatc
     calls = []
     real, apply, collapse = _kernels.binomial_product, _kernels._apply, _kernels._collapse
 
-    def spy(shifts, signs, n_out, tail=()):
+    def spy(n_out, factors):
         head, collapses = [], []
         monkeypatch.setattr(_kernels, "_apply", lambda c, spare, same, w, ms, ss: head.extend(ms)
                             or apply(c, spare, same, w, ms, ss))
         monkeypatch.setattr(_kernels, "_collapse", lambda c, group, k: collapses.append((group, k))
                             or collapse(c, group, k))
-        coeffs, one_limb = real(shifts, signs, n_out, tail)
-        calls.append((head, collapses, n_out, tail, one_limb))
+        coeffs, one_limb = real(n_out, factors)
+        calls.append((head, collapses, n_out, factors, one_limb))
         return coeffs, one_limb
 
     monkeypatch.setattr(_kernels, "binomial_product", spy)
     for numerator, args in numerators:
         numerator(*args)
     assert len(calls) == len(numerators)
-    for head, collapses, n_out, tail, one_limb in calls:
+    for head, collapses, n_out, factors, one_limb in calls:
         assert one_limb
         [(group, k)] = collapses
         assert k >= 3
@@ -137,7 +137,7 @@ def test_high_order_numerators_stay_on_one_limb_with_ascending_shifts(monkeypatc
         # or past the cut is in the collapsed group
         cut = -(-n_out // (k + 1))
         assert head == sorted(head) and head[-1] < cut
-        factors = sorted((m0 + t * d, s) for m0, d, count, s in tail for t in range(count))
-        assert sorted(head) == [m for m, _ in factors if m < cut]
-        assert sorted((m0 + t * d, s) for m0, d, count, s in group for t in range(count)) == [
-            (m, s) for m, s in factors if m >= cut]
+        binomials = sorted((m, s) for m0, d, s in factors for m in range(m0, n_out, d))
+        assert sorted(head) == [m for m, _ in binomials if m < cut]
+        assert sorted((m, s) for m0, d, s in group for m in range(m0, n_out, d)) == [
+            (m, s) for m, s in binomials if m >= cut]

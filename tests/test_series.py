@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charfactor import _kernels
+from charfactor import _kernels, products
 from charfactor.series import (
     NEEDS_CONSTANT_SLOT,
     SeriesError,
@@ -288,8 +288,8 @@ def test_pochhammer_past_the_int64_kernel_matches_naive_expansion(copies, extra,
     flags = []
     kernel = _kernels.binomial_product
 
-    def recording(shifts, signs, n_out, tail=()):
-        out = kernel(shifts, signs, n_out, tail)
+    def recording(n_out, factors):
+        out = kernel(n_out, factors)
         flags.append(out[1])
         return out
 
@@ -366,6 +366,39 @@ def test_pochhammer_product_collapses_at_the_expected_degree(monkeypatch, symbol
     assert flags == [one_limb]
 
 
+@pytest.mark.parametrize("numerator, args, symbols", [
+    # (1 + q^0) and a base of sign -1: (-1, q^3, -q^3; -q^3)
+    (products.triple_numerator, (3, 1, 3, 80, (-1, 1, -1, -1)),
+     [([(-1, 0), (1, 3), (-1, 3)], (-1, 3))]),
+    (products.triple_numerator, (5, 2, 1, 200, (1, -1, -1, -1)),
+     [([(1, 4), (-1, 6), (-1, 10)], (-1, 10))]),
+    # (1 + q^0) and a base of sign -1 in the first symbol of a quintuple
+    (products.quintuple_numerator, (4, 1, 0, 150, (-1, 1, -1, -1, -1, -1)),
+     [([(-1, 0), (1, 8), (-1, 8)], (-1, 8)), ([(-1, 8), (-1, 8)], (1, 16))]),
+    (products.quintuple_numerator, (5, 1, 2, 300, (1, 1, 1, 1, 1, 1)),
+     [([(1, 2), (1, 8), (1, 10)], (1, 10)), ([(1, 14), (1, 6)], (1, 20))]),
+])
+def test_numerators_reach_the_kernel_as_pochhammer_factors(monkeypatch, numerator, args, symbols):
+    # every factor is (m0, d, s): (1 - s q^(m0 + t d)) for all t >= 0, truncated at n_out
+    calls = []
+    kernel = _kernels.binomial_product
+
+    def recording(n_out, factors):
+        calls.append((n_out, list(factors)))
+        return kernel(n_out, factors)
+
+    monkeypatch.setattr(_kernels, "binomial_product", recording)
+    order = args[3]
+    got = numerator(*args)
+    [(n_out, factors)] = calls
+    assert n_out == order + 1 and factors
+    for m0, d, s in factors:
+        assert type(m0) is int and type(d) is int
+        assert 1 <= m0 < n_out and d >= 1 and s in (1, -1)
+    binomials = [b for fs, base in symbols for b in pochhammer_binomials(fs, base, order)]
+    assert got.coeffs == naive_product(binomials, order)
+
+
 def test_euler_product_at_workload_scale_is_the_pentagonal_series():
     # (q;q) at N = 12,000, the (2,9) numerator of the high-order benchmark,
     # peaks at 61 bits after 243 factors and stays on one limb; at N = 20,000
@@ -373,8 +406,8 @@ def test_euler_product_at_workload_scale_is_the_pentagonal_series():
     flags = []
     kernel = _kernels.binomial_product
 
-    def recording(shifts, signs, n_out, tail=()):
-        out = kernel(shifts, signs, n_out, tail)
+    def recording(n_out, factors):
+        out = kernel(n_out, factors)
         flags.append(out[1])
         return out
 
