@@ -142,38 +142,39 @@ _binomials = st.lists(
     max_size=400,
 )
 
-#: 8 copies of (-q;q)_119, then 8 of (q;q)_119: the product is (q^2;q^2)^8,
-#: so magnitudes pass 2^62 and come back down
-_UP_AND_DOWN = [(-1, m) for m in range(1, 120)] * 8 + [(1, m) for m in range(1, 120)] * 8
+#: (1 + q)^70, then (1 - q)^70 and (1 + q^(2^i))^70 for i = 1..6: the product
+#: is (1 - q^128)^70, so in ascending order magnitudes pass 2^66 and come back
+#: down to 7 bits
+_UP_AND_DOWN = [(-1, 1)] * 70 + [(1, 1)] * 70 + [(-1, 1 << i) for i in range(1, 7) for _ in range(70)]
 
 
-@given(binomials=_binomials, n_out=st.integers(1, 120))
+@given(binomials=_binomials, n_out=st.integers(1, 240))
 @example(binomials=[(-1, 1)] * 300, n_out=120)  # C(300, 119) ~ 2^290: about ten limbs
 @example(binomials=[(1, 1)] * 300, n_out=120)  # the same magnitudes with alternating signs
-@example(binomials=[(-1, 2)] * 200 + [(1, 3)] * 120 + [(-1, 119)] * 3, n_out=120)
-@example(binomials=_UP_AND_DOWN, n_out=120)  # past 2^62 and back to 13 bits
+@example(binomials=[(-1, 2)] * 200 + [(1, 3)] * 120 + [(-1, 119)] * 3, n_out=240)
+@example(binomials=_UP_AND_DOWN, n_out=240)  # past 2^66 and back to 7 bits
 # in ascending order: a step in place, four swaps, one in place and two
 # swaps, with both signs
 @example(binomials=[(1, 60)] * 2 + [(-1, 1)] * 5 + [(1, 119)], n_out=240)
 # one step in place and 65 swaps, so the product bails to limbs from the
 # second array; then swap and in-place steps on the limbs
 @example(binomials=[(-1, 1)] * 66 + [(1, 90)] * 3 + [(-1, 2)] * 2, n_out=240)
+# the maximum is read after (1 + q)^65 (1 - q^10), at about 1.5 * 2^61, with
+# (1 + q^20) still to run: just below HALF, so the product keeps one limb
+@example(binomials=[(-1, 1)] * 65 + [(1, 10), (-1, 20)], n_out=120)
 @settings(max_examples=100, deadline=None)
 def test_binomial_product_matches_naive_product(binomials, n_out):
-    binomials = [(s, m) for s, m in binomials if m < n_out]
+    # every shift below the degree-1 cut ceil(n_out/2): a group G_k, k >= 2,
+    # collapses only inside a bound that keeps its partial products below
+    # HALF, so one_limb is exactly the peak of the factor-by-factor product
+    binomials = [(s, m) for s, m in binomials if 2 * m < n_out]
     out, one_limb = _kernels.binomial_product(n_out, _binomials_as_factors(binomials, n_out))
     want = naive_product(binomials, n_out - 1)
     assert out == want
     assert all(type(c) is int for c in out)
     # the kernel applies the binomials in ascending order, stable among equal shifts
     peak = _peak_before_a_factor(sorted(binomials, key=itemgetter(1)), n_out - 1)
-    if all(2 * m < n_out for _, m in binomials):
-        assert one_limb == (peak < _kernels.HALF)
-    else:
-        # shifts at or past ceil(n_out/2) may collapse at degree 1 on limb
-        # columns although every partial product stays below HALF; one limb
-        # still means that none reached it
-        assert peak < _kernels.HALF or not one_limb
+    assert one_limb == (peak < _kernels.HALF)
 
 
 def _peak_before_a_factor(binomials, order):
@@ -233,6 +234,15 @@ def _factor_lists(draw):
 # group collapses on the limb columns, and coefficients reach 2^138
 @example((150, [(1, 150, -1)] * 70 + [(2, 150, -1)] * 70 + [(3, 1, 1)]))
 @example((120, [(1, 1, 1), (2, 2, -1), (3, 2, 1), (40, 120, -1)]))  # shared stride 2, a single binomial
+# single binomials at or past the degree-1 cut ceil(n_out/2), as in
+# test_binomial_product_matches_naive_product at n_out 240
+@example((120, _binomials_as_factors([(-1, 2)] * 200 + [(1, 3)] * 120 + [(-1, 119)] * 3, 120)))
+@example((120, _binomials_as_factors(_UP_AND_DOWN, 120)))
+# (1 + q)^a (q^60;q): C(59, 29), 0.78 of the degree-1 bound, meets it and the tail
+# collapses on one limb; C(60, 30) fails it and the tail collapses on limbs,
+# although every factor-by-factor partial product stays below HALF
+@example((120, [(1, 120, -1)] * 59 + [(60, 1, 1)]))
+@example((120, [(1, 120, -1)] * 60 + [(60, 1, 1)]))
 @settings(max_examples=150, deadline=None)
 def test_binomial_product_of_progressions_matches_naive_product(case):
     n_out, factors = case
@@ -240,8 +250,35 @@ def test_binomial_product_of_progressions_matches_naive_product(case):
     binomials = _progression_binomials(factors, n_out)
     assert out == naive_product(binomials, n_out - 1)
     assert all(type(c) is int for c in out)
-    if one_limb:
-        assert _peak_before_a_factor(sorted(binomials, key=itemgetter(1)), n_out - 1) < _kernels.HALF
+    assert one_limb == _keeps_one_limb(factors, n_out)
+
+
+def _keeps_one_limb(factors, n_out):
+    """Whether :func:`_kernels.binomial_product` keeps one int64 limb, by its collapses.
+
+    The binomials run one at a time in ascending order, and one limb is left
+    once a factor meets ``max|c| >= HALF``.  At each cut that
+    :func:`_kernels._degrees` plans, in ascending order, the rest collapse
+    at degree k when ``max|c|`` meets the bound :func:`_most` of the
+    binomials at or past the cut.  A planned degree-1 group that fails its
+    bound collapses on limbs.
+    """
+    binomials = sorted(_progression_binomials(factors, n_out), key=itemgetter(1))
+    degrees = [(cut, k) for cut, k, _, _ in _kernels._degrees(factors, n_out)]
+    c = [1] + [0] * (n_out - 1)
+    done = 0
+    for cut, k in degrees + [(n_out, 0)]:
+        for s, m in binomials[done:]:
+            if m >= cut:
+                break
+            if max(map(abs, c)) >= _kernels.HALF:
+                return False
+            c = c[:m] + [c[j] - s * c[j - m] for j in range(m, n_out)]
+            done += 1
+        group = [(m, n_out, s) for s, m in binomials[done:]]
+        if k and max(map(abs, c)) <= _most(group, k, n_out):
+            return True
+    return not degrees or degrees[-1][1] != 1
 
 
 # ---------------------------------------------------------------------------
