@@ -253,11 +253,13 @@ def _selftest_checks():
         return None
 
     def identity_sweeps():
-        for kind in (verifier.IdentityKind.MAIN, verifier.IdentityKind.QUINT):
+        for kind in verifier.IdentityKind:
             for fp in verifier.iter_applicable_params(kind, 60):
                 cert = verifier.verify(kind, fp, 80)
                 if not cert.match:
                     return f"{kind.value} failed at {fp}"
+                if cert.to_json_dict() != verifier.check(kind, fp, 80).to_json_dict():
+                    return f"{kind.value} proof and truncated check disagree at {fp}"
         return None
 
     def pair_counts():
@@ -279,7 +281,7 @@ def _selftest_checks():
 
     return [
         ("theta sums match product expansions", theta_oracles),
-        ("plain identities hold on the small sweep", identity_sweeps),
+        ("proved identities agree with the truncated check", identity_sweeps),
         ("pair counts equal n", pair_counts),
         ("sign scan is clean on (3,1,1,3)", sign_scan),
         ("remark products telescope to 1", remark_products),

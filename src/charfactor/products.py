@@ -3,14 +3,15 @@
 The numerators expand the signed Pochhammer products of a quadruple
 (a', B, c, n) factor by factor, in one binomial pass each; their sign vector
 flips individual product arguments, which is how the signed variants differ
-from the plain identities.  ``verifier.verify`` keeps this expansion, so a
-certificate's product side never relies on a product identity.
+from the plain identities.  Under a sign vector of Jacobi form each numerator
+is a Jacobi triple or quintuple product, so by those identities it equals a
+short sum of theta records (:func:`triple_side_thetas`,
+:func:`quintuple_side_thetas`); ``verifier.verify`` proves its identities on
+these records and expands a numerator only when the proof fails.
 
-The plain sides, which the scanner streams, are exactly a Jacobi triple
-product and a quintuple product divided by (q^n; q^n).  Each is built in one
-pass from its theta records (:func:`triple_side_thetas`,
-:func:`quintuple_side_thetas`): their O(sqrt(N)) terms, each times the
-partition numbers on stride n, summed on int64 limb columns by
+The plain sides, which the scanner streams, are built in one pass from the
+same records: their O(sqrt(N)) terms, each times the partition numbers on
+stride n, summed on int64 limb columns by
 :func:`~charfactor.series.over_euler_limbs`, the one division by (q^n; q^n).
 """
 
@@ -65,16 +66,27 @@ def quintuple_numerator(ap: int, B: int, c: int, order: int,
     return pochhammer_product(((first, v), (second, SignedMonomial(1, 4 * B * ap))), order)
 
 
-def triple_side_thetas(ap: int, B: int, c: int) -> tuple[Theta, Theta]:
-    """The theta records of the Jacobi triple product (u, u^-1 v, v; v), u = q^{B(a'-c)/2}, v = q^{Ba'}."""
+def triple_side_thetas(ap: int, B: int, c: int,
+                       signs: tuple[int, int, int, int] = TRIPLE_PLAIN) -> tuple[Theta, Theta]:
+    """The theta records of :func:`triple_numerator`, (u, u^-1 v, v; v) with u = s1 q^{B(a'-c)/2}, v = s3 q^{Ba'}."""
+    s1, s2, s3, sb = signs
     if (ap - c) % 2 != 0:
         raise ValueError(f"a' and c must have equal parity for a triple product (a'={ap}, c={c})")
-    return triple_thetas(SignedMonomial(1, B * (ap - c) // 2), SignedMonomial(1, B * ap))
+    if s2 != s1 * s3 or sb != s3:
+        raise ValueError(f"triple signs {signs} are not of Jacobi form")
+    return triple_thetas(SignedMonomial(s1, B * (ap - c) // 2), SignedMonomial(s3, B * ap))
 
 
-def quintuple_side_thetas(ap: int, B: int, c: int) -> tuple[Theta, Theta, Theta, Theta]:
-    """The theta records of the quintuple product (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2), u = q^{Bc}, v = q^{2Ba'}."""
-    return quintuple_thetas(SignedMonomial(1, B * c), SignedMonomial(1, 2 * B * ap))
+def quintuple_side_thetas(ap: int, B: int, c: int, signs: tuple[int, int, int, int, int, int] = QUINTUPLE_PLAIN
+                          ) -> tuple[Theta, Theta, Theta, Theta]:
+    """The theta records of :func:`quintuple_numerator`, (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2).
+
+    Here u = s1 q^{Bc} and v = s3 q^{2Ba'}.
+    """
+    s1, s2, s3, sb, t1, t2 = signs
+    if s2 != s1 * s3 or not sb == t1 == t2 == s3:
+        raise ValueError(f"quintuple signs {signs} are not of Jacobi form")
+    return quintuple_thetas(SignedMonomial(s1, B * c), SignedMonomial(s3, 2 * B * ap))
 
 
 def triple_side(ap: int, B: int, c: int, n: int, order: int) -> ShiftedSeries:

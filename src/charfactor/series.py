@@ -321,6 +321,41 @@ class Theta(NamedTuple):
     chi: int = 1
 
 
+def canonical_key(theta: Theta) -> tuple[tuple[int, int, int, int], int] | None:
+    """``(key, sign)`` with ``theta == sign * Theta(*key[:3], 1, key[3])`` and 0 <= b <= a in key = (a, b, c, chi).
+
+    Shifting k by j maps (b, c) to (b + 2aj, c + aj^2 + bj), times chi**j; reflecting k -> -k and
+    shifting by one maps (b, c) to (2a - b, a - b + c), times chi.  None when b = a and chi = -1:
+    that record is its own negative, so zero.  This is :func:`dissect` on the record's own a.
+    """
+    pieces = dissect(theta, theta.a)
+    return pieces[0] if pieces else None
+
+
+def dissect(theta: Theta, A: int) -> list[tuple[tuple[int, int, int, int], int]] | None:
+    """The :func:`canonical_key` pieces of ``theta`` on the quadratic coefficient A; None unless A = m*m*a.
+
+    k = m*k' + t, t = 0..m-1, gives (A, m(2at + b), at^2 + bt + c, s*chi**t, chi**m) in k',
+    each shifted and reflected as :func:`canonical_key` says, and dropped when it is zero.
+    """
+    a, b, c, s, chi = theta
+    m = math.isqrt(A // a)
+    if m * m * a != A:
+        return None
+    chi_m = chi ** m
+    pieces = []
+    for t in range(m):
+        bt = m * (2 * a * t + b)
+        j = -(bt // (2 * A))
+        bt, ct, st = bt + 2 * A * j, (a * t + b) * t + c + (A * j + bt) * j, -s if j & 1 and chi_m < 0 else s
+        if bt > A:
+            bt, ct, st = 2 * A - bt, A - bt + ct, st * chi_m
+        if bt < A or chi_m > 0:
+            pieces.append(((A, bt, ct, chi_m), st))
+        s *= chi
+    return pieces
+
+
 def bilateral_sum(thetas: Iterable[Theta], order: int,
                   error_label: str = "divergent theta parameters") -> list[int]:
     """Coefficients 0..order of the sum of the ``thetas``.

@@ -12,35 +12,33 @@ recording which one held.
 q**Delta * theta_{r,s}(q) / (q;q)_inf, so at q**n both sides carry the factor
 1/(q^n;q^n), and it cancels: the product side leaves its Pochhammer
 numerator, the character side leaves the sum over pairs of
-sign * q**(E + n*Delta) * theta_{r,s}(q**n): each pair's two bosonic
+sign * q**(E + n*Delta) * theta_{r,s}(q**n), each pair's two bosonic
 :class:`~charfactor.series.Theta` records at q**n, shifted by the integer
-E + n*Delta and signed, all expanded by one :func:`~charfactor.series.bilateral_sum`.
-Because (q^n;q^n) has constant term 1, two series agree up to degree d exactly
-when their numerators do, so the verdict and the first mismatch degree are
-those of the full sides.  The certificate's 16-term prefixes are still
-full-side coefficients, and :func:`build_lhs` and :func:`build_rhs` give the
-full sides: each divides its numerator by (q^n;q^n) in one
-:func:`~charfactor.series.over_euler` call, with no series multiply.
+E + n*Delta and signed.  Because (q^n;q^n) has constant term 1, two series
+agree up to degree d exactly when their numerators do, so the verdict and
+the first mismatch degree are those of the full sides.
 
-The product-side numerator depends only on (kind, a', B, c, order), not on
-p, p', b, b' or n, so many certificates share it.  :func:`verify` expands
-each distinct numerator once per cache generation and keeps it as its
-nonzero terms, one flat tuple ``(e0, c0, e1, c1, ...)``; later certificates
-rebuild their dense numerator from it.  The memo is held beside the cached
-``partition_series(top)`` object the 16-term prefixes divide by
-(:func:`~charfactor.series.beside_partition_series`) and started empty
-whenever that cache hands out a new one, so clearing the three
-``lru_cache``s of :mod:`charfactor.series` clears it too.  Each process of
-the CLI's sweep pool holds its own.
+:func:`verify` proves first.  By the Jacobi triple and quintuple product
+identities, the product-side numerator is a short list of theta records too
+(:func:`~charfactor.products.triple_side_thetas`,
+:func:`~charfactor.products.quintuple_side_thetas`).  :func:`prove` splits
+the records of both sides onto one quadratic coefficient
+(:func:`~charfactor.series.dissect`); when the canonical pieces cancel, the
+numerators agree at every order, so the certificate's match holds at every
+order, and nothing is expanded to the truncation.  Only when no sign reading
+is proved does :func:`check` expand both numerators to the order and find
+the first mismatch.  :func:`build_lhs` and :func:`build_rhs` give the full
+sides, each divided by (q^n;q^n) in one
+:func:`~charfactor.series.over_euler` call, with no series multiply.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
 from typing import Iterator
 
 from . import products, series
@@ -48,7 +46,8 @@ from .minimal_model import CharacterLabel, MinimalModel, bosonic_thetas
 from .minimal_model import normalized_character  # noqa: F401  (perfbench/tracing.py patches this name)
 from .pairs import ContributingPair, contributing_pairs
 from .params import FactorizationParams, ParameterError, Scheme, divisors
-from .series import SeriesError, ShiftedSeries, SignedMonomial, Theta, over_euler
+from .series import DIVERGENT_QUINTUPLE, NEEDS_CONSTANT_SLOT, SeriesError, ShiftedSeries, SignedMonomial, Theta
+from .series import over_euler
 
 AS_STATED = "as_stated"
 SWAPPED = "swapped"
@@ -142,41 +141,11 @@ def _lhs_numerator(kind: IdentityKind, fp: FactorizationParams, order: int) -> S
     return products.quintuple_numerator(fp.a_prime, fp.B, fp.c, order, _QUINTUPLE_SIGNS[kind])
 
 
-#: prefix top -> (the partition_series(top) object its memo was started beside,
-#: the memo (kind, a', B, c, order) -> nonzero numerator terms)
-_NUMERATORS: dict[int, tuple[ShiftedSeries, dict]] = {}
-
-
-def _numerator_memo(top: int) -> dict:
-    """The numerator memo of the current cache generation for the certificates whose prefixes end at ``top``."""
-    return series.beside_partition_series(_NUMERATORS, top, lambda p: {})
-
-
-def _term_pairs(terms: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """The ``(e, c)`` pairs of a flat ``(e0, c0, e1, c1, ...)`` tuple."""
-    it = iter(terms)
-    return zip(it, it)
-
-
-def _numerator(kind: IdentityKind, fp: FactorizationParams, order: int) -> tuple[list[int], tuple[int, ...]]:
-    """Dense coefficients 0..order of the product-side numerator, and its nonzero terms as a flat tuple.
-
-    A miss expands the numerator and keeps the expanded list, which the
-    expansion built fresh with exactly order + 1 coefficients; a hit
-    rebuilds a fresh dense list from the memoised terms.
-    """
-    memo = _numerator_memo(min(PREFIX_LEN - 1, order))
-    key = (kind, fp.a_prime, fp.B, fp.c, order)
-    terms = memo.get(key)
-    if terms is None:
-        lhs = _lhs_numerator(kind, fp, order).coeffs
-        exps = list(compress(range(order + 1), lhs))
-        terms = memo[key] = tuple(chain.from_iterable(zip(exps, map(lhs.__getitem__, exps))))
-        return lhs, terms
-    lhs = [0] * (order + 1)
-    for e, c in _term_pairs(terms):
-        lhs[e] = c
-    return lhs, terms
+def _product_thetas(kind: IdentityKind, fp: FactorizationParams) -> tuple[Theta, ...]:
+    """The theta records of :func:`_lhs_numerator`, by the Jacobi triple or quintuple product identity."""
+    if kind.scheme is Scheme.TRIPLE:
+        return products.triple_side_thetas(fp.a_prime, fp.B, fp.c, _TRIPLE_SIGNS[kind])
+    return products.quintuple_side_thetas(fp.a_prime, fp.B, fp.c, _QUINTUPLE_SIGNS[kind])
 
 
 def build_lhs(kind: IdentityKind, fp: FactorizationParams, order: int) -> ShiftedSeries:
@@ -319,7 +288,7 @@ class IdentityCertificate:
         }
 
 
-# not on verify's path, which keeps the expanded numerator list; perfbench/tracing.py patches this name
+# not on verify's path; perfbench/tracing.py patches this name
 def integer_coefficients(series: ShiftedSeries, order: int) -> list[int]:
     """Dense integer-grid coefficients 0..order of an offset-0 series."""
     if series.offset != 0:
@@ -338,40 +307,82 @@ def first_mismatch_degree(lhs: list[int], rhs: list[int]) -> int | None:
     return None
 
 
-def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCertificate:
-    """Compare both numerators exactly to ``order``; failure is a certificate, not an error.
+def prove(kind: IdentityKind, fp: FactorizationParams, pairs: list[ContributingPair],
+          thetas: list[list[Theta]], variant: str) -> bool:
+    """Whether both numerators agree at every order under the sign reading ``variant``.
+
+    ``thetas`` are the pairs' :func:`_character_thetas`.  Every record is
+    dissected onto A = n*pp', or 4n*pp' for the quintuple scheme at odd n;
+    a record that does not divide A into a square leaves the identity unproved.
+    """
+    A = fp.n * fp.p * fp.p_prime * (4 if kind.scheme is Scheme.QUINTUPLE and fp.n % 2 else 1)
+    sides = [(1, _product_thetas(kind, fp))]
+    sides += [(-pair_sign(kind, pair, variant), ts) for pair, ts in zip(pairs, thetas)]
+    counts = defaultdict(int)
+    for sign, records in sides:
+        for record in records:
+            pieces = series.dissect(record, A)
+            if pieces is None:
+                return False
+            for key, s in pieces:
+                counts[key] += sign * s
+    return not any(counts.values())
+
+
+def _sides(kind: IdentityKind, fp: FactorizationParams,
+           order: int) -> tuple[list[ContributingPair], list[list[Theta]]]:
+    """The contributing pairs and their :func:`_character_thetas`, after the order and applicability checks."""
+    if order < 0:
+        raise SeriesError(NEEDS_CONSTANT_SLOT)
+    _require_applicable(kind, fp)
+    pairs = contributing_pairs(fp)
+    return pairs, _character_thetas(fp, pairs)
+
+
+def _certificate(kind: IdentityKind, fp: FactorizationParams, order: int, pairs: list[ContributingPair],
+                 variant: str, mismatch: int | None, lhs: list[int], rhs: list[int]) -> IdentityCertificate:
+    """The certificate, its prefixes divided from the first terms of the numerators ``lhs`` and ``rhs``."""
+    top = min(PREFIX_LEN - 1, order)
+    lhs_prefix = over_euler(enumerate(lhs[:top + 1]), fp.n, top)
+    rhs_prefix = list(lhs_prefix) if mismatch is None else over_euler(enumerate(rhs[:top + 1]), fp.n, top)
+    return IdentityCertificate(kind, fp, order, pairs, mismatch is None, variant if mismatch is None else FAILED,
+                               mismatch, lhs_prefix, rhs_prefix)
+
+
+def check(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCertificate:
+    """The truncated check alone: both numerators expanded to ``order`` and compared.
 
     For the signed kinds the stated rule is tried first and the swapped rule
     second; a failed certificate reports the mismatch against the stated rule.
-    The product-side numerator comes from the memo of the current cache
-    generation when an earlier certificate expanded it (see the module docstring).
     """
-    _require_applicable(kind, fp)
-    pairs = contributing_pairs(fp)
-    lhs, terms = _numerator(kind, fp, order)
-    thetas = _character_thetas(fp, pairs)
+    pairs, thetas = _sides(kind, fp, order)
+    lhs = _lhs_numerator(kind, fp, order).coeffs
     rhs = _signed_sum(kind, pairs, thetas, AS_STATED, order)
-    variant = AS_STATED
-    mismatch = first_mismatch_degree(lhs, rhs)
+    variant, mismatch = AS_STATED, first_mismatch_degree(lhs, rhs)
     if mismatch is not None and kind.has_variants:
-        swapped_rhs = _signed_sum(kind, pairs, thetas, SWAPPED, order)
-        if first_mismatch_degree(lhs, swapped_rhs) is None:
-            variant = SWAPPED
-            mismatch = None
-    match = mismatch is None
-    top = min(PREFIX_LEN - 1, order)
-    lhs_prefix = over_euler(_term_pairs(terms), fp.n, top)
-    return IdentityCertificate(
-        kind=kind,
-        params=fp,
-        order=order,
-        pairs=pairs,
-        match=match,
-        sign_variant=variant if match else FAILED,
-        first_mismatch=mismatch,
-        lhs_prefix=lhs_prefix,
-        rhs_prefix=list(lhs_prefix) if match else over_euler(enumerate(rhs), fp.n, top),
-    )
+        if first_mismatch_degree(lhs, _signed_sum(kind, pairs, thetas, SWAPPED, order)) is None:
+            variant, mismatch = SWAPPED, None
+    return _certificate(kind, fp, order, pairs, variant, mismatch, lhs, rhs)
+
+
+def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCertificate:
+    """Certify the identity to ``order``: by :func:`prove` when it can, else by :func:`check`.
+
+    The stated rule is tried first.  A proved certificate expands nothing to
+    ``order``; one proved only under the swapped rule still says
+    ``as_stated`` when both character sums agree to ``order``, as
+    :func:`check` would.  Failure is a certificate, not an error.
+    """
+    pairs, thetas = _sides(kind, fp, order)
+    variants = (AS_STATED, SWAPPED) if kind.has_variants else (AS_STATED,)
+    variant = next((v for v in variants if prove(kind, fp, pairs, thetas, v)), None)
+    if variant is None:
+        return check(kind, fp, order)
+    if variant == SWAPPED and (_signed_sum(kind, pairs, thetas, AS_STATED, order)
+                               == _signed_sum(kind, pairs, thetas, SWAPPED, order)):
+        variant = AS_STATED
+    lhs = series.bilateral_sum(_product_thetas(kind, fp), min(PREFIX_LEN - 1, order), DIVERGENT_QUINTUPLE)
+    return _certificate(kind, fp, order, pairs, variant, None, lhs, lhs)
 
 
 def verify_remark_products(a_prime: int, c: int, order: int) -> bool:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,6 +14,8 @@ from charfactor.series import (
     SignedMonomial,
     Theta,
     bilateral_sum,
+    canonical_key,
+    dissect,
     euler_product,
     inverse_euler_power,
     over_euler,
@@ -23,6 +26,7 @@ from charfactor.series import (
     quadratic_window,
     quintuple_product,
     triple_product,
+    triple_thetas,
 )
 
 from oracles import (
@@ -481,6 +485,88 @@ def test_bilateral_sum_matches_brute_theta(records, order):
             bilateral_sum(records, order)
     else:
         assert bilateral_sum(records, order) == want
+
+
+# ---------------------------------------------------------------------------
+# theta dissection
+# ---------------------------------------------------------------------------
+
+def _dissected_counts(records, A):
+    """The nonzero signed count per canonical key of the records' pieces on A; None when one does not dissect."""
+    counts = Counter()
+    for record in records:
+        pieces = dissect(record, A)
+        if pieces is None:
+            return None
+        for key, sign in pieces:
+            counts[key] += sign
+    return {key: count for key, count in counts.items() if count}
+
+
+@given(record=theta_records(), m=st.integers(1, 4), order=st.integers(0, 120))
+@example(record=Theta(1, 0, 0, 1, -1), m=2, order=40)
+@example(record=Theta(3, 5, 2, -1, -1), m=3, order=80)
+@settings(max_examples=200, deadline=None)
+def test_dissected_pieces_sum_to_the_record(record, m, order):
+    want = brute_theta([record], order)
+    A = record.a * m * m
+    pieces = dissect(record, A)
+    assert len(pieces) <= m
+    for (a, b, c, chi), sign in pieces:
+        assert a == A and 0 <= b <= A and not (b == A and chi < 0) and sign in (record.s, -record.s)
+    if want is not None:
+        assert brute_theta([(a, b, c, sign, chi) for (a, b, c, chi), sign in pieces], order) == want
+
+
+def test_canonical_key_shifts_reflects_and_drops_zero_records():
+    assert canonical_key(Theta(2, 5, 3, -1, -1)) == ((2, 1, 0, -1), 1)  # k -> k - 1
+    assert canonical_key(Theta(3, 5, 2, 1, -1)) == ((3, 1, 0, -1), -1)  # reflected, times chi
+    assert canonical_key(Theta(1, 1, 0, 1, -1)) is None  # sum (-1)^k q^(k^2 + k) = 0
+    assert canonical_key(Theta(1, 1, 0, 1, 1)) == ((1, 1, 0, 1), 1)
+
+
+_EQUAL_RECORDS = {
+    "reflected": ([Theta(3, 5, 2)], [Theta(3, -5, 2)], 3),
+    "reflected_alternating": ([Theta(3, 5, 2, 1, -1)], [Theta(3, -5, 2, 1, -1)], 3),
+    "shifted_alternating": ([Theta(2, 1, 0, 1, -1)], [Theta(2, 5, 3, -1, -1)], 2),
+    "vanishing": ([Theta(1, 1, 0, 1, -1), Theta(1, 0, 2)], [Theta(1, 0, 2)], 1),
+    "split_then_reflected": ([Theta(1, 1, 0)], [Theta(4, 2, 0, 2)], 4),
+    "split_in_two": ([Theta(1, 0, 0)], [Theta(4, 0, 0), Theta(4, 4, 1)], 4),
+    "split_in_two_alternating": ([Theta(1, 0, 0, 1, -1)], [Theta(4, 0, 0), Theta(4, 4, 1, -1)], 4),
+    "split_in_three_alternating": ([Theta(1, 0, 0, 1, -1)],
+                                   [Theta(9, 0, 0, 1, -1), Theta(9, 6, 1, -1, -1), Theta(9, 12, 4, 1, -1)], 9),
+    # (q; q) as the triple product of u = q and of its reflection u = q^2, both with v = q^3
+    "pentagonal": (list(triple_thetas(Q(1, 1), Q(1, 3))), list(triple_thetas(Q(1, 2), Q(1, 3))), 24),
+}
+
+_DIFFERENT_RECORDS = {
+    "alternating": ([Theta(1, 0, 0)], [Theta(1, 0, 0, 1, -1)], 4),
+    "linear_term": ([Theta(3, 1, 0)], [Theta(3, 2, 0)], 3),
+    "nonvanishing_edge": ([Theta(1, 1, 0)], [], 1),
+    "split_alternation": ([Theta(1, 0, 0, 1, -1)], [Theta(4, 0, 0, 1, -1), Theta(4, 4, 1, -1, -1)], 4),
+    "split_sign": ([Theta(1, 1, 0)], [Theta(4, 2, 0), Theta(4, 6, 2, -1)], 4),
+}
+
+
+@pytest.mark.parametrize("case", _EQUAL_RECORDS)
+def test_equal_records_dissect_to_equal_counts(case):
+    lhs, rhs, A = _EQUAL_RECORDS[case]
+    assert brute_theta(lhs, 200) == brute_theta(rhs, 200)
+    assert _dissected_counts(lhs, A) is not None
+    assert _dissected_counts(lhs, A) == _dissected_counts(rhs, A)
+
+
+@pytest.mark.parametrize("case", _DIFFERENT_RECORDS)
+def test_different_records_dissect_to_different_counts(case):
+    lhs, rhs, A = _DIFFERENT_RECORDS[case]
+    assert brute_theta(lhs, 200) != brute_theta(rhs, 200)
+    assert _dissected_counts(lhs, A) != _dissected_counts(rhs, A)
+
+
+def test_dissect_needs_a_square_ratio():
+    assert dissect(Theta(2, 0, 0), 6) is None
+    assert dissect(Theta(3, 1, 0), 2) is None
+    assert dissect(Theta(2, 1, 0, 1, -1), 18) is not None
 
 
 def test_triple_product_pentagonal():

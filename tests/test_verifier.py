@@ -1,9 +1,9 @@
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import charfactor.verifier as vf
@@ -155,6 +155,13 @@ def test_verify_rejects_negative_order(kind, fp):
         verify(kind, fp, -1)
 
 
+def test_negative_order_is_checked_before_applicability():
+    assert applicability_error(IdentityKind.MAIN_A_EVEN, triple(2, 9, 3)) is not None
+    for certify in (verify, vf.check):
+        with pytest.raises(SeriesError, match="order >= 0"):
+            certify(IdentityKind.MAIN_A_EVEN, triple(2, 9, 3), -1)
+
+
 def test_quint_even_kinds_need_n_parity():
     # printed hypotheses hold but n = 1; both sign readings fail empirically,
     # so the verifier refuses the kind for these tuples
@@ -277,19 +284,64 @@ def test_build_rhs_is_the_shifted_character_sum():
             assert build_rhs(kind, fp, order).coeffs == want, (kind, fp)
 
 
-def test_certificates_expand_the_product_factor_by_factor(monkeypatch):
-    # the scanner's theta-series sides would make a certificate rest on the
-    # triple and quintuple product identities it is meant to exercise
-    def refuse(*args):
-        raise AssertionError("theta series on the certificate path")
-
-    _clear_caches()  # a cold numerator memo, so every certificate below expands its numerator
-    monkeypatch.setattr(products, "triple_thetas", refuse)
-    monkeypatch.setattr(products, "quintuple_thetas", refuse)
+def test_product_records_expand_to_the_numerators():
+    # the link the proof assumes: each kind's theta records, by the Jacobi triple or
+    # quintuple product identity, expand to exactly its Pochhammer numerator
+    order = 300
+    seen = set()
     for kind in IdentityKind:
         for fp in iter_applicable_params(kind, 40):
-            assert verify(kind, fp, 60).match
-            build_lhs(kind, fp, 20)
+            if (kind, fp.a_prime, fp.B, fp.c) in seen:
+                continue  # the numerator depends on nothing else
+            seen.add((kind, fp.a_prime, fp.B, fp.c))
+            want = vf._lhs_numerator(kind, fp, order).coeffs
+            assert series.bilateral_sum(vf._product_thetas(kind, fp), order) == want, (kind, fp)
+    assert {kind for kind, *_ in seen} == set(IdentityKind)
+
+
+def test_product_records_need_signs_of_jacobi_form():
+    with pytest.raises(ValueError, match="Jacobi form"):
+        products.triple_side_thetas(3, 1, 1, (1, 1, -1, -1))
+    with pytest.raises(ValueError, match="Jacobi form"):
+        products.triple_side_thetas(3, 1, 1, (1, -1, -1, 1))
+    for signs in ((1, 1, -1, -1, -1, -1), (1, 1, 1, 1, -1, 1), (1, 1, 1, 1, 1, -1), (1, 1, 1, -1, 1, 1)):
+        with pytest.raises(ValueError, match="Jacobi form"):
+            products.quintuple_side_thetas(4, 1, 1, signs)
+
+
+@pytest.mark.parametrize("max_pp, order", [(60, 10**4), (100, 200)])
+def test_proved_certificates_expand_no_numerator(monkeypatch, max_pp, order):
+    # every instance of the verify sweep (pp' <= 100 at N = 200), and every instance
+    # with pp' <= 60 at N = 10^4, is proved under the variant verify reports, so none
+    # falls back to the order-N expansion
+    def refuse(*args):
+        raise AssertionError("a numerator expanded on a proved certificate")
+
+    monkeypatch.setattr(products, "triple_numerator", refuse)
+    monkeypatch.setattr(products, "quintuple_numerator", refuse)
+    for kind in IdentityKind:
+        for fp in iter_applicable_params(kind, max_pp):
+            cert = verify(kind, fp, order)
+            assert cert.match and cert.first_mismatch is None, (kind, fp)
+            pairs = contributing_pairs(fp)
+            assert vf.prove(kind, fp, pairs, vf._character_thetas(fp, pairs), cert.sign_variant), (kind, fp)
+
+
+def test_records_off_the_common_square_leave_the_identity_unproved(monkeypatch):
+    # doubling one product record's quadratic coefficient takes it off A's square
+    # multiples: the proof must fail rather than prove, and verify falls back
+    real = vf._product_thetas
+
+    def off_square(kind, fp):
+        first, *rest = real(kind, fp)
+        return (first._replace(a=2 * first.a), *rest)
+
+    monkeypatch.setattr(vf, "_product_thetas", off_square)
+    for kind, fp in ((IdentityKind.MAIN, triple(2, 9, 3)), (IdentityKind.QUINT, quintuple(9, 2, 2))):
+        pairs = contributing_pairs(fp)
+        assert not vf.prove(kind, fp, pairs, vf._character_thetas(fp, pairs), AS_STATED)
+        assert verify(kind, fp, 60).to_json_dict() == vf.check(kind, fp, 60).to_json_dict()
+        assert verify(kind, fp, 60).match
 
 
 def test_certificate_numerators_take_one_binomial_pass(monkeypatch):
@@ -383,65 +435,10 @@ def test_no_package_path_multiplies_two_series(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the numerator memo
+# proof-first certificates against the truncated check
 # ---------------------------------------------------------------------------
 
-def _memo_snapshot():
-    return {top: dict(memo) for top, (_, memo) in vf._NUMERATORS.items()}
-
-
-def test_shared_numerators_expand_once_per_cache_generation(monkeypatch):
-    # (2,9) and (4,9) with a' = 3, b = b' = 1 both have B = 1 and c = 1: one numerator
-    first, second = triple(2, 9, 3), triple(4, 9, 3)
-    assert (first.a_prime, first.B, first.c) == (second.a_prime, second.B, second.c)
-    assert (first.p, first.n) != (second.p, second.n)
-    calls = Counter()
-    real = _kernels.binomial_product
-
-    def counted(*args):
-        calls["binomial_product"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "binomial_product", counted)
-    order = 80
-
-    def warm_partitions():
-        # the partition numbers are one more binomial pass each; count only numerators
-        series.partition_series(PREFIX_LEN - 1)
-        series.partition_series(order)
-        calls.clear()
-
-    _clear_caches()
-    warm_partitions()
-    want = verify(IdentityKind.MAIN, second, order).to_json_dict()
-    assert calls["binomial_product"] == 1
-    _clear_caches()
-    warm_partitions()
-    assert verify(IdentityKind.MAIN, first, order).match
-    assert verify(IdentityKind.MAIN, second, order).to_json_dict() == want
-    assert calls["binomial_product"] == 1
-    assert len(vf._numerator_memo(PREFIX_LEN - 1)) == 1
-
-    _clear_caches()
-    assert vf._numerator_memo(PREFIX_LEN - 1) == {}  # the cleared caches start a cold memo
-    warm_partitions()
-    assert verify(IdentityKind.MAIN, second, order).to_json_dict() == want
-    assert calls["binomial_product"] == 1
-
-
-@pytest.mark.parametrize("kind,fp", [
-    (IdentityKind.MAIN, triple(2, 9, 3)),
-    (IdentityKind.QUINT, quintuple(9, 2, 2)),
-])
-def test_negative_order_adds_no_memo_entry(kind, fp):
-    verify(kind, fp, 20)
-    before = _memo_snapshot()
-    with pytest.raises(SeriesError, match="order >= 0"):
-        verify(kind, fp, -1)
-    assert _memo_snapshot() == before
-
-
-def test_memo_values_are_immutable_and_prefixes_fresh(monkeypatch):
+def test_certificate_prefixes_are_fresh(monkeypatch):
     # mutating one certificate's prefixes must not reach the next certificate of the same instance
     fp = triple(2, 9, 3)
     for rule in ("pair_sign", "constant"):
@@ -456,44 +453,30 @@ def test_memo_values_are_immutable_and_prefixes_fresh(monkeypatch):
         again = verify(IdentityKind.MAIN, fp, 40)
         assert again.to_json_dict() == want
         assert again.lhs_prefix is not cert.lhs_prefix and again.rhs_prefix is not cert.rhs_prefix
-    for _, memo in vf._NUMERATORS.values():
-        for terms in memo.values():
-            assert type(terms) is tuple and all(type(x) is int for x in terms)
 
 
-def _memo_groups():
-    """Every applicable (kind, fp) with pp' <= 60, grouped by (scheme, a', B).
-
-    One drawn group's certificates share numerators across kinds, c and orders.
-    """
-    groups = defaultdict(list)
-    for kind in IdentityKind:
-        for fp in iter_applicable_params(kind, 60):
-            groups[kind.scheme, fp.a_prime, fp.B].append((kind, fp))
-    return list(groups.values())
+_INSTANCES = [(kind, fp) for kind in IdentityKind for fp in iter_applicable_params(kind, 100)]
 
 
-_MEMO_GROUPS = _memo_groups()
-
-
-@st.composite
-def _verify_sequences(draw):
-    group = draw(st.sampled_from(_MEMO_GROUPS))
-    return draw(st.lists(st.tuples(st.sampled_from(group), st.sampled_from((0, 7, 15, 16, 40))),
-                         min_size=2, max_size=10))
-
-
-@pytest.mark.parametrize("rule", ["pair_sign", "constant"])
-@settings(max_examples=80, deadline=None)
-@given(calls=_verify_sequences())
-def test_memoised_certificates_equal_cold_certificates(rule, calls):
-    # the memo key must hold everything the numerator depends on
+@pytest.mark.parametrize("rule", SIGN_RULES)
+@settings(max_examples=150, deadline=None)
+@given(instance=st.sampled_from(_INSTANCES), order=st.integers(0, 200))
+# proved only under the swapped rule, but both character sums agree up to q^15
+@example(instance=(IdentityKind.MAIN_A_EVEN, triple(4, 19, 19, c=15)), order=15)
+def test_proof_first_certificates_equal_truncated_certificates(rule, instance, order):
+    kind, fp = instance
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vf, "pair_sign", SIGN_RULES[rule])
-        cold = []
-        for (kind, fp), order in calls:
-            _clear_caches()
-            cold.append(verify(kind, fp, order).to_json_dict())
-        _clear_caches()
-        for ((kind, fp), order), want in zip(calls, cold):
-            assert verify(kind, fp, order).to_json_dict() == want, (kind, fp, order)
+        got = verify(kind, fp, order).to_json_dict()
+        assert got == _full_side_certificate(kind, fp, order).to_json_dict()
+        assert got == vf.check(kind, fp, order).to_json_dict()
+
+
+def test_main_a_4_19_says_as_stated_below_the_swapped_difference():
+    kind, fp = IdentityKind.MAIN_A_EVEN, triple(4, 19, 19, c=15)
+    pairs = contributing_pairs(fp)
+    thetas = vf._character_thetas(fp, pairs)
+    assert not vf.prove(kind, fp, pairs, thetas, AS_STATED)
+    assert vf.prove(kind, fp, pairs, thetas, SWAPPED)
+    assert verify(kind, fp, 15).sign_variant == AS_STATED
+    assert verify(kind, fp, 200).sign_variant == SWAPPED
