@@ -345,8 +345,9 @@ def test_records_off_the_common_square_leave_the_identity_unproved(monkeypatch):
 
 
 def test_certificate_numerators_take_one_binomial_pass(monkeypatch):
-    # both Pochhammer symbols of a quintuple numerator go through one binomial_product
-    # call; a factor (1 - q^0) skips the expansion and (1 + q^0) doubles it
+    # a proved certificate expands no numerator; the truncated check sends both Pochhammer
+    # symbols of a quintuple numerator through one binomial_product call, a factor
+    # (1 - q^0) skips the expansion and (1 + q^0) doubles it
     calls = Counter()
 
     def spy(name):
@@ -364,7 +365,8 @@ def test_certificate_numerators_take_one_binomial_pass(monkeypatch):
     for kind in IdentityKind:
         for fp in iter_applicable_params(kind, 40):
             calls.clear()
-            cert = verify(kind, fp, 60)
+            assert verify(kind, fp, 60).match and calls["binomial_product"] == 0, (kind, fp)  # proved: no expansion
+            cert = vf.check(kind, fp, 60)
             assert calls["binomial_product"] <= 1 and calls["convolve"] == 0, (kind, fp)
             if kind.scheme is not Scheme.QUINTUPLE or fp.c != 0:
                 continue
