@@ -19,18 +19,11 @@ columns with a signed top limb (:func:`_carry`), from which
   factors.  Each factor is a triple ``(m0, d, s)`` with ``1 <= m0 <
   n_out``, ``d >= 1`` and ``s = +-1``: the binomials ``(1 - s q^(m0 + t
   d))`` for every t >= 0, truncated at n_out.  A single binomial ``(1 - s
-  q^m)`` is ``(m, n_out, s)``.  Binomials below a cut run one ufunc pass
-  over the coefficients each, on one int64 limb while every coefficient
-  stays below 2**62; past that they continue on the limb columns.  A
-  binomial whose read and write windows overlap writes into a second array
-  and the two swap, so no window is copied before it is read.  Every
-  binomial with ``(k+1) m >= n_out`` applies at once: any k+1 of them
-  multiply past the truncation, so their product is ``sum_{j<=k} (-1)^j
-  e_j``, built by Newton's identities from power sums that are windows of
-  strided prefix sums.  That runs modulo 2**64, losing ``v2(k!)`` bits to
-  the divisions by j, and only where a bound on the result leaves room; k
-  is the largest degree that saves ufunc passes over expanding those
-  binomials one by one, and degree 1 on the limb columns.
+  q^m)`` is ``(m, n_out, s)``.  The binomials run in ascending order of
+  shift, one ufunc pass over the coefficients each, on one int64 limb while
+  every coefficient stays below 2**62; past that they continue on the limb
+  columns.  A binomial whose read and write windows overlap writes into a
+  second array and the two swap, so no window is copied before it is read.
 """
 
 from __future__ import annotations
@@ -254,215 +247,42 @@ def binomial_product(n_out, factors):
     """Coefficients 0..n_out-1 of the product of the Pochhammer ``factors``, exact.
 
     Returns ``(coeffs, one_limb)``: a list of Python ints, and whether every
-    partial product fit one int64 limb.  Progressions that share a step
-    should be adjacent, as :func:`charfactor.series.pochhammer_product`
-    lists them, else :func:`_collapse` sums their stride again.
-
-    The head runs the factors below a cut one at a time, in ascending order,
-    one ufunc pass over a 1-D int64 array each (:func:`_apply`).  A factor
-    at most doubles max|c|, so a maximum of b bits lets the next ``63 - b``
-    factors run with every coefficient below HALF before each; then the
-    true maximum is read again.  The factors at or past the cut
-    ``ceil(n_out / (k+1))`` form the group G_k, which :func:`_collapse`
-    applies at once at degree k.  :func:`_degrees` lists the candidate
-    degrees, each cheaper in ufunc passes than the one before; with none,
-    every factor runs in the head.  At each candidate cut, largest k first,
-    the head collapses when max|c| (its doubling bound, else the true
-    maximum, read as max and -min) meets ``max|c| S_k < 2**(62 -
-    v2(k!))``.  Once max|c| reaches HALF the head runs on several limbs
-    (:func:`_limb_product`) to the degree-1 cut, and G_1 collapses there on
-    the limb columns; so does a G_1 that fails its bound.
+    partial product fit one int64 limb.  Every factor runs in ascending order
+    of shift (:func:`_head`), one ufunc pass over a 1-D int64 array each
+    (:func:`_apply`).  A factor at most doubles max|c|, so a maximum of b
+    bits lets the next ``63 - b`` factors run with every coefficient below
+    HALF before each; then, while factors remain, the true maximum is read
+    again.  Once it reaches HALF the rest run on limbs (:func:`_limb_product`).
     """
-    plan = _degrees(factors, n_out)
-    rest = plan[-1][2] if plan and plan[-1][1] == 1 else ()  # the degree-1 group, else none
-    ms, ss = _head(factors, plan[-1][0] if rest else n_out)
+    ms, ss = _head(factors, n_out)
     c = np.zeros(n_out, np.int64)
     c[0] = 1
     spare, same, w, done, peak = None, 0, 1, 0, 1
-    for cut, k, group, most in plan + [(n_out, 0, rest, -1)]:
-        stop = bisect_left(ms, cut)
-        while done < stop:
-            start, done = done, min(done + HALF.bit_length() - peak.bit_length(), stop)
-            c, spare, same, w = _apply(c, spare, same, w, ms[start:done], ss[start:done])
-            peak <<= done - start  # a factor at most doubles max|c|
-            if done < stop or peak > most >= 0:
-                peak = max(int(c[:w].max()), -int(c[:w].min()))
-                if peak >= HALF:
-                    return _limb_product(c[:, None], ms[done:], ss[done:], w, rest), False
-        if peak <= most:
-            spare = None
-            return _collapse(c, group, k).tolist(), True
-    if rest:
-        return _limb_product(c[:, None], [], [], w, rest), False
+    while done < len(ms):
+        start, done = done, min(done + HALF.bit_length() - peak.bit_length(), len(ms))
+        c, spare, same, w = _apply(c, spare, same, w, ms[start:done], ss[start:done])
+        if done < len(ms):
+            peak = max(int(c[:w].max()), -int(c[:w].min()))
+            if peak >= HALF:
+                return _limb_product(c[:, None], ms[done:], ss[done:], w), False
     return c.tolist(), True
 
 
-def _degrees(factors, n_out):
-    """Candidate collapses ``(cut, k, group, most)`` of the progressions ``factors``, in ascending cut order.
-
-    The group G_k holds every factor with ``(k+1) m >= n_out``, as
-    progressions; ``most`` is the largest max|c| with ``max|c| S_k <
-    2**(62 - v2(k!))``, the bound of :func:`_collapse` with ``S_k =
-    sum_{j<=k} C(T_j, j)``.  Degree k replaces the head factors of G_k, one
-    ufunc pass each, by the passes of its rounds: round (j, i), for ``1 <=
-    i <= j <= k``, applies P_i, one prefix sum per stride and one window per
-    progression while ``i m0 < n_out``, so what lives for ``i <= r`` runs in
-    ``sum_{i<=r} (k - i + 1) = r (2k + 1 - r) / 2`` rounds (r at most k);
-    past degree 1 each j also allocates z_j, divides by j and adds z_j into
-    R, and R is sign extended in two passes.
-
-    A degree is a candidate when it saves more passes than the last
-    candidate saved (degree 0, every factor in the head, saves none), and
-    when its bound could hold.  So each candidate costs fewer passes than
-    the one before, and a group too small to pay runs factor by factor.
-    A degree whose group gains no factor is skipped.  The search stops at
-    the first degree that saves no more; once the bound fails at ``max|c| =
-    1``, as S_k grows with k; once the group holds every factor; and before
-    degree k+1 when it cannot save more: it gains at most ``ceil((cut_k -
-    cut_{k+1}) / d)`` factors of each progression, and adds at least 3
-    passes for its j (8 after degree 1), the round-1 passes of degree k, one
-    stride and one window per progression that gains.
-    """
-    top = n_out - 1
-    lowest = min((m0 for m0, _, _ in factors), default=n_out)
-    plan, saved, size, k = [], 0, 0, 1
-    while True:
-        cut, twice = -(-n_out // (k + 1)), 2 * k + 1
-        gap = cut + n_out // -(k + 2) - 1  # ceil((cut - cut') / d) - 1 = gap // d, with cut' the next cut
-        group, grown, spread, least = [], 0, 0, {}
-        passes = 3 * k + 2 if k > 1 else 0
-        for m0, d, s in factors:
-            spread += gap // d
-            if m0 < cut:
-                m0 += (cut - m0 + d - 1) // d * d
-                if m0 > top:
-                    continue
-            group.append((m0, d, s))
-            grown += (top - m0) // d + 1
-            r = top // m0  # P_i reaches below n_out for i <= r
-            r = r if r < k else k
-            passes += (r * (twice - r)) >> 1
-            if least.get(d, n_out) > m0:
-                least[d] = m0
-        if grown > size:
-            for m0 in least.values():
-                r = top // m0
-                r = r if r < k else k
-                passes += (r * (twice - r)) >> 1
-            if passes - grown >= saved:
-                break
-            m_min = min(least.values())
-            bound = 1 + grown  # T_1: every group factor
-            for j in range(2, k + 1):
-                reach = top - (j - 1) * m_min
-                bound += math.comb(sum((reach - m0) // d + 1 for m0, d, _ in group if m0 <= reach), j)
-            most = ((1 << (62 - k + k.bit_count())) - 1) // bound  # v2(k!) = k - popcount(k)
-            if not most:
-                break
-            plan.append((cut, k, group, most))
-            saved, size = passes - grown, grown
-            if spread <= len(group) + len(least) + 4 + 5 * (k == 1):
-                break  # degree k+1 cannot save more
-        if cut <= lowest:
-            break
-        k += 1
-    return plan[::-1]
-
-
-def _head(factors, cut):
-    """(shifts, signs): the shifts of the ``factors`` below ``cut``, as lists stable-sorted by shift."""
+def _head(factors, n_out):
+    """(shifts, signs): the shifts of the ``factors`` below ``n_out``, as lists stable-sorted by shift."""
     shifts = []
     for m0, d, s in factors:
         if s < 0:
             break
-        shifts += range(m0, cut, d)
+        shifts += range(m0, n_out, d)
     else:
         shifts.sort()
         return shifts, [1] * len(shifts)
     pairs = []
     for m0, d, s in factors:
-        pairs += zip(range(m0, cut, d), repeat(s))
+        pairs += zip(range(m0, n_out, d), repeat(s))
     pairs.sort(key=itemgetter(0))
     return [m for m, _ in pairs], [s for _, s in pairs]
-
-
-def _collapse(c, group, k):
-    """Multiply ``c`` in place by the ``group`` progressions of :func:`binomial_product`, at degree k.
-
-    Every group shift m has ``(k+1) m >= n_out``, so any k+1 group factors
-    multiply past the truncation and ``prod_G (1 - x_t) = sum_{j<=k} (-1)^j
-    e_j`` for ``x_t = s_t q**m_t``.  With ``z_j = (-1)^j c e_j``, Newton's
-    identities give ``j z_j = -sum_{i=1..j} P_i(z_{j-i})``, where ``P_i(v) =
-    v sum_G s^i q**(i m)``; the result is ``R = sum_j z_j``.  Per progression
-    ``(m0, d, s)``, P_i is the progression ``(i m0, i d, s^i)``, applied as
-    a window of one stride-(i d) prefix sum (:func:`_prefix_sum`).
-
-    Everything wraps modulo 2**64 on a uint64 view.  Dividing by ``j = 2^a
-    b``, b odd, multiplies by ``b^-1`` mod 2**64 and shifts right by a, so
-    z_j is exact modulo ``2**(64 - v2(j!))``, and R is read by sign
-    extension from bit ``63 - v2(k!)``.  That is exact when ``max|c| S_k <
-    2**(62 - v2(k!))`` for ``S_k = sum_{j<=k} C(T_j, j)``, as ``|R| <=
-    max|c| S_k``: each coefficient of R sums, over j, coefficients of c
-    times products of j distinct group factors below q**n_out, at most
-    ``C(T_j, j)`` of them with ``T_j`` the group factors with ``m <= n_out -
-    1 - (j-1) m_min``.  At degree 1, R is written into c directly, as
-    ``P_1(c)`` reads only ``c[:n_out - m_min]``, below every write; it may
-    then carry a trailing limb axis.  At most k+2 coefficient arrays are
-    alive: c, z_1..z_k and one prefix sum.
-    """
-    n_out = len(c)
-    m_min = min(m0 for m0, _, _ in group)
-    u = c.view(np.uint64)
-    zs = [u]
-    for j in range(1, k + 1):
-        z = u if k == 1 else np.zeros_like(u)
-        for i in range(1, j + 1):  # z -= P_i(zs[j - i]); zs[j - i] is zero below lo
-            v, lo, step, cs = zs[j - i], (j - i) * m_min, 0, None
-            for m0, d, s in group:
-                start = i * m0 + lo
-                if start >= n_out:
-                    continue
-                if i * d != step:
-                    step, cs = i * d, None
-                    cs = _prefix_sum(v, lo, n_out - lo - i * m_min, step)
-                seg = z[start:]
-                if s < 0 and i & 1:  # s^i = -1
-                    seg += cs[: n_out - start]
-                else:
-                    seg -= cs[: n_out - start]
-        a = (j & -j).bit_length() - 1  # j = 2**a * odd
-        if j >> a > 1:
-            z *= np.uint64(pow(j >> a, -1, 1 << 64))
-        if a:
-            z >>= np.uint64(a)
-        zs.append(z)
-    if k > 1:
-        for z in zs[1:]:
-            u += z
-        e = k - k.bit_count()  # v2(k!)
-        if e:
-            u <<= np.uint64(e)
-            c >>= e
-    return c
-
-
-def _prefix_sum(v, lo, span, step):
-    """``cs[x] = sum_t v[lo + x - t step]`` for ``0 <= x < span``, modulo 2**64, for ``v`` zero below ``lo``.
-
-    One cumsum over rows of ``step``; the rows may run past ``span``, as
-    their sums there are never read, unless they would pass the end of v.
-    """
-    if span <= step:
-        return v[lo:]
-    rows, tail_axes = -(-span // step), v.shape[1:]
-    if lo + rows * step <= len(v):
-        return v[lo : lo + rows * step].reshape(rows, step, *tail_axes).cumsum(axis=0).reshape(-1, *tail_axes)
-    rows -= 1  # the last row is partial
-    full = rows * step
-    cs = np.empty((span, *tail_axes), np.uint64)
-    v[lo : lo + full].reshape(rows, step, *tail_axes).cumsum(axis=0, out=cs[:full].reshape(rows, step, *tail_axes))
-    _ADD(cs[full - step : span - step], v[lo + full : lo + span], cs[full:])
-    return cs
 
 
 def _apply(c, spare, same, w, shifts, signs):
@@ -500,13 +320,13 @@ def _apply(c, spare, same, w, shifts, signs):
     return c, spare, same, w
 
 
-def _limb_product(limbs, shifts, signs, w, group):
-    """Continue :func:`_apply`, then :func:`_collapse` the degree-1 ``group``, on base-2**LIMB_BITS int64 limb columns.
+def _limb_product(limbs, shifts, signs, w):
+    """Continue :func:`_apply` on base-2**LIMB_BITS int64 limb columns.
 
     The recurrence is linear, so each factor's pass runs on every limb at
     once, and a window of rows is one contiguous block.  After each carry
     every limb is below 2**(LIMB_BITS+1), so the next ``62 - LIMB_BITS``
-    factors keep them below HALF, and so does the group.
+    factors keep them below HALF.
     """
     spare = None
     steps = HALF.bit_length() - (LIMB_BITS + 1)
@@ -516,8 +336,6 @@ def _limb_product(limbs, shifts, signs, w, group):
         if limbs.shape[1] != width:
             spare = None
         limbs, spare, _, w = _apply(limbs, spare, 0, w, shifts[done : done + steps], signs[done : done + steps])
-    if group:
-        limbs = _collapse(_carry(limbs), group, 1)
     return limb_ints(limbs)
 
 

@@ -6,8 +6,9 @@ flips individual product arguments, which is how the signed variants differ
 from the plain identities.  Under a sign vector of Jacobi form each numerator
 is a Jacobi triple or quintuple product, so by those identities it equals a
 short sum of theta records (:func:`triple_side_thetas`,
-:func:`quintuple_side_thetas`); ``verifier.verify`` proves its identities on
-these records and expands a numerator only when the proof fails.
+:func:`quintuple_side_thetas`); ``verifier.verify`` decides its identities
+on these records alone, and only the truncated reference ``verifier.check``
+and the full product side ``verifier.build_lhs`` expand a numerator.
 
 The plain sides, which the scanner streams, are built in one pass from the
 same records: their O(sqrt(N)) terms, each times the partition numbers on

@@ -10,9 +10,10 @@ quotient by (q^n; q^n) is one :func:`over_euler_limbs` call, which adds the
 partition numbers on stride n once per term on int64 limb columns, and
 :func:`over_euler` assembles its Python ints; every Pochhammer product is one
 :func:`charfactor._kernels.binomial_product` call, which carries
-coefficients past int64 on the same limbs; inversion is
-:func:`charfactor._kernels.invert_unit`.  No package code path multiplies
-two series (``ShiftedSeries.__mul__``).  Every
+coefficients past int64 on the same limbs (the truncated check, the full
+product side and the remark expand these; certificates and scans do not);
+inversion is :func:`charfactor._kernels.invert_unit`.  No package code path
+multiplies two series (``ShiftedSeries.__mul__``).  Every
 bilateral theta sum is a list of :class:`Theta` records expanded by
 :func:`bilateral_sum`, or by :func:`theta_stream` divided by (q^n; q^n).
 """
@@ -249,19 +250,15 @@ def pochhammer_product(symbols: Iterable[tuple], order: int) -> ShiftedSeries:
     of every symbol, exact at any size.  Each factor gives one progression of
     shifts, or two of twice the step when the base has sign -1, and the
     kernel gets every factor as these progressions, those of one symbol
-    adjacent.  It expands the factors below a cut one by one in ascending
-    order (a stable sort), whatever order the symbols list them in; grouped
-    by progression instead, partial products outgrow one int64 limb and the
+    adjacent.  It expands the binomials one by one in ascending order (a
+    stable sort), whatever order the symbols list them in; grouped by
+    progression instead, partial products outgrow one int64 limb and the
     high-order numerators run 3-5x slower.  In ascending order no factor
     changes the coefficients below an earlier shift, so a kernel step that
-    writes into its second array copies almost nothing across.  The factors
-    at or past the cut, ``ceil((order + 1) / (k+1))``, any k+1 of which
-    multiply past the truncation, apply at once as a polynomial of degree k
-    in their power sums (Newton's identities), modulo 2**64 where a bound
-    on the result leaves ``v2(k!)`` bits to spare; the kernel picks the
-    largest k that saves ufunc passes.  A factor that degenerates to
-    (1 - q**0) annihilates the whole product unexpanded; (1 + q**0) doubles
-    it, and its progression starts one step later.
+    writes into its second array copies almost nothing across.  A factor
+    that degenerates to (1 - q**0) annihilates the whole product
+    unexpanded; (1 + q**0) doubles it, and its progression starts one step
+    later.
     """
     symbols = [(tuple(factors), base) for factors, base in symbols]
     if order < 0:
@@ -473,8 +470,8 @@ def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> Shift
 
 @lru_cache(maxsize=None)
 def euler_product(order: int) -> ShiftedSeries:
-    """(q; q)_inf truncated at ``order``."""
-    return pochhammer((SignedMonomial(1, 1),), SignedMonomial(1, 1), order)
+    """(q; q)_inf truncated at ``order``: the pentagonal series, by the Jacobi triple product with u = q, v = q**3."""
+    return triple_product(SignedMonomial(1, 1), SignedMonomial(1, 3), order)
 
 
 @lru_cache(maxsize=None)

@@ -18,17 +18,21 @@ E + n*Delta and signed.  Because (q^n;q^n) has constant term 1, two series
 agree up to degree d exactly when their numerators do, so the verdict and
 the first mismatch degree are those of the full sides.
 
-:func:`verify` proves first.  By the Jacobi triple and quintuple product
-identities, the product-side numerator is a short list of theta records too
-(:func:`~charfactor.products.triple_side_thetas`,
-:func:`~charfactor.products.quintuple_side_thetas`).  :func:`prove` splits
-the records of both sides onto one quadratic coefficient
-(:func:`~charfactor.series.dissect`); when the canonical pieces cancel, the
-numerators agree at every order, so the certificate's match holds at every
-order, and nothing is expanded to the truncation.  Only when no sign reading
-is proved does :func:`check` expand both numerators to the order and find
-the first mismatch.  :func:`build_lhs` and :func:`build_rhs` give the full
-sides, each divided by (q^n;q^n) in one
+:func:`verify` decides from an order-free residual.  By the Jacobi triple
+and quintuple product identities, the product-side numerator is a short
+list of theta records too (:func:`~charfactor.products.triple_side_thetas`,
+:func:`~charfactor.products.quintuple_side_thetas`).  Every record of both
+sides is split onto one quadratic coefficient
+(:func:`~charfactor.series.dissect`), once, and for each sign reading
+:func:`prove` counts the canonical pieces per key, product minus character.
+The keys left with a nonzero count are the residual: theta records whose
+sum is the difference of the numerators at every order.  An empty residual
+proves the identity at every order; otherwise the first mismatch is the
+least exponent where the residual's terms, added up to the order, leave a
+nonzero sum.  Nothing is expanded to the truncation.  :func:`check` is the
+independent truncated reference: it expands both numerators to the order
+and compares them term by term.  :func:`build_lhs` and :func:`build_rhs`
+give the full sides, each divided by (q^n;q^n) in one
 :func:`~charfactor.series.over_euler` call, with no series multiply.
 """
 
@@ -307,26 +311,53 @@ def first_mismatch_degree(lhs: list[int], rhs: list[int]) -> int | None:
     return None
 
 
-def prove(kind: IdentityKind, fp: FactorizationParams, pairs: list[ContributingPair],
-          thetas: list[list[Theta]], variant: str) -> bool:
-    """Whether both numerators agree at every order under the sign reading ``variant``.
+def _pieces(kind: IdentityKind, fp: FactorizationParams, thetas: list[list[Theta]]) -> list[list]:
+    """The :func:`~charfactor.series.dissect` pieces of the product records, then of each pair's, on one A.
 
-    ``thetas`` are the pairs' :func:`_character_thetas`.  Every record is
-    dissected onto A = n*pp', or 4n*pp' for the quintuple scheme at odd n;
-    a record that does not divide A into a square leaves the identity unproved.
+    A = n*pp', or 4n*pp' for the quintuple scheme at odd n, splits every
+    record of valid parameters into squares; a record it does not split is a bug.
     """
     A = fp.n * fp.p * fp.p_prime * (4 if kind.scheme is Scheme.QUINTUPLE and fp.n % 2 else 1)
-    sides = [(1, _product_thetas(kind, fp))]
-    sides += [(-pair_sign(kind, pair, variant), ts) for pair, ts in zip(pairs, thetas)]
-    counts = defaultdict(int)
-    for sign, records in sides:
+    sides = []
+    for records in (_product_thetas(kind, fp), *thetas):
+        sides.append([])
         for record in records:
             pieces = series.dissect(record, A)
             if pieces is None:
-                return False
-            for key, s in pieces:
-                counts[key] += sign * s
-    return not any(counts.values())
+                raise RuntimeError(f"theta record {record} does not dissect onto A = {A}")
+            sides[-1] += pieces
+    return sides
+
+
+def _residual(kind: IdentityKind, pairs: list[ContributingPair], pieces: list[list], variant: str) -> list[Theta]:
+    """:func:`prove` from the :func:`_pieces` of the records, which each sign reading only re-signs."""
+    counts = defaultdict(int)
+    for sign, side in zip([-1] + [pair_sign(kind, pair, variant) for pair in pairs], pieces):
+        for key, s in side:
+            counts[key] -= sign * s
+    return [Theta(a, b, c, count, chi) for (a, b, c, chi), count in counts.items() if count]
+
+
+def prove(kind: IdentityKind, fp: FactorizationParams, pairs: list[ContributingPair],
+          thetas: list[list[Theta]], variant: str) -> list[Theta]:
+    """The residual of the identity under the sign reading ``variant``: empty when it holds at every order.
+
+    ``thetas`` are the pairs' :func:`_character_thetas`.  Both numerators
+    are dissected onto one quadratic coefficient and their canonical pieces
+    counted per key, product minus character; the residual is the keys left
+    with a nonzero count, as :class:`Theta` records whose sum is the
+    difference of the numerators at every order.
+    """
+    return _residual(kind, pairs, _pieces(kind, fp, thetas), variant)
+
+
+def _first_mismatch(residual: list[Theta], order: int) -> int | None:
+    """The least exponent up to ``order`` where the ``residual``'s records sum to nonzero, or None.
+
+    The records are summed term by term first: pieces can cancel at one exponent.
+    """
+    terms = series._add_terms(defaultdict(int), residual, order, DIVERGENT_QUINTUPLE)
+    return min((e for e, c in terms.items() if c), default=None)
 
 
 def _sides(kind: IdentityKind, fp: FactorizationParams,
@@ -366,23 +397,23 @@ def check(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCe
 
 
 def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCertificate:
-    """Certify the identity to ``order``: by :func:`prove` when it can, else by :func:`check`.
+    """Certify the identity to ``order`` from the residual of :func:`prove`; nothing is expanded to ``order``.
 
-    The stated rule is tried first.  A proved certificate expands nothing to
-    ``order``; one proved only under the swapped rule still says
-    ``as_stated`` when both character sums agree to ``order``, as
+    The stated rule holds when its residual sums to zero up to ``order``;
+    otherwise, for the signed kinds, the swapped rule when its does; else
+    the certificate fails with the stated rule's first mismatch, as
     :func:`check` would.  Failure is a certificate, not an error.
     """
     pairs, thetas = _sides(kind, fp, order)
-    variants = (AS_STATED, SWAPPED) if kind.has_variants else (AS_STATED,)
-    variant = next((v for v in variants if prove(kind, fp, pairs, thetas, v)), None)
-    if variant is None:
-        return check(kind, fp, order)
-    if variant == SWAPPED and (_signed_sum(kind, pairs, thetas, AS_STATED, order)
-                               == _signed_sum(kind, pairs, thetas, SWAPPED, order)):
-        variant = AS_STATED
-    lhs = series.bilateral_sum(_product_thetas(kind, fp), min(PREFIX_LEN - 1, order), DIVERGENT_QUINTUPLE)
-    return _certificate(kind, fp, order, pairs, variant, None, lhs, lhs)
+    top = min(PREFIX_LEN - 1, order)
+    lhs = series.bilateral_sum(_product_thetas(kind, fp), top, DIVERGENT_QUINTUPLE)
+    pieces = _pieces(kind, fp, thetas)
+    variant, mismatch = AS_STATED, _first_mismatch(_residual(kind, pairs, pieces, AS_STATED), order)
+    if mismatch is not None and kind.has_variants:
+        if _first_mismatch(_residual(kind, pairs, pieces, SWAPPED), order) is None:
+            variant, mismatch = SWAPPED, None
+    rhs = lhs if mismatch is None else _signed_sum(kind, pairs, thetas, AS_STATED, top)
+    return _certificate(kind, fp, order, pairs, variant, mismatch, lhs, rhs)
 
 
 def verify_remark_products(a_prime: int, c: int, order: int) -> bool:

@@ -1,4 +1,3 @@
-import math
 from operator import itemgetter
 
 import numpy as np
@@ -164,10 +163,7 @@ _UP_AND_DOWN = [(-1, 1)] * 70 + [(1, 1)] * 70 + [(-1, 1 << i) for i in range(1, 
 @example(binomials=[(-1, 1)] * 65 + [(1, 10), (-1, 20)], n_out=120)
 @settings(max_examples=100, deadline=None)
 def test_binomial_product_matches_naive_product(binomials, n_out):
-    # every shift below the degree-1 cut ceil(n_out/2): a group G_k, k >= 2,
-    # collapses only inside a bound that keeps its partial products below
-    # HALF, so one_limb is exactly the peak of the factor-by-factor product
-    binomials = [(s, m) for s, m in binomials if 2 * m < n_out]
+    binomials = [(s, m) for s, m in binomials if m < n_out]
     out, one_limb = _kernels.binomial_product(n_out, _binomials_as_factors(binomials, n_out))
     want = naive_product(binomials, n_out - 1)
     assert out == want
@@ -197,17 +193,6 @@ def test_binomial_product_carries_past_two_hundred_bits():
     assert out == naive_product(binomials, n - 1)
 
 
-def test_binomial_product_collapses_a_tail_on_limbs():
-    # (1 + q)^64 ends on one limb at C(64, 32) ~ 2^60.7, but its 60 tail factors
-    # (1 + q^60) ... (1 + q^119) fail (1 + T) max|c| < 2^62 and their sums pass
-    # 2^63: the tail collapses on the limb columns, after a carry
-    n = 120
-    out, one_limb = _kernels.binomial_product(n, [(1, n, -1)] * 64 + [(60, 1, -1)])
-    assert not one_limb
-    assert max(out) > 2**63
-    assert out == naive_pochhammer([(-1, 1)] * 64 + [(-1, m) for m in range(60, n)], (1, n), n - 1)
-
-
 #: shared strides, bases of sign -1 (two progressions of twice the step with
 #: opposite signs) and single binomials (m, n_out, s)
 @st.composite
@@ -230,17 +215,16 @@ def _factor_lists(draw):
 
 
 @given(_factor_lists())
-# (1 + q)^70 (1 + q^2)^70 (q^3;q): the head leaves one limb, the stride-1
-# group collapses on the limb columns, and coefficients reach 2^138
+# (1 + q)^70 (1 + q^2)^70 (q^3;q): the product leaves one limb, (q^3;q) runs
+# on the limb columns, and coefficients reach 2^138
 @example((150, [(1, 150, -1)] * 70 + [(2, 150, -1)] * 70 + [(3, 1, 1)]))
 @example((120, [(1, 1, 1), (2, 2, -1), (3, 2, 1), (40, 120, -1)]))  # shared stride 2, a single binomial
-# single binomials at or past the degree-1 cut ceil(n_out/2), as in
-# test_binomial_product_matches_naive_product at n_out 240
+# single binomials past n_out/2, as in test_binomial_product_matches_naive_product
+# at n_out 240
 @example((120, _binomials_as_factors([(-1, 2)] * 200 + [(1, 3)] * 120 + [(-1, 119)] * 3, 120)))
 @example((120, _binomials_as_factors(_UP_AND_DOWN, 120)))
-# (1 + q)^a (q^60;q): C(59, 29), 0.78 of the degree-1 bound, meets it and the tail
-# collapses on one limb; C(60, 30) fails it and the tail collapses on limbs,
-# although every factor-by-factor partial product stays below HALF
+# (1 + q)^a (q^60;q) for a = 59, 60: the product peaks at 60 bits, and every
+# partial product stays below HALF, so both keep one limb
 @example((120, [(1, 120, -1)] * 59 + [(60, 1, 1)]))
 @example((120, [(1, 120, -1)] * 60 + [(60, 1, 1)]))
 @settings(max_examples=150, deadline=None)
@@ -254,116 +238,11 @@ def test_binomial_product_of_progressions_matches_naive_product(case):
 
 
 def _keeps_one_limb(factors, n_out):
-    """Whether :func:`_kernels.binomial_product` keeps one int64 limb, by its collapses.
+    """Whether :func:`_kernels.binomial_product` keeps one int64 limb, factor by factor.
 
-    The binomials run one at a time in ascending order, and one limb is left
-    once a factor meets ``max|c| >= HALF``.  At each cut that
-    :func:`_kernels._degrees` plans, in ascending order, the rest collapse
-    at degree k when ``max|c|`` meets the bound :func:`_most` of the
-    binomials at or past the cut.  A planned degree-1 group that fails its
-    bound collapses on limbs.
+    The binomials run one at a time in ascending order of shift, stable
+    among equal shifts, and one limb is left once a factor meets
+    ``max|c| >= HALF``.
     """
     binomials = sorted(_progression_binomials(factors, n_out), key=itemgetter(1))
-    degrees = [(cut, k) for cut, k, _, _ in _kernels._degrees(factors, n_out)]
-    c = [1] + [0] * (n_out - 1)
-    done = 0
-    for cut, k in degrees + [(n_out, 0)]:
-        for s, m in binomials[done:]:
-            if m >= cut:
-                break
-            if max(map(abs, c)) >= _kernels.HALF:
-                return False
-            c = c[:m] + [c[j] - s * c[j - m] for j in range(m, n_out)]
-            done += 1
-        group = [(m, n_out, s) for s, m in binomials[done:]]
-        if k and max(map(abs, c)) <= _most(group, k, n_out):
-            return True
-    return not degrees or degrees[-1][1] != 1
-
-
-# ---------------------------------------------------------------------------
-# the degree-k collapse
-# ---------------------------------------------------------------------------
-
-def _v2_factorial(k):
-    """Legendre's formula for the exponent of 2 in k!."""
-    return sum(k >> i for i in range(1, k.bit_length()))
-
-
-def _most(group, k, n_out):
-    """The largest max|c| with ``max|c| * sum_{j<=k} C(T_j, j) < 2**(62 - v2(k!))``.
-
-    T_j counts the group factors with ``m <= n_out - 1 - (j-1) m_min``.
-    """
-    ms = [m for _, m in _progression_binomials(group, n_out)]
-    m_min = min(ms)
-    bound = sum(math.comb(sum(m <= n_out - 1 - (j - 1) * m_min for m in ms), j) for j in range(k + 1))
-    return ((1 << (62 - _v2_factorial(k))) - 1) // bound
-
-
-@st.composite
-def _collapses(draw):
-    """(c, group, k): a group whose every shift has (k+1) m >= n_out, and c with max|c| at most the bound."""
-    k = draw(st.integers(1, 5))
-    n_out = draw(st.integers(k + 1, 160))
-    least = -(-n_out // (k + 1))
-    group = draw(st.lists(
-        st.tuples(st.integers(least, n_out - 1), st.integers(1, 12), st.sampled_from([1, -1])),
-        min_size=1, max_size=4))
-    most = _most(group, k, n_out)
-    extreme = st.sampled_from([most, -most])
-    c = draw(st.lists(st.one_of(st.integers(-most, most), extreme), min_size=n_out, max_size=n_out))
-    return c, group, k
-
-
-@given(_collapses())
-@example(([3, -1, 4, 1, -5] + [0] * 55, [(30, 1, 1)], 1))  # degree 1
-@example(([1, 2, -3] + [0] * 97, [(34, 1, -1)], 2))  # degree 2, one sign -1 progression
-@example(([1, -1, 1] + [0] * 97, [(25, 1, 1)], 3))  # degree 3
-@example(([2, 0, -1] + [0] * 117, [(24, 2, 1), (25, 2, -1)], 4))  # degree 4, a base with sign -1
-@example(([1] * 6 + [0] * 114, [(20, 3, -1), (21, 3, 1), (22, 3, -1)], 5))  # degree 5
-@example(([_most([(40, 1, 1)], 2, 120)] + [0] * 119, [(40, 1, 1)], 2))  # max|c| at the bound
-@example(([-_most([(30, 1, -1), (31, 7, 1)], 3, 120)] * 4 + [0] * 116,
-          [(30, 1, -1), (31, 7, 1)], 3))  # at the bound, with two strides
-@settings(max_examples=150, deadline=None)
-def test_collapse_matches_naive_product(case):
-    c, group, k = case
-    n_out = len(c)
-    want = brute_convolve(c, naive_product(_progression_binomials(group, n_out), n_out - 1), n_out)
-    got = _kernels._collapse(np.array(c, np.int64), group, k).tolist()
-    assert got == want
-
-
-@given(
-    factors=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 20), st.sampled_from([1, -1])), max_size=5),
-    n_out=st.integers(2, 400),
-)
-@settings(max_examples=150, deadline=None)
-def test_degrees_list_every_group_with_its_bound(factors, n_out):
-    factors = [f for f in factors if f[0] < n_out]
-    plan = _kernels._degrees(factors, n_out)
-    assert [k for _, k, _, _ in plan] == sorted({k for _, k, _, _ in plan}, reverse=True)
-    for cut, k, group, most in plan:
-        assert cut == -(-n_out // (k + 1))
-        want = sorted((m, s) for s, m in _progression_binomials(factors, n_out) if m >= cut)
-        assert sorted((m, s) for s, m in _progression_binomials(group, n_out)) == want
-        assert most == _most(group, k, n_out) > 0
-
-
-@pytest.mark.parametrize("past", [0, 1])
-def test_binomial_product_collapses_only_inside_the_bound(monkeypatch, past):
-    # (1 + q)^40 peaks at C(40, 20) before the tail (1 - q^40)...(1 - q^119):
-    # with a bound just at that peak the tail collapses at degree 2; one below,
-    # degree 2 is refused and the tail collapses at degree 1
-    n, peak = 120, math.comb(40, 20)
-    factors = [(1, n, -1)] * 40 + [(40, 1, 1)]
-    plan = _kernels._degrees(factors, n)
-    assert [k for _, k, _, _ in plan][-2:] == [2, 1]
-    plan = [(cut, k, group, peak - past if k == 2 else most) for cut, k, group, most in plan if k <= 2]
-    degrees = []
-    collapse = _kernels._collapse
-    monkeypatch.setattr(_kernels, "_degrees", lambda factors, n_out: plan)
-    monkeypatch.setattr(_kernels, "_collapse", lambda c, group, k: degrees.append(k) or collapse(c, group, k))
-    out, one_limb = _kernels.binomial_product(n, factors)
-    assert one_limb and degrees == [2 - past]
-    assert out == naive_product([(-1, 1)] * 40 + [(1, m) for m in range(40, n)], n - 1)
+    return _peak_before_a_factor(binomials, n_out - 1) < _kernels.HALF

@@ -113,31 +113,21 @@ def test_high_order_numerators_stay_on_one_limb_with_ascending_shifts(monkeypatc
         (products.triple_numerator, (3, 1, 1, 12_000, _TRIPLE_SIGNS[IdentityKind.MAIN])),  # (2,9) main
     ]
     calls = []
-    real, apply, collapse = _kernels.binomial_product, _kernels._apply, _kernels._collapse
+    real, apply = _kernels.binomial_product, _kernels._apply
 
     def spy(n_out, factors):
-        head, collapses = [], []
-        monkeypatch.setattr(_kernels, "_apply", lambda c, spare, same, w, ms, ss: head.extend(ms)
+        shifts = []
+        monkeypatch.setattr(_kernels, "_apply", lambda c, spare, same, w, ms, ss: shifts.extend(ms)
                             or apply(c, spare, same, w, ms, ss))
-        monkeypatch.setattr(_kernels, "_collapse", lambda c, group, k: collapses.append((group, k))
-                            or collapse(c, group, k))
         coeffs, one_limb = real(n_out, factors)
-        calls.append((head, collapses, n_out, factors, one_limb))
+        calls.append((shifts, n_out, factors, one_limb))
         return coeffs, one_limb
 
     monkeypatch.setattr(_kernels, "binomial_product", spy)
     for numerator, args in numerators:
         numerator(*args)
     assert len(calls) == len(numerators)
-    for head, collapses, n_out, factors, one_limb in calls:
+    for shifts, n_out, factors, one_limb in calls:
         assert one_limb
-        [(group, k)] = collapses
-        assert k >= 3
-        # the head runs below the cut in ascending order, and every factor at
-        # or past the cut is in the collapsed group
-        cut = -(-n_out // (k + 1))
-        assert head == sorted(head) and head[-1] < cut
-        binomials = sorted((m, s) for m0, d, s in factors for m in range(m0, n_out, d))
-        assert sorted(head) == [m for m, _ in binomials if m < cut]
-        assert sorted((m, s) for m0, d, s in group for m in range(m0, n_out, d)) == [
-            (m, s) for m, s in binomials if m >= cut]
+        # every binomial runs once, factor by factor, in ascending order of shift
+        assert shifts == sorted(m for m0, d, s in factors for m in range(m0, n_out, d))

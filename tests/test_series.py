@@ -312,26 +312,24 @@ _symbol = st.tuples(
 
 
 @given(symbols=st.lists(_symbol, min_size=1, max_size=3), order=st.integers(0, 120))
-# n_out = 101: 51 = ceil(n_out/2) is tail, the two 50s are head and multiply to q^100
+# n_out = 101: the two 50s multiply to q^100, the last term kept, and 51 follows
 @example(symbols=[([(1, 50), (-1, 50), (1, 51)], (1, 200)), ([(1, 1)], (1, 1))], order=100)
-# n_out = 100: 49 is head and 50 tail, and 49 + 50 = 99 is inside the truncation
+# n_out = 100: 49 + 50 = 99 is inside the truncation
 @example(symbols=[([(1, 49), (-1, 50), (1, 50)], (1, 200)), ([(-1, 1)], (1, 3))], order=99)
 # a base with sign -1: two progressions of step 6 with opposite signs
 @example(symbols=[([(1, 2), (-1, 5)], (-1, 3)), ([(1, 1)], (1, 1))], order=60)
 # (1 + q^0) doubles the product and its progression restarts one step later
 @example(symbols=[([(-1, 0), (1, 3)], (-1, 7)), ([(-1, 0)], (1, 20))], order=50)
-# (1 + q)^64 peaks near 2^60.7, so 61 * max|c| fails the bound and the 60
-# factors (1 + q^m), m = 60..119, collapse on limbs: the product passes 2^63
+# (1 + q)^64 peaks near 2^60.7, and the 60 factors (1 + q^m), m = 60..119,
+# take the product past 2^63 on limbs
 @example(symbols=[([(-1, 1)] * 64, (1, 500)), ([(-1, 60)], (1, 1))], order=119)
-# (1 + q)^70 leaves one limb in the head; the tail follows on limbs
+# (1 + q)^70 leaves one limb; the rest follows on limbs
 @example(symbols=[([(-1, 1)] * 70, (1, 500)), ([(1, 61), (-1, 62)], (1, 5))], order=119)
 # the 66 factors (1 + q^m) give a low half of 1,500 positive coefficients
-# summing past 2^64; the two factors past it do not pay for a collapse
+# summing past 2^64, each below 2^62, so the product keeps one limb
 @example(symbols=[([(-1, m) for m in range(1, 67)], (1, 5000)), ([(-1, 1501)], (1, 1400)),
                   ([(-1, 2999)], (1, 1))], order=3000)
-# one example per degree of the collapse (see the test below): 1 to 5, a base
-# with sign -1 at degree 3, whose even power sums have sign +1, and (1 + q^0)
-# at degree 5
+# (q;q) and (q;-q) at several orders, and (1 + q^0), which doubles (q;q)
 @example(symbols=[([(1, 1)], (-1, 1))], order=60)
 @example(symbols=[([(1, 1)], (1, 1))], order=100)
 @example(symbols=[([(1, 1)], (1, 1))], order=150)
@@ -345,29 +343,6 @@ def test_pochhammer_product_tail_matches_naive_product(symbols, order):
     binomials = [b for fs, base in symbols for b in pochhammer_binomials(fs, base, order)]
     assert got.coeffs == naive_product(binomials, order)
     assert all(type(c) is int for c in got.coeffs)
-
-
-@pytest.mark.parametrize("symbols, order, degree, one_limb", [
-    ([([(1, 1)], (-1, 1))], 60, 1, True),
-    ([([(1, 1)], (1, 1))], 100, 2, True),
-    ([([(1, 1)], (1, 1))], 150, 3, True),
-    ([([(1, 1)], (1, 1))], 300, 4, True),
-    ([([(1, 1)], (1, 1))], 400, 5, True),
-    ([([(1, 1)], (-1, 1))], 150, 3, True),
-    ([([(-1, 0), (1, 1)], (1, 1))], 300, 5, True),
-    ([([(-1, 1)] * 70, (1, 500)), ([(1, 61), (-1, 62)], (1, 5))], 119, 1, False),
-    ([([(-1, m) for m in range(1, 67)], (1, 5000)), ([(-1, 1501)], (1, 1400)), ([(-1, 2999)], (1, 1))], 3000, 0, True),
-])
-def test_pochhammer_product_collapses_at_the_expected_degree(monkeypatch, symbols, order, degree, one_limb):
-    # the examples of the test above reach the paths their comments name
-    degrees, flags = [], []
-    collapse, kernel = _kernels._collapse, _kernels.binomial_product
-    monkeypatch.setattr(_kernels, "_collapse", lambda c, group, k: degrees.append(k) or collapse(c, group, k))
-    monkeypatch.setattr(_kernels, "binomial_product",
-                        lambda *args: (lambda out: flags.append(out[1]) or out)(kernel(*args)))
-    pochhammer_product([(tuple(Q(s, e) for s, e in fs), Q(*base)) for fs, base in symbols], order)
-    assert degrees == ([degree] if degree else [])
-    assert flags == [one_limb]
 
 
 @pytest.mark.parametrize("numerator, args, symbols", [
@@ -404,9 +379,10 @@ def test_numerators_reach_the_kernel_as_pochhammer_factors(monkeypatch, numerato
 
 
 def test_euler_product_at_workload_scale_is_the_pentagonal_series():
-    # (q;q) at N = 12,000, the (2,9) numerator of the high-order benchmark,
-    # peaks at 61 bits after 243 factors and stays on one limb; at N = 20,000
-    # it passes 2^62, so it finishes on limbs as it shrinks back to +-1
+    # (q;q) expanded factor by factor at N = 12,000 peaks at 61 bits after 243
+    # factors and stays on one limb; at N = 20,000 it passes 2^62, so it
+    # finishes on limbs as it shrinks back to +-1.  euler_product itself is
+    # the pentagonal series, with no expansion
     flags = []
     kernel = _kernels.binomial_product
 
@@ -418,13 +394,14 @@ def test_euler_product_at_workload_scale_is_the_pentagonal_series():
     for order in (12000, 20000):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "binomial_product", recording)
-            got = euler_product.__wrapped__(order)
+            got = pochhammer((Q(1, 1),), Q(1, 1), order)
         want = [0] * (order + 1)
         for k in range(-120, 121):
             e = k * (3 * k - 1) // 2
             if e <= order:
                 want[e] += -1 if k % 2 else 1
         assert got.coeffs == want, order
+        assert euler_product.__wrapped__(order).coeffs == want, order
     assert flags == [True, False]
 
 

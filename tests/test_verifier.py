@@ -11,8 +11,8 @@ from charfactor import _kernels, cli, products, series
 from charfactor.minimal_model import CharacterLabel, MinimalModel, character, conformal_dim, normalized_character
 from charfactor.pairs import contributing_pairs
 from charfactor.params import ParameterError, ProductParams, Scheme, validate
-from charfactor.scanner import phi_series, scan
-from charfactor.series import SeriesError, ShiftedSeries, inverse_euler_power, partition_series, pochhammer_product
+from charfactor.scanner import iter_canonical_quadruples, phi_series, psi_series, scan
+from charfactor.series import SeriesError, ShiftedSeries, Theta, inverse_euler_power, pochhammer_product
 from charfactor.series import SignedMonomial as Q
 from charfactor.verifier import (
     AS_STATED,
@@ -312,8 +312,8 @@ def test_product_records_need_signs_of_jacobi_form():
 @pytest.mark.parametrize("max_pp, order", [(60, 10**4), (100, 200)])
 def test_proved_certificates_expand_no_numerator(monkeypatch, max_pp, order):
     # every instance of the verify sweep (pp' <= 100 at N = 200), and every instance
-    # with pp' <= 60 at N = 10^4, is proved under the variant verify reports, so none
-    # falls back to the order-N expansion
+    # with pp' <= 60 at N = 10^4, is proved: its residual under the variant verify
+    # reports is empty
     def refuse(*args):
         raise AssertionError("a numerator expanded on a proved certificate")
 
@@ -324,12 +324,12 @@ def test_proved_certificates_expand_no_numerator(monkeypatch, max_pp, order):
             cert = verify(kind, fp, order)
             assert cert.match and cert.first_mismatch is None, (kind, fp)
             pairs = contributing_pairs(fp)
-            assert vf.prove(kind, fp, pairs, vf._character_thetas(fp, pairs), cert.sign_variant), (kind, fp)
+            assert vf.prove(kind, fp, pairs, vf._character_thetas(fp, pairs), cert.sign_variant) == [], (kind, fp)
 
 
-def test_records_off_the_common_square_leave_the_identity_unproved(monkeypatch):
+def test_records_off_the_common_square_raise(monkeypatch):
     # doubling one product record's quadratic coefficient takes it off A's square
-    # multiples: the proof must fail rather than prove, and verify falls back
+    # multiples, which valid parameters never do: verify names the record and stops
     real = vf._product_thetas
 
     def off_square(kind, fp):
@@ -338,16 +338,14 @@ def test_records_off_the_common_square_leave_the_identity_unproved(monkeypatch):
 
     monkeypatch.setattr(vf, "_product_thetas", off_square)
     for kind, fp in ((IdentityKind.MAIN, triple(2, 9, 3)), (IdentityKind.QUINT, quintuple(9, 2, 2))):
-        pairs = contributing_pairs(fp)
-        assert not vf.prove(kind, fp, pairs, vf._character_thetas(fp, pairs), AS_STATED)
-        assert verify(kind, fp, 60).to_json_dict() == vf.check(kind, fp, 60).to_json_dict()
-        assert verify(kind, fp, 60).match
+        with pytest.raises(RuntimeError, match=r"theta record Theta\(a=.*\) does not dissect onto A = "):
+            verify(kind, fp, 60)
 
 
 def test_certificate_numerators_take_one_binomial_pass(monkeypatch):
-    # a proved certificate expands no numerator; the truncated check sends both Pochhammer
-    # symbols of a quintuple numerator through one binomial_product call, a factor
-    # (1 - q^0) skips the expansion and (1 + q^0) doubles it
+    # the truncated check sends both Pochhammer symbols of a quintuple numerator
+    # through one binomial_product call, a factor (1 - q^0) skips the expansion
+    # and (1 + q^0) doubles it
     calls = Counter()
 
     def spy(name):
@@ -359,13 +357,11 @@ def test_certificate_numerators_take_one_binomial_pass(monkeypatch):
 
         return counted
 
-    partition_series(PREFIX_LEN - 1)  # the certificate prefixes' cached partition numbers
     for name in ("binomial_product", "convolve"):
         monkeypatch.setattr(_kernels, name, spy(name))
     for kind in IdentityKind:
         for fp in iter_applicable_params(kind, 40):
             calls.clear()
-            assert verify(kind, fp, 60).match and calls["binomial_product"] == 0, (kind, fp)  # proved: no expansion
             cert = vf.check(kind, fp, 60)
             assert calls["binomial_product"] <= 1 and calls["convolve"] == 0, (kind, fp)
             if kind.scheme is not Scheme.QUINTUPLE or fp.c != 0:
@@ -478,7 +474,117 @@ def test_main_a_4_19_says_as_stated_below_the_swapped_difference():
     kind, fp = IdentityKind.MAIN_A_EVEN, triple(4, 19, 19, c=15)
     pairs = contributing_pairs(fp)
     thetas = vf._character_thetas(fp, pairs)
-    assert not vf.prove(kind, fp, pairs, thetas, AS_STATED)
-    assert vf.prove(kind, fp, pairs, thetas, SWAPPED)
+    assert vf.prove(kind, fp, pairs, thetas, AS_STATED)
+    assert not vf.prove(kind, fp, pairs, thetas, SWAPPED)
     assert verify(kind, fp, 15).sign_variant == AS_STATED
     assert verify(kind, fp, 200).sign_variant == SWAPPED
+
+
+# ---------------------------------------------------------------------------
+# one decision path: the residual
+# ---------------------------------------------------------------------------
+
+_HIGH_ORDER_CERTIFICATES = [  # the benchmark's five high-order certificates
+    (IdentityKind.MAIN, triple(2, 3, 3), 10_000),
+    (IdentityKind.QUINT, quintuple(3, 4, 4), 10_000),
+    (IdentityKind.MAIN_B_EVEN, triple(4, 3, 3), 10_000),
+    (IdentityKind.QUINT_B, quintuple(3, 16, 4, c=3), 10_000),
+    (IdentityKind.MAIN, triple(2, 9, 3), 12_000),
+]
+
+
+def test_no_certificate_or_workload_path_reaches_the_kernel(monkeypatch):
+    # certificates, failing ones included, come from the residual alone, and scans and
+    # the partition numbers from theta records: no Pochhammer product is expanded
+    def refuse(*args):
+        raise AssertionError("a Pochhammer expansion on a certificate or workload path")
+
+    _clear_caches()
+    monkeypatch.setattr(_kernels, "binomial_product", refuse)
+    monkeypatch.setattr(products, "triple_numerator", refuse)
+    monkeypatch.setattr(products, "quintuple_numerator", refuse)
+    for rule in SIGN_RULES:
+        monkeypatch.setattr(vf, "pair_sign", SIGN_RULES[rule])
+        for order in (200, 10**4):
+            for kind in IdentityKind:
+                for fp in iter_applicable_params(kind, 60):
+                    verify(kind, fp, order)
+    monkeypatch.setattr(vf, "pair_sign", pair_sign)
+    for kind, fp, order in _HIGH_ORDER_CERTIFICATES:
+        assert verify(kind, fp, order).match
+    for scheme in Scheme:
+        for pp in iter_canonical_quadruples(scheme, 30):
+            scan(pp, 2000)
+    assert phi_series(ProductParams(Scheme.TRIPLE, 3, 1, 1, 3), 500).coeffs[:4] == [1, -1, -1, 1]
+    assert psi_series(ProductParams(Scheme.QUINTUPLE, 4, 1, 1, 2), 500).order == 500
+
+
+def test_residual_mismatch_equals_the_truncated_check_at_high_order(monkeypatch):
+    # under both corrupted sign rules at N = 10^4: every signed-kind tuple with pp' <= 40
+    # and every fifth plain one; the product numerator depends only on (kind, a', B, c)
+    order = 10**4
+    numerators = {}
+    real = vf._lhs_numerator
+
+    def shared(kind, fp, order):
+        key = (kind, fp.a_prime, fp.B, fp.c, order)
+        if key not in numerators:
+            numerators[key] = real(kind, fp, order)
+        return numerators[key]
+
+    monkeypatch.setattr(vf, "_lhs_numerator", shared)
+    instances = [(kind, fp) for kind in IdentityKind
+                 for i, fp in enumerate(iter_applicable_params(kind, 40)) if kind.has_variants or i % 5 == 0]
+    assert len(instances) >= 100
+    failed = set()
+    for rule in ("constant", "weight_mod_3"):
+        monkeypatch.setattr(vf, "pair_sign", SIGN_RULES[rule])
+        for kind, fp in instances:
+            got = verify(kind, fp, order).to_json_dict()
+            assert got == vf.check(kind, fp, order).to_json_dict(), (rule, kind, fp)
+            if not got["match"]:
+                failed.add(kind)
+    assert failed == set(IdentityKind)
+
+
+#: the rules of SIGN_RULES, and a corrupted one that, unlike those two, tells the readings
+#: apart, so a failed certificate of a signed kind has two residuals to choose from
+RESIDUAL_RULES = {
+    **SIGN_RULES,
+    "weight_1_negated": lambda kind, pair, variant=AS_STATED: pair_sign(kind, pair, variant) * (-1) ** (pair.weight == 1),
+}
+
+
+@pytest.mark.parametrize("rule", RESIDUAL_RULES)
+def test_residual_is_the_difference_of_the_numerators(monkeypatch, rule):
+    # the residual's records sum to the product numerator minus the character numerator,
+    # term by term, under each reading; verify reports the stated reading's mismatch
+    order = 120
+    monkeypatch.setattr(vf, "pair_sign", RESIDUAL_RULES[rule])
+    for kind in IdentityKind:
+        for fp in iter_applicable_params(kind, 40):
+            pairs = contributing_pairs(fp)
+            thetas = vf._character_thetas(fp, pairs)
+            lhs = vf._lhs_numerator(kind, fp, order).coeffs
+            for variant in (AS_STATED, SWAPPED) if kind.has_variants else (AS_STATED,):
+                rhs = vf._signed_sum(kind, pairs, thetas, variant, order)
+                residual = vf.prove(kind, fp, pairs, thetas, variant)
+                assert series.bilateral_sum(residual, order) == [x - y for x, y in zip(lhs, rhs)], (kind, fp)
+            assert verify(kind, fp, order).to_json_dict() == vf.check(kind, fp, order).to_json_dict(), (kind, fp)
+
+
+def test_first_mismatch_sums_the_residual_before_reading_it():
+    # 2 sum_k q^(k^2) - sum_k q^(k^2 + k): both pieces start at q^0, where 2 - 2 cancels,
+    # and the first nonzero sum is 4 at q^1, not the least exponent of a piece
+    residual = [Theta(1, 0, 0, 2, 1), Theta(1, 1, 0, -1, 1)]
+    assert series.bilateral_sum(residual, 2) == [0, 4, -2]
+    assert vf._first_mismatch(residual, 0) is None
+    assert vf._first_mismatch(residual, 5) == 1
+    # sum_k (-1)^k q^(k^2) - sum_k q^(k^2) is -4 q + ...: chi keeps the pieces apart
+    assert vf._first_mismatch([Theta(1, 0, 0, 1, -1), Theta(1, 0, 0, -1, 1)], 5) == 1
+    assert vf._first_mismatch([], 5) is None
+    # the residual keeps each key's chi; on applicable parameters every key has chi = +1
+    # (n's parity makes chi**m = 1), so only records built by hand tell it apart
+    pieces = [[((1, 0, 0, -1), 1), ((1, 0, 0, 1), -1), ((4, 2, 1, 1), 3)]]
+    assert vf._residual(IdentityKind.MAIN, [], pieces, AS_STATED) == [
+        Theta(1, 0, 0, 1, -1), Theta(1, 0, 0, -1, 1), Theta(4, 2, 1, 3, 1)]
