@@ -8,7 +8,7 @@ columns with a signed top limb (:func:`_carry`), from which
 
 * :func:`scatter` adds a multiple of one coefficient list per sparse term:
   the partition numbers on stride n in :func:`charfactor.series.over_euler`,
-  and the loop of :func:`convolve`, the general multiply that no package
+  and, in one call, :func:`convolve`, the general multiply that no package
   path calls.  Below 2**62 it sums one int64 column of values.  Past that
   it runs residue-major, ``(n, rows, W)``, so that each digit of a term is
   one contiguous add of the limb table, and it carries only when the
@@ -20,18 +20,16 @@ columns with a signed top limb (:func:`_carry`), from which
   n_out``, ``d >= 1`` and ``s = +-1``: the binomials ``(1 - s q^(m0 + t
   d))`` for every t >= 0, truncated at n_out.  A single binomial ``(1 - s
   q^m)`` is ``(m, n_out, s)``.  The binomials run in ascending order of
-  shift, one ufunc pass over the coefficients each, on one int64 limb while
-  every coefficient stays below 2**62; past that they continue on the limb
+  shift, one ufunc pass over the coefficients each, in one loop: on one
+  int64 limb while every coefficient stays below 2**62, then on the limb
   columns.  A binomial whose read and write windows overlap writes into a
   second array and the two swap, so no window is copied before it is read.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
-from itertools import accumulate, repeat
-from operator import itemgetter
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -99,24 +97,11 @@ def _to_limbs(values: list[int], width: int) -> np.ndarray:
 def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
     """Coefficients 0..n_out-1 of the product of two coefficient lists, exact.
 
-    Each operand is first thinned to the gcd of its nonzero indices
-    (``1/(q^n;q^n)`` lives on the multiples of n); then :func:`scatter`
-    adds a multiple of one operand per nonzero term of the other, choosing
-    the operand whose terms times the other's thinned length is the smaller.
+    One :func:`scatter` call adds a multiple of one operand per nonzero term
+    of the other, the operand with fewer nonzero terms below n_out.
     """
-    x, sx, kx = _thinned(a)
-    y, sy, ky = _thinned(b)
-    if kx * len(y) > ky * len(x):
-        x, sx, y, sy = y, sy, x, sx
-    terms = [(d * sx, c) for d, c in enumerate(x) if c]
-    return limb_ints(scatter(terms, limb_table(y), sy, n_out))
-
-
-def _thinned(coeffs: list[int]) -> tuple[list[int], int, int]:
-    """(coefficients, stride, nonzero count) of ``coeffs`` on the coarsest grid keeping its terms."""
-    nz = [i for i, c in enumerate(coeffs) if c]
-    g = math.gcd(*nz) or 1  # only the constant term is nonzero, or none is
-    return coeffs[::g], g, len(nz)
+    x, y = sorted((a[:n_out], b[:n_out]), key=lambda v: len(v) - v.count(0))
+    return limb_ints(scatter(enumerate(x), limb_table(y), 1, n_out))
 
 
 def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
@@ -247,42 +232,34 @@ def binomial_product(n_out, factors):
     """Coefficients 0..n_out-1 of the product of the Pochhammer ``factors``, exact.
 
     Returns ``(coeffs, one_limb)``: a list of Python ints, and whether every
-    partial product fit one int64 limb.  Every factor runs in ascending order
-    of shift (:func:`_head`), one ufunc pass over a 1-D int64 array each
-    (:func:`_apply`).  A factor at most doubles max|c|, so a maximum of b
-    bits lets the next ``63 - b`` factors run with every coefficient below
-    HALF before each; then, while factors remain, the true maximum is read
-    again.  Once it reaches HALF the rest run on limbs (:func:`_limb_product`).
+    partial product fit one int64 limb.  The binomials run in ascending
+    order of shift, stable among equal shifts, in batches of :func:`_apply`.
+    A binomial at most doubles max|c|: on one limb, a maximum of b bits lets
+    the next ``63 - b`` run below HALF before each.  Once it reaches HALF the
+    array becomes its own ``(n_out, 1)`` view, and on limb columns a carry
+    before each batch lets the next ``62 - LIMB_BITS`` run.
     """
-    ms, ss = _head(factors, n_out)
+    k, keys = len(factors), []
+    for i, (m0, d, _) in enumerate(factors):  # shift m of factor i sorts as m*k + i: by m, then by i
+        keys += range(m0 * k + i, n_out * k, d * k)
+    keys.sort()
+    ms, ss = [key // k for key in keys], [factors[key % k][2] for key in keys]
     c = np.zeros(n_out, np.int64)
     c[0] = 1
-    spare, same, w, done, peak = None, 0, 1, 0, 1
+    spare, same, w, done, bits = None, 0, 1, 0, 1
     while done < len(ms):
-        start, done = done, min(done + HALF.bit_length() - peak.bit_length(), len(ms))
+        if c.ndim > 1:
+            c, same, bits = _carry(c), 0, LIMB_BITS + 1
+            if spare is not None and spare.shape != c.shape:
+                spare = None
+        start, done = done, min(done + HALF.bit_length() - bits, len(ms))
         c, spare, same, w = _apply(c, spare, same, w, ms[start:done], ss[start:done])
-        if done < len(ms):
+        if c.ndim == 1 and done < len(ms):
             peak = max(int(c[:w].max()), -int(c[:w].min()))
+            bits = peak.bit_length()
             if peak >= HALF:
-                return _limb_product(c[:, None], ms[done:], ss[done:], w), False
-    return c.tolist(), True
-
-
-def _head(factors, n_out):
-    """(shifts, signs): the shifts of the ``factors`` below ``n_out``, as lists stable-sorted by shift."""
-    shifts = []
-    for m0, d, s in factors:
-        if s < 0:
-            break
-        shifts += range(m0, n_out, d)
-    else:
-        shifts.sort()
-        return shifts, [1] * len(shifts)
-    pairs = []
-    for m0, d, s in factors:
-        pairs += zip(range(m0, n_out, d), repeat(s))
-    pairs.sort(key=itemgetter(0))
-    return [m for m, _ in pairs], [s for _, s in pairs]
+                c = c[:, None]
+    return (c.tolist(), True) if c.ndim == 1 else (limb_ints(c), False)
 
 
 def _apply(c, spare, same, w, shifts, signs):
@@ -318,25 +295,6 @@ def _apply(c, spare, same, w, shifts, signs):
                 spare[same:m] = c[same:m]
             c, spare, same = spare, c, m
     return c, spare, same, w
-
-
-def _limb_product(limbs, shifts, signs, w):
-    """Continue :func:`_apply` on base-2**LIMB_BITS int64 limb columns.
-
-    The recurrence is linear, so each factor's pass runs on every limb at
-    once, and a window of rows is one contiguous block.  After each carry
-    every limb is below 2**(LIMB_BITS+1), so the next ``62 - LIMB_BITS``
-    factors keep them below HALF.
-    """
-    spare = None
-    steps = HALF.bit_length() - (LIMB_BITS + 1)
-    for done in range(0, len(shifts), steps):
-        width = limbs.shape[1]
-        limbs = _carry(limbs)
-        if limbs.shape[1] != width:
-            spare = None
-        limbs, spare, _, w = _apply(limbs, spare, 0, w, shifts[done : done + steps], signs[done : done + steps])
-    return limb_ints(limbs)
 
 
 def _carry(limbs):

@@ -12,8 +12,9 @@ partition numbers on stride n once per term on int64 limb columns, and
 :func:`charfactor._kernels.binomial_product` call, which carries
 coefficients past int64 on the same limbs (the truncated check, the full
 product side and the remark expand these; certificates and scans do not);
-inversion is :func:`charfactor._kernels.invert_unit`.  No package code path
-multiplies two series (``ShiftedSeries.__mul__``).  Every
+the partition numbers are :func:`charfactor._kernels.invert_unit` of the
+pentagonal series.  No package code path multiplies, adds or inverts
+``ShiftedSeries`` values (``__mul__``, ``__add__``, ``invert``).  Every
 bilateral theta sum is a list of :class:`Theta` records expanded by
 :func:`bilateral_sum`, or by :func:`theta_stream` divided by (q^n; q^n).
 """
@@ -25,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -477,24 +478,8 @@ def euler_product(order: int) -> ShiftedSeries:
 @lru_cache(maxsize=None)
 def partition_series(order: int) -> ShiftedSeries:
     """1/(q; q)_inf — the partition generating function."""
-    return euler_product(order).invert()
-
-
-_T = TypeVar("_T")
-
-
-def beside_partition_series(store: dict, order: int, build: Callable[[ShiftedSeries], _T]) -> _T:
-    """``build(p)`` for the cached ``p = partition_series(order)``, kept in ``store`` as ``order -> (p, value)``.
-
-    The value is built again whenever that cache hands out a new object, so
-    it lives exactly as long as one generation of the package's caches: a
-    cleared cache starts it afresh.
-    """
-    p = partition_series(order)
-    held = store.get(order)
-    if held is None or held[0] is not p:
-        held = store[order] = (p, build(p))
-    return held[1]
+    coeffs, _ = _kernels.invert_unit(euler_product(order).coeffs, order + 1)
+    return ShiftedSeries._of_ints(coeffs)
 
 
 #: order -> (the partition_series(order) it was built from, its limb table)
@@ -502,8 +487,12 @@ _PARTITION_TABLES: dict[int, tuple[ShiftedSeries, _kernels.LimbTable]] = {}
 
 
 def _partition_table(order: int) -> _kernels.LimbTable:
-    """The limb table of the partition numbers 0..order, one per cache generation."""
-    return beside_partition_series(_PARTITION_TABLES, order, lambda p: _kernels.limb_table(p.coeffs))
+    """The limb table of the partition numbers 0..order, built again for each new ``partition_series`` list."""
+    p = partition_series(order)
+    held = _PARTITION_TABLES.get(order)
+    if held is None or held[0] is not p:
+        held = _PARTITION_TABLES[order] = (p, _kernels.limb_table(p.coeffs))
+    return held[1]
 
 
 @lru_cache(maxsize=None)

@@ -311,15 +311,16 @@ def first_mismatch_degree(lhs: list[int], rhs: list[int]) -> int | None:
     return None
 
 
-def _pieces(kind: IdentityKind, fp: FactorizationParams, thetas: list[list[Theta]]) -> list[list]:
-    """The :func:`~charfactor.series.dissect` pieces of the product records, then of each pair's, on one A.
+def _pieces(kind: IdentityKind, fp: FactorizationParams, product: tuple[Theta, ...],
+            thetas: list[list[Theta]]) -> list[list]:
+    """The :func:`~charfactor.series.dissect` pieces of the ``product`` records, then of each pair's, on one A.
 
     A = n*pp', or 4n*pp' for the quintuple scheme at odd n, splits every
     record of valid parameters into squares; a record it does not split is a bug.
     """
     A = fp.n * fp.p * fp.p_prime * (4 if kind.scheme is Scheme.QUINTUPLE and fp.n % 2 else 1)
     sides = []
-    for records in (_product_thetas(kind, fp), *thetas):
+    for records in (product, *thetas):
         sides.append([])
         for record in records:
             pieces = series.dissect(record, A)
@@ -348,7 +349,7 @@ def prove(kind: IdentityKind, fp: FactorizationParams, pairs: list[ContributingP
     with a nonzero count, as :class:`Theta` records whose sum is the
     difference of the numerators at every order.
     """
-    return _residual(kind, pairs, _pieces(kind, fp, thetas), variant)
+    return _residual(kind, pairs, _pieces(kind, fp, _product_thetas(kind, fp), thetas), variant)
 
 
 def _first_mismatch(residual: list[Theta], order: int) -> int | None:
@@ -406,8 +407,9 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
     """
     pairs, thetas = _sides(kind, fp, order)
     top = min(PREFIX_LEN - 1, order)
-    lhs = series.bilateral_sum(_product_thetas(kind, fp), top, DIVERGENT_QUINTUPLE)
-    pieces = _pieces(kind, fp, thetas)
+    product = _product_thetas(kind, fp)
+    lhs = series.bilateral_sum(product, top, DIVERGENT_QUINTUPLE)
+    pieces = _pieces(kind, fp, product, thetas)
     variant, mismatch = AS_STATED, _first_mismatch(_residual(kind, pairs, pieces, AS_STATED), order)
     if mismatch is not None and kind.has_variants:
         if _first_mismatch(_residual(kind, pairs, pieces, SWAPPED), order) is None:

@@ -54,7 +54,7 @@ def on_stride(coeffs, stride):
 @example(a=[0, 0, 1, 0, 1], sa=1, b=[2**63, 0], sb=1, n_out=1)  # huge term meets only zeros
 @settings(max_examples=200, deadline=None)
 def test_convolve_matches_brute_force(a, sa, b, sb, n_out):
-    # zero-stuffed operands exercise the thinning to the gcd of nonzero indices
+    # zero-stuffed operands: convolve scatters the operand with fewer nonzero terms
     a, b = on_stride(a, sa), on_stride(b, sb)
     got = _kernels.convolve(a, b, n_out)
     assert got == brute_convolve(a, b, n_out)

@@ -408,18 +408,21 @@ def test_off_grid_character_side_is_rejected_with_its_exponent(monkeypatch, kind
 
 
 def test_no_package_path_multiplies_two_series(monkeypatch, capsys):
-    # every quotient by (q^n;q^n) goes through over_euler and every product
-    # through one Pochhammer expansion; the general multiply is for outside callers
+    # every quotient by (q^n;q^n) goes through over_euler, every product through
+    # one Pochhammer expansion and the partition numbers through invert_unit; the
+    # general series arithmetic is for outside callers
     def refuse(*args):
-        raise AssertionError("a series multiply on a package path")
+        raise AssertionError("series arithmetic on a package path")
 
     _clear_caches()
     monkeypatch.setattr(_kernels, "convolve", refuse)
-    monkeypatch.setattr(ShiftedSeries, "__mul__", refuse)
-    monkeypatch.setattr(ShiftedSeries, "__rmul__", refuse)
+    monkeypatch.setattr(vf, "integer_coefficients", refuse)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "as_integer_series", "invert"):
+        monkeypatch.setattr(ShiftedSeries, name, refuse)
     for kind in IdentityKind:
         for fp in list(iter_applicable_params(kind, 40))[:4]:
             cert = verify(kind, fp, 50)
+            assert cert.to_json_dict() == vf.check(kind, fp, 50).to_json_dict()
             assert cert.match and build_lhs(kind, fp, 50) == build_rhs(kind, fp, 50, cert.sign_variant)
     for pp in (ProductParams(Scheme.TRIPLE, 3, 1, 1, 3), ProductParams(Scheme.QUINTUPLE, 4, 1, 1, 2)):
         scan(pp, 200)
