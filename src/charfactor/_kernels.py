@@ -309,9 +309,9 @@ def _carry(limbs):
 
 
 def warmup() -> None:
-    """Run tiny inputs through every kernel."""
+    """Run tiny inputs through the kernels that certificates and scans reach."""
     a = [1, -1]
-    convolve(a, a, 3)
-    scatter([(0, HALF)], limb_table(a), 1, 3)  # past one column: the limb path
+    table = limb_table(a)
+    scatter([(0, 1)], table, 1, 3)  # one column
+    scatter([(0, HALF)], table, 1, 3)  # past one column: the limb path
     invert_unit(a, 3)
-    binomial_product(4, [(1, 1, 1)])

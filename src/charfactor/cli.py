@@ -84,9 +84,7 @@ def _cert_lines(cert: verifier.IdentityCertificate):
     fp = cert.params
     yield (f"kind={cert.kind.value} p={fp.p} p'={fp.p_prime} a={fp.a} a'={fp.a_prime} "
            f"b={fp.b} b'={fp.b_prime} c={fp.c} B={fp.B} n={fp.n} order={cert.order}")
-    yield "pairs: " + "; ".join(
-        f"(r={p.r}, s={p.s}) type={p.ptype} weight={p.weight}" for p in cert.pairs
-    )
+    yield "pairs: " + "; ".join(map(str, cert.pairs))
     yield f"match={cert.match} sign_variant={cert.sign_variant} first_mismatch={cert.first_mismatch}"
     yield "lhs prefix: " + " ".join(map(str, cert.lhs_prefix))
     yield "rhs prefix: " + " ".join(map(str, cert.rhs_prefix))
@@ -152,10 +150,7 @@ def _cmd_pairs(args) -> int:
     scheme = _SCHEMES[args.scheme]
     fp = _tuple_from_args(scheme, args)
     prs = contributing_pairs(fp)
-    payload = [{"r": p.r, "s": p.s, "type": p.ptype, "weight": p.weight} for p in prs]
-    _emit(payload, args.json,
-          [f"(r={p.r}, s={p.s}) type={p.ptype} weight={p.weight}" for p in prs]
-          + [f"count={len(prs)} (n={fp.n})"])
+    _emit([p.to_json_dict() for p in prs], args.json, [*map(str, prs), f"count={len(prs)} (n={fp.n})"])
     return 0
 
 
@@ -207,12 +202,7 @@ def _cmd_scan(args) -> int:
 def _cmd_realize(args) -> int:
     pp = ProductParams(_SCHEMES[args.scheme], args.ap, args.B, args.c, args.n)
     found = find_realizations(pp, args.limit)
-    payload = [
-        {"p": fp.p, "pp": fp.p_prime, "a": fp.a, "ap": fp.a_prime,
-         "b": fp.b, "bp": fp.b_prime, "c": fp.c, "B": fp.B, "n": fp.n}
-        for fp in found
-    ]
-    _emit(payload, args.json,
+    _emit([fp.to_json_dict() for fp in found], args.json,
           [f"p={fp.p} p'={fp.p_prime} b={fp.b} b'={fp.b_prime}" for fp in found]
           + [f"{len(found)} realizations"])
     return 0

@@ -26,6 +26,12 @@ class ContributingPair:
     ptype: int  # 1 or 2
     weight: int  # t_{r,s} for triple tuples, f_{r,s} for quintuple tuples
 
+    def to_json_dict(self) -> dict:
+        return {"r": self.r, "s": self.s, "type": self.ptype, "weight": self.weight}
+
+    def __str__(self) -> str:
+        return f"(r={self.r}, s={self.s}) type={self.ptype} weight={self.weight}"
+
 
 def enumerate_triple_pairs(fp: FactorizationParams) -> list[ContributingPair]:
     """Pairs contributing to a triple-scheme sum, sorted by (s, r).

@@ -122,6 +122,11 @@ class FactorizationParams:
     def pp_over_bp(self) -> int:
         return self.p_prime // self.b_prime
 
+    def to_json_dict(self) -> dict:
+        """The nine keys that open a certificate: the tuple with a, B and n."""
+        return {"p": self.p, "pp": self.p_prime, "a": self.a, "ap": self.a_prime,
+                "b": self.b, "bp": self.b_prime, "c": self.c, "B": self.B, "n": self.n}
+
 
 def validate(scheme: Scheme, p: int, p_prime: int, a_prime: int,
              b: int, b_prime: int, c: int) -> FactorizationParams:

@@ -3,10 +3,13 @@
 The plain identities (one per scheme) state that a signed Pochhammer product
 over (q^n; q^n) equals a prefactor power of q times an alternating sum of n
 minimal-model characters evaluated at q**n.  Four signed variants apply when
-extra parity conditions hold; their per-character sign rules involve the
-triangular parities of the pair weights, and the two documented readings of
-each rule ("as stated" and its swap) are both checked, with the certificate
-recording which one held.
+extra parity conditions hold.  :class:`IdentityKind` is the one table of the
+seven kinds: each row holds the kind's scheme, the Jacobi signs (s1, s3) of
+its product side, and the two documented readings of its per-character sign
+rule ("as stated" and its swap) as exponents of one parity product of the
+pair's type and the triangular parities of its weight (:func:`pair_sign`).
+A kind has variants when the readings differ; both are then checked, and
+the certificate records which one held.
 
 :func:`verify` compares numerators.  Each character is
 q**Delta * theta_{r,s}(q) / (q;q)_inf, so at q**n both sides carry the factor
@@ -61,37 +64,30 @@ PREFIX_LEN = 16
 
 
 class IdentityKind(enum.Enum):
-    MAIN = "main"
-    MAIN_A_EVEN = "main_a"
-    MAIN_B_EVEN = "main_b"
-    QUINT = "quint"
-    QUINT_A = "quint_a"
-    QUINT_B = "quint_b"
-    QUINT_C = "quint_c"
+    """The seven identity kinds, one table row each: scheme, Jacobi signs and sign rules.
 
-    @property
-    def scheme(self) -> Scheme:
-        if self in (IdentityKind.MAIN, IdentityKind.MAIN_A_EVEN, IdentityKind.MAIN_B_EVEN):
-            return Scheme.TRIPLE
-        return Scheme.QUINTUPLE
+    ``signs`` is ``(s1, s3)``: the product side is the Jacobi triple or
+    quintuple product of u = s1 q^.. and v = s3 q^.. (see
+    :func:`products.triple_symbol` and :func:`products.quintuple_numerator`).
+    ``stated`` and ``swapped`` are the two readings of the kind's pair-sign
+    rule as exponents of one parity product (see :func:`pair_sign`).
+    """
 
-    @property
-    def has_variants(self) -> bool:
-        return self not in (IdentityKind.MAIN, IdentityKind.QUINT)
+    MAIN = "main", Scheme.TRIPLE, (1, 1), (1, 0, 0, 0), (1, 0, 0, 0)
+    MAIN_A_EVEN = "main_a", Scheme.TRIPLE, (1, -1), (0, 1, 0, 0), (0, 0, 1, 0)
+    MAIN_B_EVEN = "main_b", Scheme.TRIPLE, (-1, -1), (0, 0, 1, 0), (0, 1, 0, 0)
+    QUINT = "quint", Scheme.QUINTUPLE, (1, 1), (1, 0, 0, 0), (1, 0, 0, 0)
+    QUINT_A = "quint_a", Scheme.QUINTUPLE, (-1, 1), (1, 1, 1, 0), (0, 1, 1, 0)
+    QUINT_B = "quint_b", Scheme.QUINTUPLE, (1, -1), (1, 0, 1, 1), (1, 1, 0, 1)
+    QUINT_C = "quint_c", Scheme.QUINTUPLE, (-1, -1), (1, 1, 0, 1), (1, 0, 1, 1)
 
-
-#: product-argument signs per kind; see products.triple_numerator / quintuple_numerator
-_TRIPLE_SIGNS = {
-    IdentityKind.MAIN: (1, 1, 1, 1),
-    IdentityKind.MAIN_A_EVEN: (1, -1, -1, -1),
-    IdentityKind.MAIN_B_EVEN: (-1, 1, -1, -1),
-}
-_QUINTUPLE_SIGNS = {
-    IdentityKind.QUINT: (1, 1, 1, 1, 1, 1),
-    IdentityKind.QUINT_A: (-1, -1, 1, 1, 1, 1),
-    IdentityKind.QUINT_B: (1, -1, -1, -1, -1, -1),
-    IdentityKind.QUINT_C: (-1, 1, -1, -1, -1, -1),
-}
+    def __new__(cls, value: str, scheme: Scheme, signs: tuple[int, int],
+                stated: tuple[int, int, int, int], swapped: tuple[int, int, int, int]):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.scheme, kind.signs, kind.stated, kind.swapped = scheme, signs, stated, swapped
+        kind.has_variants = stated != swapped
+        return kind
 
 
 def applicability_error(kind: IdentityKind, fp: FactorizationParams) -> str | None:
@@ -141,15 +137,15 @@ def _require_applicable(kind: IdentityKind, fp: FactorizationParams) -> None:
 
 def _lhs_numerator(kind: IdentityKind, fp: FactorizationParams, order: int) -> ShiftedSeries:
     if kind.scheme is Scheme.TRIPLE:
-        return products.triple_numerator(fp.a_prime, fp.B, fp.c, order, _TRIPLE_SIGNS[kind])
-    return products.quintuple_numerator(fp.a_prime, fp.B, fp.c, order, _QUINTUPLE_SIGNS[kind])
+        return products.triple_numerator(fp.a_prime, fp.B, fp.c, order, kind.signs)
+    return products.quintuple_numerator(fp.a_prime, fp.B, fp.c, order, kind.signs)
 
 
 def _product_thetas(kind: IdentityKind, fp: FactorizationParams) -> tuple[Theta, ...]:
     """The theta records of :func:`_lhs_numerator`, by the Jacobi triple or quintuple product identity."""
     if kind.scheme is Scheme.TRIPLE:
-        return products.triple_side_thetas(fp.a_prime, fp.B, fp.c, _TRIPLE_SIGNS[kind])
-    return products.quintuple_side_thetas(fp.a_prime, fp.B, fp.c, _QUINTUPLE_SIGNS[kind])
+        return products.triple_side_thetas(fp.a_prime, fp.B, fp.c, kind.signs)
+    return products.quintuple_side_thetas(fp.a_prime, fp.B, fp.c, kind.signs)
 
 
 def build_lhs(kind: IdentityKind, fp: FactorizationParams, order: int) -> ShiftedSeries:
@@ -167,47 +163,23 @@ def prefactor_exponent(fp: FactorizationParams) -> Fraction:
     return Fraction(num, 4 * fp.B * fp.a * fp.a_prime)
 
 
-def _parity_sign(value: int) -> int:
-    return -1 if value % 2 else 1
-
-
 def pair_sign(kind: IdentityKind, pair: ContributingPair, variant: str = AS_STATED) -> int:
-    """Coefficient sign of the pair's character under the kind's sign rule.
+    """Coefficient sign of the pair's character under one reading of the kind's sign rule.
 
-    The plain kinds use the type alone.  The signed triple kinds use the
-    triangular parities t(t+1)/2 (first kind) and t(t-1)/2 (second kind);
-    ``swapped`` exchanges the two triangular rules, which is the same as
-    flipping every type-2 pair because t is even exactly on type 1.  The
-    signed quintuple kinds keep the type sign and multiply by a parity of
-    the weight: plain f for the first kind, and the triangular parities
-    w(w-1)/2 (second kind) / w(w+1)/2 (third kind) evaluated at w = f for
-    type-1 pairs and w = -f for type-2 pairs, because the reduced theta
-    index behind the sign is congruent to f and to -f respectively;
-    ``swapped`` exchanges the two triangular rules.
+    The reading's exponents ``(e_type, e_plus, e_minus, e_neg)`` give the sign
+    type_sign**e_type * par(w(w+1)/2)**e_plus * par(w(w-1)/2)**e_minus,
+    where par(x) = (-1)**x and w is the weight, negated on type-2 pairs when
+    e_neg is 1 (for the quintuple kinds the reduced theta index behind the
+    sign is congruent to f on type 1 and to -f on type 2).  w -> -w
+    exchanges the two triangular parities, so e_neg has no effect when
+    e_plus = e_minus; and with both set the product is par(w).
     """
     if variant not in (AS_STATED, SWAPPED):
         raise ValueError(f"unknown sign variant {variant!r}")
-    t = pair.weight
-    type_sign = 1 if pair.ptype == 1 else -1
-    swap = variant == SWAPPED
-    if kind is IdentityKind.MAIN or kind is IdentityKind.QUINT:
-        return type_sign
-    if kind is IdentityKind.MAIN_A_EVEN or kind is IdentityKind.MAIN_B_EVEN:
-        tri_plus = _parity_sign(t * (t + 1) // 2)
-        tri_minus = _parity_sign(t * (t - 1) // 2)
-        stated_plus = kind is IdentityKind.MAIN_A_EVEN
-        return (tri_plus if stated_plus != swap else tri_minus)
-    if kind is IdentityKind.QUINT_A:
-        base = _parity_sign(t) * type_sign
-        return -base if (swap and pair.ptype == 2) else base
-    w = t if pair.ptype == 1 else -t
-    tri_plus = _parity_sign(w * (w + 1) // 2)
-    tri_minus = _parity_sign(w * (w - 1) // 2)
-    if kind is IdentityKind.QUINT_B:
-        return (tri_plus if swap else tri_minus) * type_sign
-    if kind is IdentityKind.QUINT_C:
-        return (tri_minus if swap else tri_plus) * type_sign
-    raise ValueError(kind)
+    e_type, e_plus, e_minus, e_neg = kind.swapped if variant == SWAPPED else kind.stated
+    w = -pair.weight if e_neg and pair.ptype == 2 else pair.weight
+    odd = e_type * (pair.ptype - 1) + e_plus * (w * (w + 1) // 2) + e_minus * (w * (w - 1) // 2)
+    return -1 if odd % 2 else 1
 
 
 def _character_thetas(fp: FactorizationParams, pairs: list[ContributingPair]) -> list[list[Theta]]:
@@ -267,23 +239,11 @@ class IdentityCertificate:
     rhs_prefix: list[int]
 
     def to_json_dict(self) -> dict:
-        fp = self.params
         return {
             "kind": self.kind.value,
-            "p": fp.p,
-            "pp": fp.p_prime,
-            "a": fp.a,
-            "ap": fp.a_prime,
-            "b": fp.b,
-            "bp": fp.b_prime,
-            "c": fp.c,
-            "B": fp.B,
-            "n": fp.n,
+            **self.params.to_json_dict(),
             "order": self.order,
-            "pairs": [
-                {"r": pr.r, "s": pr.s, "type": pr.ptype, "weight": pr.weight}
-                for pr in self.pairs
-            ],
+            "pairs": [pr.to_json_dict() for pr in self.pairs],
             "match": self.match,
             "sign_variant": self.sign_variant,
             "first_mismatch": self.first_mismatch,

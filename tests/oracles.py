@@ -110,3 +110,45 @@ def rc_normalized_character(p: int, pp: int, r: int, s: int, order: int) -> list
         if 0 <= e2 <= order:
             num[e2] -= 1
     return brute_convolve(num, partition_counts(order), order + 1)
+
+
+#: each identity kind's product sign vector as the paper writes it: the signs of
+#: the three arguments and the base of (u, u^-1 v, v; v), then, for the quintuple
+#: kinds, of the two arguments of (u^2 v, u^-2 v; v^2)
+KIND_SIGNS = {
+    "main": (1, 1, 1, 1),
+    "main_a": (1, -1, -1, -1),
+    "main_b": (-1, 1, -1, -1),
+    "quint": (1, 1, 1, 1, 1, 1),
+    "quint_a": (-1, -1, 1, 1, 1, 1),
+    "quint_b": (1, -1, -1, -1, -1, -1),
+    "quint_c": (-1, 1, -1, -1, -1, -1),
+}
+
+
+def _parity(v: int) -> int:
+    return -1 if v % 2 else 1
+
+
+def pair_sign(kind: str, ptype: int, t: int, swapped: bool) -> int:
+    """The sign of a pair's character under each kind's rule, written out kind by kind.
+
+    The plain kinds use the type alone.  The signed triple kinds use the
+    triangular parities t(t+1)/2 (main_a) and t(t-1)/2 (main_b), and the
+    swapped reading exchanges them.  quint_a multiplies the type sign by the
+    parity of t, and its swapped reading flips every type-2 pair.  quint_b
+    and quint_c multiply the type sign by the triangular parities w(w-1)/2
+    and w(w+1)/2 at w = t on type 1 and w = -t on type 2, and the swapped
+    reading exchanges them.
+    """
+    type_sign = 1 if ptype == 1 else -1
+    if kind in ("main", "quint"):
+        return type_sign
+    if kind in ("main_a", "main_b"):
+        return _parity(t * (t + 1) // 2) if (kind == "main_a") != swapped else _parity(t * (t - 1) // 2)
+    if kind == "quint_a":
+        base = _parity(t) * type_sign
+        return -base if swapped and ptype == 2 else base
+    w = t if ptype == 1 else -t
+    plus = (kind == "quint_c") != swapped
+    return (_parity(w * (w + 1) // 2) if plus else _parity(w * (w - 1) // 2)) * type_sign

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from charfactor import _kernels, products
 from charfactor.series import NEEDS_CONSTANT_SLOT, SeriesError, inverse_euler_power, pochhammer
 from charfactor.series import SignedMonomial as Q
-from charfactor.verifier import _QUINTUPLE_SIGNS, _TRIPLE_SIGNS, IdentityKind
+from charfactor.params import Scheme
+from charfactor.verifier import IdentityKind
 
-from oracles import brute_convolve, euler_power_oracle, naive_pochhammer
+from oracles import KIND_SIGNS, brute_convolve, euler_power_oracle, naive_pochhammer
 
 
 def triple_oracle(ap, B, c, n, order):
@@ -80,15 +81,31 @@ def test_sides_reject_what_the_numerators_reject():
         assert str(err.value) == text
 
 
-@pytest.mark.parametrize("kind", list(_QUINTUPLE_SIGNS), ids=lambda k: k.value)
+def _kinds(scheme):
+    return [kind for kind in IdentityKind if kind.scheme is scheme]
+
+
+# each numerator is built from the kind's Jacobi signs (s1, s3) and must expand to
+# the symbols with exactly the paper's sign vector
+@pytest.mark.parametrize("kind", _kinds(Scheme.TRIPLE), ids=lambda k: k.value)
+@given(st.integers(1, 9), st.integers(1, 4), st.integers(0, 8), st.integers(0, 80))
+@settings(max_examples=60, deadline=None)
+def test_signed_triple_numerators_match_naive_expansion(kind, ap, B, c, order):
+    c = c % ap + (ap - c % ap) % 2  # a' - c even, c <= a'
+    s1, s2, s3, sb = KIND_SIGNS[kind.value]
+    want = naive_pochhammer([(s1, B * (ap - c) // 2), (s2, B * (ap + c) // 2), (s3, B * ap)], (sb, B * ap), order)
+    assert products.triple_numerator(ap, B, c, order, kind.signs).coeffs == want
+
+
+@pytest.mark.parametrize("kind", _kinds(Scheme.QUINTUPLE), ids=lambda k: k.value)
 @given(st.integers(1, 9), st.integers(1, 4), st.integers(0, 8), st.integers(0, 80))
 @settings(max_examples=60, deadline=None)
 def test_signed_quintuple_numerators_match_naive_expansion(kind, ap, B, c, order):
     c %= ap
-    s1, s2, s3, sb, t1, t2 = signs = _QUINTUPLE_SIGNS[kind]
+    s1, s2, s3, sb, t1, t2 = KIND_SIGNS[kind.value]
     first = naive_pochhammer([(s1, B * c), (s2, B * (2 * ap - c)), (s3, 2 * B * ap)], (sb, 2 * B * ap), order)
     second = naive_pochhammer([(t1, 2 * B * (ap + c)), (t2, 2 * B * (ap - c))], (1, 4 * B * ap), order)
-    got = products.quintuple_numerator(ap, B, c, order, signs)
+    got = products.quintuple_numerator(ap, B, c, order, kind.signs)
     assert got.coeffs == brute_convolve(first, second, order + 1)
 
 
@@ -96,21 +113,21 @@ def test_signed_quintuple_numerators_match_naive_expansion(kind, ap, B, c, order
 def test_high_order_quintuple_numerators_match_the_two_symbol_form(kind, ap, B, c):
     # the two quintuple certificates of the benchmark's high-order workload, at N = 10^4
     order = 10_000
-    s1, s2, s3, sb, t1, t2 = signs = _QUINTUPLE_SIGNS[kind]
+    s1, s2, s3, sb, t1, t2 = KIND_SIGNS[kind.value]
     first = pochhammer((Q(s1, B * c), Q(s2, B * (2 * ap - c)), Q(s3, 2 * B * ap)), Q(sb, 2 * B * ap), order)
     second = pochhammer((Q(t1, 2 * B * (ap + c)), Q(t2, 2 * B * (ap - c))), Q(1, 4 * B * ap), order)
-    assert products.quintuple_numerator(ap, B, c, order, signs).coeffs == (first * second).coeffs
+    assert products.quintuple_numerator(ap, B, c, order, kind.signs).coeffs == (first * second).coeffs
 
 
 def test_high_order_numerators_stay_on_one_limb_with_ascending_shifts(monkeypatch):
     # the numerators of the benchmark's five high-order certificates; an order
     # that grouped the shifts by progression left one limb on all five (3-5x slower)
     numerators = [
-        (products.triple_numerator, (3, 1, 1, 10_000, _TRIPLE_SIGNS[IdentityKind.MAIN])),  # (2,3) main
-        (products.quintuple_numerator, (4, 1, 1, 10_000, _QUINTUPLE_SIGNS[IdentityKind.QUINT])),  # (3,4) quint
-        (products.triple_numerator, (3, 1, 1, 10_000, _TRIPLE_SIGNS[IdentityKind.MAIN_B_EVEN])),  # (4,3) main_b
-        (products.quintuple_numerator, (4, 1, 3, 10_000, _QUINTUPLE_SIGNS[IdentityKind.QUINT_B])),  # (3,16) quint_b
-        (products.triple_numerator, (3, 1, 1, 12_000, _TRIPLE_SIGNS[IdentityKind.MAIN])),  # (2,9) main
+        (products.triple_numerator, (3, 1, 1, 10_000, IdentityKind.MAIN.signs)),  # (2,3) main
+        (products.quintuple_numerator, (4, 1, 1, 10_000, IdentityKind.QUINT.signs)),  # (3,4) quint
+        (products.triple_numerator, (3, 1, 1, 10_000, IdentityKind.MAIN_B_EVEN.signs)),  # (4,3) main_b
+        (products.quintuple_numerator, (4, 1, 3, 10_000, IdentityKind.QUINT_B.signs)),  # (3,16) quint_b
+        (products.triple_numerator, (3, 1, 1, 12_000, IdentityKind.MAIN.signs)),  # (2,9) main
     ]
     calls = []
     real, apply = _kernels.binomial_product, _kernels._apply

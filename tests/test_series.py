@@ -347,14 +347,14 @@ def test_pochhammer_product_tail_matches_naive_product(symbols, order):
 
 @pytest.mark.parametrize("numerator, args, symbols", [
     # (1 + q^0) and a base of sign -1: (-1, q^3, -q^3; -q^3)
-    (products.triple_numerator, (3, 1, 3, 80, (-1, 1, -1, -1)),
+    (products.triple_numerator, (3, 1, 3, 80, (-1, -1)),
      [([(-1, 0), (1, 3), (-1, 3)], (-1, 3))]),
-    (products.triple_numerator, (5, 2, 1, 200, (1, -1, -1, -1)),
+    (products.triple_numerator, (5, 2, 1, 200, (1, -1)),
      [([(1, 4), (-1, 6), (-1, 10)], (-1, 10))]),
     # (1 + q^0) and a base of sign -1 in the first symbol of a quintuple
-    (products.quintuple_numerator, (4, 1, 0, 150, (-1, 1, -1, -1, -1, -1)),
+    (products.quintuple_numerator, (4, 1, 0, 150, (-1, -1)),
      [([(-1, 0), (1, 8), (-1, 8)], (-1, 8)), ([(-1, 8), (-1, 8)], (1, 16))]),
-    (products.quintuple_numerator, (5, 1, 2, 300, (1, 1, 1, 1, 1, 1)),
+    (products.quintuple_numerator, (5, 1, 2, 300, (1, 1)),
      [([(1, 2), (1, 8), (1, 10)], (1, 10)), ([(1, 14), (1, 6)], (1, 20))]),
 ])
 def test_numerators_reach_the_kernel_as_pochhammer_factors(monkeypatch, numerator, args, symbols):

@@ -33,7 +33,8 @@ from charfactor.verifier import (
     verify_remark_products,
 )
 
-from oracles import naive_pochhammer, rc_normalized_character
+from oracles import KIND_SIGNS, naive_pochhammer, rc_normalized_character
+from oracles import pair_sign as reference_pair_sign
 
 
 def _clear_caches():
@@ -170,6 +171,22 @@ def test_quint_even_kinds_need_n_parity():
     assert applicability_error(IdentityKind.QUINT_C, fp) is not None
 
 
+def test_pair_sign_table_equals_the_branchwise_rules():
+    # every pair of every scheme tuple with pp' <= 200, under both readings of all seven
+    # kinds; a kind has variants exactly when its readings differ on some pair
+    pairs = {scheme: {pair for fp in iter_scheme_params(scheme, 200) for pair in contributing_pairs(fp)}
+             for scheme in Scheme}
+    for kind in IdentityKind:
+        differ = False
+        for pair in pairs[kind.scheme]:
+            want = [reference_pair_sign(kind.value, pair.ptype, pair.weight, swapped) for swapped in (False, True)]
+            assert [pair_sign(kind, pair, AS_STATED), pair_sign(kind, pair, SWAPPED)] == want, (kind, pair)
+            differ |= want[0] != want[1]
+        assert kind.has_variants == differ, kind
+    with pytest.raises(ValueError, match="unknown sign variant 'bogus'"):
+        pair_sign(IdentityKind.MAIN, next(iter(pairs[Scheme.TRIPLE])), "bogus")
+
+
 def test_certificate_json_schema():
     cert = verify(IdentityKind.MAIN, triple(2, 9, 3), 80)
     doc = cert.to_json_dict()
@@ -203,7 +220,7 @@ def test_remark_products_fail_on_a_corrupted_numerator(monkeypatch):
     # one flipped factor sign in one numerator symbol breaks the relation
     real = products.triple_symbol
 
-    def corrupted(ap, B, c, signs=products.TRIPLE_PLAIN):
+    def corrupted(ap, B, c, signs=(1, 1)):
         factors, base = real(ap, B, c, signs)
         return ((-factors[0],) + factors[1:], base) if c == 3 else (factors, base)
 
@@ -299,16 +316,6 @@ def test_product_records_expand_to_the_numerators():
     assert {kind for kind, *_ in seen} == set(IdentityKind)
 
 
-def test_product_records_need_signs_of_jacobi_form():
-    with pytest.raises(ValueError, match="Jacobi form"):
-        products.triple_side_thetas(3, 1, 1, (1, 1, -1, -1))
-    with pytest.raises(ValueError, match="Jacobi form"):
-        products.triple_side_thetas(3, 1, 1, (1, -1, -1, 1))
-    for signs in ((1, 1, -1, -1, -1, -1), (1, 1, 1, 1, -1, 1), (1, 1, 1, 1, 1, -1), (1, 1, 1, -1, 1, 1)):
-        with pytest.raises(ValueError, match="Jacobi form"):
-            products.quintuple_side_thetas(4, 1, 1, signs)
-
-
 @pytest.mark.parametrize("max_pp, order", [(60, 10**4), (100, 200)])
 def test_proved_certificates_expand_no_numerator(monkeypatch, max_pp, order):
     # every instance of the verify sweep (pp' <= 100 at N = 200), and every instance
@@ -366,16 +373,15 @@ def test_certificate_numerators_take_one_binomial_pass(monkeypatch):
             assert calls["binomial_product"] <= 1 and calls["convolve"] == 0, (kind, fp)
             if kind.scheme is not Scheme.QUINTUPLE or fp.c != 0:
                 continue
-            signs = vf._QUINTUPLE_SIGNS[kind]
             calls.clear()
-            num = products.quintuple_numerator(fp.a_prime, fp.B, 0, 60, signs)
+            num = products.quintuple_numerator(fp.a_prime, fp.B, 0, 60, kind.signs)
             if kind in (IdentityKind.QUINT, IdentityKind.QUINT_B):
                 assert calls["binomial_product"] == 0 and num.is_zero(), (kind, fp)
                 assert cert.lhs_prefix == [0] * PREFIX_LEN
             else:
                 # (1 + q^0)(1 - s1 sb q^{2Ba'}) ... is twice the symbol started one step later
                 assert calls["binomial_product"] == 1
-                s1, s2, s3, sb, t1, t2 = signs
+                s1, s2, s3, sb, t1, t2 = KIND_SIGNS[kind.value]
                 v = 2 * fp.B * fp.a_prime
                 rest = pochhammer_product((
                     ((Q(s1 * sb, v), Q(s2, v), Q(s3, v)), Q(sb, v)),
