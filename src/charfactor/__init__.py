@@ -17,13 +17,7 @@ from .minimal_model import (
     conformal_dim,
     normalized_character,
 )
-from .pairs import (
-    ContributingPair,
-    LemmaViolation,
-    contributing_pairs,
-    enumerate_quintuple_pairs,
-    enumerate_triple_pairs,
-)
+from .pairs import ContributingPair, LemmaViolation, contributing_pairs
 from .params import (
     FactorizationParams,
     ParameterError,
@@ -101,8 +95,6 @@ __all__ = [
     "conformal_dim",
     "contributing_pairs",
     "covered_case",
-    "enumerate_quintuple_pairs",
-    "enumerate_triple_pairs",
     "euler_product",
     "find_realizations",
     "inverse_euler_power",

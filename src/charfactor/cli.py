@@ -7,8 +7,9 @@ Exit codes: 0 = verified / no violations, 1 = mismatch or violation found
 
 Sweeps (``verify --sweep``, ``scan --sweep``) iterate every valid instance
 below a size bound; CHARFACTOR_THREADS caps their process parallelism (never
-more workers than cores or than chunks of 8 instances), and results are
-always emitted in canonical instance order.
+more workers than cores or than chunks of 8 instances; a value that is not
+a positive integer exits 2), and results are always emitted in canonical
+instance order.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ _SCHEMES = {"triple": Scheme.TRIPLE, "quintuple": Scheme.QUINTUPLE, "quint": Sch
 
 def _thread_count() -> int:
     raw = os.environ.get("CHARFACTOR_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(os.cpu_count() or 1, 8)
+    if not raw:
+        return min(os.cpu_count() or 1, 8)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ParameterError(f"CHARFACTOR_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _emit(payload, as_json: bool, human_lines) -> None:

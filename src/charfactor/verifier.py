@@ -409,17 +409,14 @@ def iter_scheme_params(scheme: Scheme, max_pp: int) -> Iterator[FactorizationPar
     if max_pp < 0:
         raise ParameterError(f"max_pp must be nonnegative, got {max_pp}")
     a = scheme.modulus
-    for p in range(2, max_pp // 2 + 1):
+    start, step = (1, 2) if scheme is Scheme.TRIPLE else (0, 1)
+    for p in range(a, max_pp // 2 + 1, a):
         for p_prime in range(2, max_pp // p + 1):
-            if p % a != 0:
-                continue
             if math.gcd(p, p_prime) != 1:
                 continue
             for b in divisors(p // a):
                 for b_prime in divisors(p_prime):
                     for a_prime in divisors(p_prime // b_prime):
-                        start = 1 if scheme is Scheme.TRIPLE else 0
-                        step = 2 if scheme is Scheme.TRIPLE else 1
                         for c in range(start, a_prime, step):
                             yield FactorizationParams(scheme, p, p_prime, a_prime, b, b_prime, c)
 

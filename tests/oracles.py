@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import math
 
+from charfactor.pairs import ContributingPair, LemmaViolation
+from charfactor.params import Scheme
+
 
 def brute_convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
     out = [0] * n_out
@@ -152,3 +155,58 @@ def pair_sign(kind: str, ptype: int, t: int, swapped: bool) -> int:
     w = t if ptype == 1 else -t
     plus = (kind == "quint_c") != swapped
     return (_parity(w * (w + 1) // 2) if plus else _parity(w * (w - 1) // 2)) * type_sign
+
+
+def grid_pairs(fp) -> list[ContributingPair]:
+    """Contributing pairs from every label cell 0 < r < p/b, 0 < s < p'/b', sorted by (s, r).
+
+    Triple: type 1 iff 4a' divides p'r/b' - ps/b + c, type 2 iff it divides
+    p'r/b' + ps/b - c, weight t = (p'r/b' - ps/b + c)/2; cross-checked
+    against "r odd and ps = bc mod a'" and "t even iff type 1".  Quintuple:
+    type 1 iff 6a' divides p'r/b' - ps/b - a' + 3c, type 2 iff it divides
+    p'r/b' + ps/b + a' - 3c, weight the quotient; cross-checked against the
+    forms of opposite middle sign.  Any disagreement raises LemmaViolation,
+    and so does a count other than n (quintuple c = 0 excepted).
+    """
+    ap, c = fp.a_prime, fp.c
+    triple = fp.scheme is Scheme.TRIPLE
+    mod = 4 * ap if triple else 6 * ap
+    out = []
+    for s in range(1, fp.pp_over_bp):
+        ps = fp.p_over_b * s
+        for r in range(1, fp.p_over_b):
+            pr = fp.pp_over_bp * r
+            if triple:
+                d1 = pr - ps + c
+                d2 = pr + ps - c
+            else:
+                d1 = pr - ps - ap + 3 * c
+                d2 = pr + ps + ap - 3 * c
+            type1 = d1 % mod == 0
+            type2 = d2 % mod == 0
+            if type1 and type2:
+                raise LemmaViolation(f"pair ({r},{s}) matched both types")
+            if triple:
+                member = r % 2 == 1 and (fp.p * s - fp.b * c) % ap == 0
+                if (type1 or type2) != member:
+                    raise LemmaViolation(f"membership criterion disagrees at ({r},{s})")
+                if not member:
+                    continue
+                if d1 % 2 != 0:
+                    raise LemmaViolation(f"odd weight numerator at ({r},{s})")
+                t = d1 // 2
+                if (t % 2 == 0) != type1:
+                    raise LemmaViolation(f"weight parity disagrees with type at ({r},{s})")
+                out.append(ContributingPair(r, s, 1 if type1 else 2, t))
+                continue
+            alt1 = (pr + ps - ap - 3 * c) % mod == 0
+            alt2 = (pr - ps + ap + 3 * c) % mod == 0
+            if type1 != alt1 or type2 != alt2:
+                raise LemmaViolation(f"closed-form criterion disagrees at ({r},{s})")
+            if type1:
+                out.append(ContributingPair(r, s, 1, d1 // mod))
+            elif type2:
+                out.append(ContributingPair(r, s, 2, d2 // mod))
+    if (triple or c >= 1) and len(out) != fp.n:
+        raise LemmaViolation(f"expected {fp.n} contributing pairs, found {len(out)}")
+    return out

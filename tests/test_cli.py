@@ -138,6 +138,15 @@ def test_scan_sweep_small(capsys, monkeypatch):
     assert doc["with_violations"] == 0
 
 
+def test_malformed_thread_count_exits_2(capsys, monkeypatch):
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("CHARFACTOR_THREADS", raw)
+        assert run(["verify", "--kind", "main", "--sweep", "--max-pp", "20", "--order", "30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: CHARFACTOR_THREADS must be a positive integer, got '{raw}'\n"
+
+
 def test_sweep_parallel_matches_serial(capsys, monkeypatch):
     # the pool gets (kind, params, order) and (params, order) jobs, pickled
     verify = ["verify", "--kind", "quint", "--sweep", "--max-pp", "30", "--order", "40", "--json"]

@@ -1,8 +1,10 @@
 import pytest
 
-from charfactor.pairs import enumerate_quintuple_pairs, enumerate_triple_pairs
-from charfactor.params import ParameterError, Scheme, validate
+from charfactor.pairs import LemmaViolation, contributing_pairs
+from charfactor.params import Scheme, validate
 from charfactor.verifier import iter_scheme_params
+
+from oracles import grid_pairs
 
 
 def triple(p, pp, ap, b, bp, c):
@@ -14,37 +16,52 @@ def quintuple(p, pp, ap, b, bp, c):
 
 
 def test_triple_pairs_2_9():
-    got = [(x.r, x.s, x.ptype, x.weight) for x in enumerate_triple_pairs(triple(2, 9, 3, 1, 1, 1))]
+    got = [(x.r, x.s, x.ptype, x.weight) for x in contributing_pairs(triple(2, 9, 3, 1, 1, 1))]
     assert got == [(1, 2, 2, 3), (1, 5, 1, 0), (1, 8, 2, -3)]
 
 
 def test_triple_pairs_4_3():
-    got = [(x.r, x.s, x.ptype, x.weight) for x in enumerate_triple_pairs(triple(4, 3, 3, 1, 1, 1))]
+    got = [(x.r, x.s, x.ptype, x.weight) for x in contributing_pairs(triple(4, 3, 3, 1, 1, 1))]
     assert got == [(1, 1, 1, 0), (3, 1, 2, 3)]
 
 
 def test_triple_pairs_4_5():
-    got = [(x.r, x.s, x.ptype, x.weight) for x in enumerate_triple_pairs(triple(4, 5, 5, 1, 1, 1))]
+    got = [(x.r, x.s, x.ptype, x.weight) for x in contributing_pairs(triple(4, 5, 5, 1, 1, 1))]
     assert got == [(1, 4, 2, -5), (3, 4, 1, 0)]
 
 
 def test_quintuple_pairs_9_2():
-    got = [(x.r, x.s, x.ptype, x.weight) for x in enumerate_quintuple_pairs(quintuple(9, 2, 2, 1, 1, 1))]
+    got = [(x.r, x.s, x.ptype, x.weight) for x in contributing_pairs(quintuple(9, 2, 2, 1, 1, 1))]
     assert got == [(2, 1, 2, 1), (4, 1, 1, 0), (8, 1, 2, 2)]
 
 
-def test_scheme_mismatch_rejected():
-    with pytest.raises(ParameterError, match="scheme"):
-        enumerate_quintuple_pairs(triple(2, 9, 3, 1, 1, 1))
-    with pytest.raises(ParameterError, match="scheme"):
-        enumerate_triple_pairs(quintuple(9, 2, 2, 1, 1, 1))
+def test_congruence_enumeration_matches_the_grid():
+    # the grid tests every cell, so it also covers the membership criterion
+    # on the rows s outside the congruence class, which the enumerator skips
+    count = 0
+    for scheme in (Scheme.TRIPLE, Scheme.QUINTUPLE):
+        for fp in iter_scheme_params(scheme, 200):
+            assert contributing_pairs(fp) == grid_pairs(fp), fp
+            count += 1
+    assert count == 8722
+
+
+def test_lemma_violation_on_tuples_past_validation():
+    # a' = 2 does not divide the triple's p' = 9 and a' = 4 does not divide
+    # the quintuple's p' = 2; both enumerations raise, from different checks
+    for fp, ap in ((triple(2, 9, 3, 1, 1, 1), 2), (quintuple(9, 2, 2, 1, 1, 1), 4)):
+        object.__setattr__(fp, "a_prime", ap)
+        with pytest.raises(LemmaViolation):
+            contributing_pairs(fp)
+        with pytest.raises(LemmaViolation):
+            grid_pairs(fp)
 
 
 def test_count_equals_n_on_sweep():
     for fp in iter_scheme_params(Scheme.TRIPLE, 150):
-        assert len(enumerate_triple_pairs(fp)) == fp.n
+        assert len(contributing_pairs(fp)) == fp.n
     for fp in iter_scheme_params(Scheme.QUINTUPLE, 150):
-        got = enumerate_quintuple_pairs(fp)
+        got = contributing_pairs(fp)
         if fp.c >= 1:
             assert len(got) == fp.n
 
@@ -53,16 +70,16 @@ def test_count_law_fails_at_c_zero():
     # boundary defect: the residue class hits the excluded s = 0 label
     fp = quintuple(3, 2, 2, 1, 1, 0)
     assert fp.n == 1
-    assert enumerate_quintuple_pairs(fp) == []
+    assert contributing_pairs(fp) == []
 
 
 def test_duality_exclusion():
     for fp in iter_scheme_params(Scheme.TRIPLE, 120):
-        pairs = {(x.r, x.s) for x in enumerate_triple_pairs(fp)}
+        pairs = {(x.r, x.s) for x in contributing_pairs(fp)}
         for r, s in pairs:
             assert (fp.p_over_b - r, fp.pp_over_bp - s) not in pairs
     for fp in iter_scheme_params(Scheme.QUINTUPLE, 120):
-        pairs = {(x.r, x.s) for x in enumerate_quintuple_pairs(fp)}
+        pairs = {(x.r, x.s) for x in contributing_pairs(fp)}
         for r, s in pairs:
             if fp.c >= 1:
                 assert (fp.p_over_b - r, fp.pp_over_bp - s) not in pairs
@@ -74,7 +91,7 @@ def test_c_zero_pairs_cancel_dually():
     for fp in iter_scheme_params(Scheme.QUINTUPLE, 120):
         if fp.c != 0:
             continue
-        typed = {(x.r, x.s): x.ptype for x in enumerate_quintuple_pairs(fp)}
+        typed = {(x.r, x.s): x.ptype for x in contributing_pairs(fp)}
         for (r, s), ptype in typed.items():
             dual = (fp.p_over_b - r, fp.pp_over_bp - s)
             assert typed.get(dual) == 3 - ptype
@@ -82,7 +99,7 @@ def test_c_zero_pairs_cancel_dually():
 
 def test_triple_shift_laws():
     for fp in iter_scheme_params(Scheme.TRIPLE, 150):
-        typed = {(x.r, x.s): x.ptype for x in enumerate_triple_pairs(fp)}
+        typed = {(x.r, x.s): x.ptype for x in contributing_pairs(fp)}
         for (r, s), ptype in typed.items():
             if r + 2 < fp.p_over_b:
                 assert typed.get((r + 2, s)) == 3 - ptype
@@ -96,7 +113,7 @@ def test_triple_shift_laws():
 
 def test_quintuple_shift_laws():
     for fp in iter_scheme_params(Scheme.QUINTUPLE, 150):
-        typed = {(x.r, x.s): x.ptype for x in enumerate_quintuple_pairs(fp)}
+        typed = {(x.r, x.s): x.ptype for x in contributing_pairs(fp)}
         for (r, s), ptype in typed.items():
             if r + 6 < fp.p_over_b:
                 assert typed.get((r + 6, s)) == ptype
@@ -106,5 +123,5 @@ def test_quintuple_shift_laws():
 
 def test_weight_parity_encodes_type():
     for fp in iter_scheme_params(Scheme.TRIPLE, 150):
-        for x in enumerate_triple_pairs(fp):
+        for x in contributing_pairs(fp):
             assert (x.weight % 2 == 0) == (x.ptype == 1)
