@@ -7,9 +7,9 @@ Exit codes: 0 = verified / no violations, 1 = mismatch or violation found
 
 Sweeps (``verify --sweep``, ``scan --sweep``) iterate every valid instance
 below a size bound; CHARFACTOR_THREADS caps their process parallelism (never
-more workers than cores or than chunks of 8 instances; a value that is not
-a positive integer exits 2), and results are always emitted in canonical
-instance order.
+more workers than the CPUs the process may run on or than chunks of 8
+instances; a value that is not a positive integer exits 2), and results are
+always emitted in canonical instance order.
 """
 
 from __future__ import annotations
@@ -36,10 +36,17 @@ _KINDS = {k.value: k for k in verifier.IdentityKind}
 _SCHEMES = {"triple": Scheme.TRIPLE, "quintuple": Scheme.QUINTUPLE, "quint": Scheme.QUINTUPLE}
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _thread_count() -> int:
     raw = os.environ.get("CHARFACTOR_THREADS", "").strip()
     if not raw:
-        return min(os.cpu_count() or 1, 8)
+        return min(_cpu_count(), 8)
     if not raw.isdecimal() or int(raw) < 1:
         raise ParameterError(f"CHARFACTOR_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
@@ -117,8 +124,8 @@ _CHUNK = 8
 
 
 def _run_pool(task, jobs: list[tuple]) -> list[dict]:
-    # a worker past the chunk count or the cores would only start and wait
-    workers = min(_thread_count(), -(-len(jobs) // _CHUNK), os.cpu_count() or 1)
+    # a worker past the chunk count or the CPUs would only start and wait
+    workers = min(_thread_count(), -(-len(jobs) // _CHUNK), _cpu_count())
     if workers <= 1:
         return [task(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -216,7 +223,8 @@ def _cmd_remark(args) -> int:
 
 
 def _selftest_checks():
-    from .series import SignedMonomial, pochhammer, pochhammer_product, quintuple_product, triple_product
+    from .series import (SignedMonomial, pochhammer_product, quintuple_product, quintuple_symbols, triple_product,
+                         triple_symbols)
 
     def theta_oracles():
         for eu in range(0, 5):
@@ -226,7 +234,7 @@ def _selftest_checks():
                         u = SignedMonomial(su, eu)
                         v = SignedMonomial(sv, ev)
                         lhs = triple_product(u, v, 60)
-                        rhs = pochhammer((v, u, SignedMonomial(su * sv, ev - eu)), v, 60)
+                        rhs = pochhammer_product(triple_symbols(u, v), 60)
                         if lhs != rhs:
                             return f"triple product mismatch at u={u}, v={v}"
         for eu in range(0, 3):
@@ -236,8 +244,7 @@ def _selftest_checks():
                         u = SignedMonomial(su, eu)
                         v = SignedMonomial(sv, ev)
                         lhs = quintuple_product(u, v, 60)
-                        rhs = pochhammer_product((((v, u, SignedMonomial(su * sv, ev - eu)), v), (
-                            (SignedMonomial(sv, 2 * eu + ev), SignedMonomial(sv, ev - 2 * eu)), SignedMonomial(1, 2 * ev))), 60)
+                        rhs = pochhammer_product(quintuple_symbols(u, v), 60)
                         if lhs != rhs:
                             return f"quintuple product mismatch at u={u}, v={v}"
         return None

@@ -10,8 +10,8 @@ so the gcd-reduction identities are exercised on every entry point.
 
 Each stream is a plain product divided by (q^n; q^n), built in one pass
 from the terms of its theta series (Jacobi triple and quintuple product,
-:func:`products.triple_side_thetas` and :func:`products.quintuple_side_thetas`)
-and the partition numbers; the Pochhammer expansion stays with the verifier.
+:func:`products.side_thetas`) and the partition numbers; the Pochhammer
+expansion stays with the verifier.
 :func:`phi_series` and :func:`psi_series` give the stream as Python ints
 (:func:`products.triple_side`, :func:`products.quintuple_side`).
 :func:`scan` keeps it as the int64 limb columns that pass fills, reads every
@@ -30,8 +30,8 @@ import numpy as np
 
 from ._kernels import limb_ints, limb_signs
 from .params import ParameterError, ProductParams, Scheme, canonicalize, is_prime, prime_factors
-from .products import quintuple_side, quintuple_side_thetas, triple_side, triple_side_thetas
-from .series import DIVERGENT_QUINTUPLE, ShiftedSeries, theta_limbs
+from .products import quintuple_side, side_thetas, triple_side
+from .series import ShiftedSeries, theta_limbs
 
 
 class Covered(enum.Enum):
@@ -93,16 +93,9 @@ def psi_series(pp: ProductParams, order: int) -> ShiftedSeries:
 
 
 def _require_quintuple_modulus(pp: ProductParams) -> None:
-    if pp.a_prime % 3 == 0:
+    """3 must not divide a' of a quintuple quadruple as given, before any gcd reduction."""
+    if pp.scheme is Scheme.QUINTUPLE and pp.a_prime % 3 == 0:
         raise ParameterError(f"divisibility: a' must not be divisible by 3, got {pp.a_prime}")
-
-
-def _stream_limbs(pp: ProductParams, order: int) -> np.ndarray:
-    """The limb columns of :func:`phi_series` or :func:`psi_series`, by the quadruple's scheme."""
-    if pp.scheme is Scheme.TRIPLE:
-        return theta_limbs(triple_side_thetas(pp.a_prime, pp.B, pp.c), pp.n, order)
-    _require_quintuple_modulus(pp)
-    return theta_limbs(quintuple_side_thetas(pp.a_prime, pp.B, pp.c), pp.n, order, DIVERGENT_QUINTUPLE)
 
 
 def covered_case(pp: ProductParams) -> Covered:
@@ -142,13 +135,16 @@ def support_exponent_residues(pp: ProductParams) -> list[int]:
 def scan(pp: ProductParams, order: int) -> SignReport:
     """Scan coefficient sign agreement at distance n up to ``order``.
 
-    The quadruple is canonicalized first; the report refers to the reduced
-    quadruple (the original stream is the reduced one in q**k, so the sign
-    pattern is unchanged).  Any nonzero coefficient outside the supported
-    residue classes would contradict the factorization theorems and raises.
+    A quintuple a' divisible by 3 is rejected as given, as :func:`psi_series`
+    rejects it.  The quadruple is then canonicalized; the report refers to
+    the reduced quadruple (the original stream is the reduced one in q**k,
+    so the sign pattern is unchanged).  Any nonzero coefficient outside the
+    supported residue classes would contradict the factorization theorems
+    and raises.
     """
+    _require_quintuple_modulus(pp)
     reduced, _ = canonicalize(pp)
-    limbs = _stream_limbs(reduced, order)
+    limbs = theta_limbs(side_thetas(reduced.scheme, reduced.a_prime, reduced.B, reduced.c), reduced.n, order)
     n = reduced.n
     support = support_residues(reduced)
     # read signs only: a product of two big coefficients per j would cost more than the test needs

@@ -365,7 +365,7 @@ def bilateral_sum(thetas: Iterable[Theta], order: int,
     return _add_terms([0] * (order + 1), thetas, order, error_label)
 
 
-def _add_terms(acc, thetas: Iterable[Theta], order: int, error_label: str):
+def _add_terms(acc, thetas: Iterable[Theta], order: int, error_label: str = "divergent theta parameters"):
     """Add every term of the ``thetas`` up to ``order`` into ``acc``, indexed by exponent."""
     for a, b, c, s, chi in thetas:
         for k in quadratic_window(a, b, c, order):
@@ -443,10 +443,21 @@ def quintuple_thetas(u: SignedMonomial, v: SignedMonomial) -> tuple[Theta, Theta
     )
 
 
+def triple_symbols(u: SignedMonomial, v: SignedMonomial) -> tuple[tuple, ...]:
+    """The Pochhammer symbol (u, u^-1 v, v; v) of :func:`triple_thetas`, as :func:`pochhammer_product` takes it."""
+    return (((u, SignedMonomial(u.sign * v.sign, v.exponent - u.exponent), v), v),)
+
+
+def quintuple_symbols(u: SignedMonomial, v: SignedMonomial) -> tuple[tuple, ...]:
+    """The Pochhammer symbols (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2) of :func:`quintuple_thetas`."""
+    second = (SignedMonomial(v.sign, 2 * u.exponent + v.exponent), SignedMonomial(v.sign, v.exponent - 2 * u.exponent))
+    return *triple_symbols(u, v), (second, SignedMonomial(1, 2 * v.exponent))
+
+
 def triple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedSeries:
     """Theta sum ``sum_j (-1)**j u**j v**(j(j-1)/2)`` truncated at ``order``.
 
-    Expands the same product as ``pochhammer((v, u, u^-1 v), v, order)``.
+    Expands the same product as :func:`triple_symbols`, (u, u^-1 v, v; v).
     Reflecting the summation index (j -> -j) permutes the terms of the
     bilateral sum, so the reflected form is this same series with u replaced
     by u^-1 v; the sign ambiguity that reflection introduces into the signed
@@ -458,9 +469,9 @@ def triple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedS
 def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedSeries:
     """Theta sum ``sum_j (u**(-3j) - u**(3j+1)) v**(j(3j+1)/2)``.
 
-    Expands ``(v, u, u^-1 v; v) (u^2 v, u^-2 v; v^2)``.  Negative powers of u
-    are legal as long as every surviving term has nonnegative total exponent;
-    otherwise the parameters are rejected.
+    Expands :func:`quintuple_symbols`, (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2).
+    Negative powers of u are legal as long as every surviving term has
+    nonnegative total exponent; otherwise the parameters are rejected.
     """
     return ShiftedSeries._of_ints(bilateral_sum(quintuple_thetas(u, v), order, DIVERGENT_QUINTUPLE))
 

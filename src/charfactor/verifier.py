@@ -23,9 +23,8 @@ the first mismatch degree are those of the full sides.
 
 :func:`verify` decides from an order-free residual.  By the Jacobi triple
 and quintuple product identities, the product-side numerator is a short
-list of theta records too (:func:`~charfactor.products.triple_side_thetas`,
-:func:`~charfactor.products.quintuple_side_thetas`).  Every record of both
-sides is split onto one quadratic coefficient
+list of theta records too (:func:`~charfactor.products.side_thetas`).
+Every record of both sides is split onto one quadratic coefficient
 (:func:`~charfactor.series.dissect`), once, and for each sign reading
 :func:`prove` counts the canonical pieces per key, product minus character.
 The keys left with a nonzero count are the residual: theta records whose
@@ -53,7 +52,7 @@ from .minimal_model import CharacterLabel, MinimalModel, bosonic_thetas
 from .minimal_model import normalized_character  # noqa: F401  (perfbench/tracing.py patches this name)
 from .pairs import ContributingPair, contributing_pairs
 from .params import FactorizationParams, ParameterError, Scheme, divisors
-from .series import DIVERGENT_QUINTUPLE, NEEDS_CONSTANT_SLOT, SeriesError, ShiftedSeries, SignedMonomial, Theta
+from .series import NEEDS_CONSTANT_SLOT, SeriesError, ShiftedSeries, SignedMonomial, Theta
 from .series import over_euler
 
 AS_STATED = "as_stated"
@@ -68,7 +67,7 @@ class IdentityKind(enum.Enum):
 
     ``signs`` is ``(s1, s3)``: the product side is the Jacobi triple or
     quintuple product of u = s1 q^.. and v = s3 q^.. (see
-    :func:`products.triple_symbol` and :func:`products.quintuple_numerator`).
+    :func:`products.jacobi_arguments`).
     ``stated`` and ``swapped`` are the two readings of the kind's pair-sign
     rule as exponents of one parity product (see :func:`pair_sign`).
     """
@@ -135,23 +134,11 @@ def _require_applicable(kind: IdentityKind, fp: FactorizationParams) -> None:
         raise ParameterError(f"precondition failed: {err}")
 
 
-def _lhs_numerator(kind: IdentityKind, fp: FactorizationParams, order: int) -> ShiftedSeries:
-    if kind.scheme is Scheme.TRIPLE:
-        return products.triple_numerator(fp.a_prime, fp.B, fp.c, order, kind.signs)
-    return products.quintuple_numerator(fp.a_prime, fp.B, fp.c, order, kind.signs)
-
-
-def _product_thetas(kind: IdentityKind, fp: FactorizationParams) -> tuple[Theta, ...]:
-    """The theta records of :func:`_lhs_numerator`, by the Jacobi triple or quintuple product identity."""
-    if kind.scheme is Scheme.TRIPLE:
-        return products.triple_side_thetas(fp.a_prime, fp.B, fp.c, kind.signs)
-    return products.quintuple_side_thetas(fp.a_prime, fp.B, fp.c, kind.signs)
-
-
 def build_lhs(kind: IdentityKind, fp: FactorizationParams, order: int) -> ShiftedSeries:
     """The exact product side on the integer grid, truncated at ``order``."""
     _require_applicable(kind, fp)
-    return ShiftedSeries(over_euler(enumerate(_lhs_numerator(kind, fp, order).coeffs), fp.n, order))
+    num = products.numerator(kind.scheme, fp.a_prime, fp.B, fp.c, order, kind.signs)
+    return ShiftedSeries(over_euler(enumerate(num.coeffs), fp.n, order))
 
 
 def prefactor_exponent(fp: FactorizationParams) -> Fraction:
@@ -309,7 +296,8 @@ def prove(kind: IdentityKind, fp: FactorizationParams, pairs: list[ContributingP
     with a nonzero count, as :class:`Theta` records whose sum is the
     difference of the numerators at every order.
     """
-    return _residual(kind, pairs, _pieces(kind, fp, _product_thetas(kind, fp), thetas), variant)
+    product = products.side_thetas(kind.scheme, fp.a_prime, fp.B, fp.c, kind.signs)
+    return _residual(kind, pairs, _pieces(kind, fp, product, thetas), variant)
 
 
 def _first_mismatch(residual: list[Theta], order: int) -> int | None:
@@ -317,7 +305,7 @@ def _first_mismatch(residual: list[Theta], order: int) -> int | None:
 
     The records are summed term by term first: pieces can cancel at one exponent.
     """
-    terms = series._add_terms(defaultdict(int), residual, order, DIVERGENT_QUINTUPLE)
+    terms = series._add_terms(defaultdict(int), residual, order)
     return min((e for e, c in terms.items() if c), default=None)
 
 
@@ -348,7 +336,7 @@ def check(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCe
     second; a failed certificate reports the mismatch against the stated rule.
     """
     pairs, thetas = _sides(kind, fp, order)
-    lhs = _lhs_numerator(kind, fp, order).coeffs
+    lhs = products.numerator(kind.scheme, fp.a_prime, fp.B, fp.c, order, kind.signs).coeffs
     rhs = _signed_sum(kind, pairs, thetas, AS_STATED, order)
     variant, mismatch = AS_STATED, first_mismatch_degree(lhs, rhs)
     if mismatch is not None and kind.has_variants:
@@ -367,8 +355,8 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
     """
     pairs, thetas = _sides(kind, fp, order)
     top = min(PREFIX_LEN - 1, order)
-    product = _product_thetas(kind, fp)
-    lhs = series.bilateral_sum(product, top, DIVERGENT_QUINTUPLE)
+    product = products.side_thetas(kind.scheme, fp.a_prime, fp.B, fp.c, kind.signs)
+    lhs = series.bilateral_sum(product, top)
     pieces = _pieces(kind, fp, product, thetas)
     variant, mismatch = AS_STATED, _first_mismatch(_residual(kind, pairs, pieces, AS_STATED), order)
     if mismatch is not None and kind.has_variants:
@@ -389,9 +377,8 @@ def verify_remark_products(a_prime: int, c: int, order: int) -> bool:
         raise ParameterError(f"parity: a' and c must be odd (a'={a_prime}, c={c})")
     if not 0 < c < a_prime:
         raise ParameterError(f"range: need 0 < c < a' (a'={a_prime}, c={c})")
-    numerators = [products.triple_symbol(a_prime, 1, c)]
-    numerators += [products.triple_symbol(a_prime, 1, 2 * j - 1)
-                   for j in range(1, (a_prime - 1) // 2 + 1) if j != (c + 1) // 2]
+    cs = [c] + [2 * j - 1 for j in range(1, (a_prime - 1) // 2 + 1) if j != (c + 1) // 2]
+    numerators = [series.triple_symbols(*products.jacobi_arguments(Scheme.TRIPLE, a_prime, 1, k))[0] for k in cs]
     euler = [((SignedMonomial(1, v),), SignedMonomial(1, v)) for v in [1] + [a_prime] * ((a_prime - 3) // 2)]
     return series.pochhammer_product(numerators, order) == series.pochhammer_product(euler, order)
 

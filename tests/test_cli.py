@@ -210,18 +210,31 @@ def test_sweep_pool_is_capped_by_chunks_and_cores(capsys, monkeypatch):
     from charfactor import cli
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    # the pool counts the CPUs the process may run on, not the host's
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     monkeypatch.setenv("CHARFACTOR_THREADS", "100000")
     _InlinePool.workers.clear()
     args = ["verify", "--kind", "main", "--sweep", "--max-pp", "40", "--order", "30", "--json"]
     assert run(args) == 0
     jobs = json.loads(capsys.readouterr().out)["instances"]
-    assert jobs > 16  # three chunks of 8 or more, so the core count caps the pool
+    assert jobs > 16  # three chunks of 8 or more, so the affinity mask caps the pool
     assert _InlinePool.workers.pop() == 3
     # two chunks of 8 cap it at 2 workers; one chunk runs inline, with no pool
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)))
     for n in (9, 16):
         assert cli._run_pool(len, [(1,)] * n) == [1] * n
         assert _InlinePool.workers.pop() == 2
     assert cli._run_pool(len, [(1,)] * 8) == [1] * 8
+    # pinned to one CPU of 64, a sweep of many chunks runs inline too, by default or capped
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    assert cli._run_pool(len, [(1,)] * 40) == [1] * 40
+    monkeypatch.delenv("CHARFACTOR_THREADS")
+    assert cli._thread_count() == 1
+    assert cli._run_pool(len, [(1,)] * 40) == [1] * 40
     assert _InlinePool.workers == []
+    # where the platform has no affinity mask, the host's CPU count caps the pool
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._run_pool(len, [(1,)] * 40) == [1] * 40
+    assert _InlinePool.workers.pop() == 3

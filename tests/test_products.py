@@ -41,7 +41,7 @@ def test_triple_side_is_the_pochhammer_side(q):
     c = min(c, ap)
     c -= (ap - c) % 2
     got = products.triple_side(ap, B, c, n, order)
-    want = products.triple_numerator(ap, B, c, order) * inverse_euler_power(n, order)
+    want = products.numerator(Scheme.TRIPLE, ap, B, c, order) * inverse_euler_power(n, order)
     assert list(got.coeffs) == want.coeffs
     assert list(got.coeffs) == triple_oracle(ap, B, c, n, order)
 
@@ -55,17 +55,16 @@ def test_quintuple_side_is_the_pochhammer_side(q):
     ap, B, c, n, order = q
     c = min(c, ap)
     got = products.quintuple_side(ap, B, c, n, order)
-    want = products.quintuple_numerator(ap, B, c, order) * inverse_euler_power(n, order)
+    want = products.numerator(Scheme.QUINTUPLE, ap, B, c, order) * inverse_euler_power(n, order)
     assert list(got.coeffs) == want.coeffs
     assert list(got.coeffs) == quintuple_oracle(ap, B, c, n, order)
 
 
 def test_sides_reject_what_the_numerators_reject():
     # c > a' leaves a factor with a negative exponent: not a power series
-    for side, numerator, c in ((products.triple_side, products.triple_numerator, 5),
-                               (products.quintuple_side, products.quintuple_numerator, 4)):
+    for side, scheme, c in ((products.triple_side, Scheme.TRIPLE, 5), (products.quintuple_side, Scheme.QUINTUPLE, 4)):
         with pytest.raises(SeriesError):
-            numerator(3, 1, c, 30)
+            products.numerator(scheme, 3, 1, c, 30)
         with pytest.raises(SeriesError):
             side(3, 1, c, 2, 30)
     with pytest.raises(ValueError, match="parity"):
@@ -94,7 +93,7 @@ def test_signed_triple_numerators_match_naive_expansion(kind, ap, B, c, order):
     c = c % ap + (ap - c % ap) % 2  # a' - c even, c <= a'
     s1, s2, s3, sb = KIND_SIGNS[kind.value]
     want = naive_pochhammer([(s1, B * (ap - c) // 2), (s2, B * (ap + c) // 2), (s3, B * ap)], (sb, B * ap), order)
-    assert products.triple_numerator(ap, B, c, order, kind.signs).coeffs == want
+    assert products.numerator(kind.scheme, ap, B, c, order, kind.signs).coeffs == want
 
 
 @pytest.mark.parametrize("kind", _kinds(Scheme.QUINTUPLE), ids=lambda k: k.value)
@@ -105,7 +104,7 @@ def test_signed_quintuple_numerators_match_naive_expansion(kind, ap, B, c, order
     s1, s2, s3, sb, t1, t2 = KIND_SIGNS[kind.value]
     first = naive_pochhammer([(s1, B * c), (s2, B * (2 * ap - c)), (s3, 2 * B * ap)], (sb, 2 * B * ap), order)
     second = naive_pochhammer([(t1, 2 * B * (ap + c)), (t2, 2 * B * (ap - c))], (1, 4 * B * ap), order)
-    got = products.quintuple_numerator(ap, B, c, order, kind.signs)
+    got = products.numerator(kind.scheme, ap, B, c, order, kind.signs)
     assert got.coeffs == brute_convolve(first, second, order + 1)
 
 
@@ -116,18 +115,18 @@ def test_high_order_quintuple_numerators_match_the_two_symbol_form(kind, ap, B, 
     s1, s2, s3, sb, t1, t2 = KIND_SIGNS[kind.value]
     first = pochhammer((Q(s1, B * c), Q(s2, B * (2 * ap - c)), Q(s3, 2 * B * ap)), Q(sb, 2 * B * ap), order)
     second = pochhammer((Q(t1, 2 * B * (ap + c)), Q(t2, 2 * B * (ap - c))), Q(1, 4 * B * ap), order)
-    assert products.quintuple_numerator(ap, B, c, order, kind.signs).coeffs == (first * second).coeffs
+    assert products.numerator(kind.scheme, ap, B, c, order, kind.signs).coeffs == (first * second).coeffs
 
 
 def test_high_order_numerators_stay_on_one_limb_with_ascending_shifts(monkeypatch):
     # the numerators of the benchmark's five high-order certificates; an order
     # that grouped the shifts by progression left one limb on all five (3-5x slower)
     numerators = [
-        (products.triple_numerator, (3, 1, 1, 10_000, IdentityKind.MAIN.signs)),  # (2,3) main
-        (products.quintuple_numerator, (4, 1, 1, 10_000, IdentityKind.QUINT.signs)),  # (3,4) quint
-        (products.triple_numerator, (3, 1, 1, 10_000, IdentityKind.MAIN_B_EVEN.signs)),  # (4,3) main_b
-        (products.quintuple_numerator, (4, 1, 3, 10_000, IdentityKind.QUINT_B.signs)),  # (3,16) quint_b
-        (products.triple_numerator, (3, 1, 1, 12_000, IdentityKind.MAIN.signs)),  # (2,9) main
+        (Scheme.TRIPLE, 3, 1, 1, 10_000, IdentityKind.MAIN.signs),  # (2,3) main
+        (Scheme.QUINTUPLE, 4, 1, 1, 10_000, IdentityKind.QUINT.signs),  # (3,4) quint
+        (Scheme.TRIPLE, 3, 1, 1, 10_000, IdentityKind.MAIN_B_EVEN.signs),  # (4,3) main_b
+        (Scheme.QUINTUPLE, 4, 1, 3, 10_000, IdentityKind.QUINT_B.signs),  # (3,16) quint_b
+        (Scheme.TRIPLE, 3, 1, 1, 12_000, IdentityKind.MAIN.signs),  # (2,9) main
     ]
     calls = []
     real, apply = _kernels.binomial_product, _kernels._apply
@@ -141,8 +140,8 @@ def test_high_order_numerators_stay_on_one_limb_with_ascending_shifts(monkeypatc
         return coeffs, one_limb
 
     monkeypatch.setattr(_kernels, "binomial_product", spy)
-    for numerator, args in numerators:
-        numerator(*args)
+    for args in numerators:
+        products.numerator(*args)
     assert len(calls) == len(numerators)
     for shifts, n_out, factors, one_limb in calls:
         assert one_limb

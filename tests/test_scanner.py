@@ -62,6 +62,15 @@ def test_psi_rejects_a_prime_multiple_of_3():
         psi_series(quin(3, 1, 1, 2), 10)
 
 
+@pytest.mark.parametrize("ap", [6, 9])
+def test_scan_and_psi_reject_a_prime_multiple_of_3_as_given(ap):
+    # canonicalizing reduces (6,1,3,2) to a' = 2 and (9,1,3,2) to a' = 3: the scan checks
+    # the quadruple as given, before the reduction, and names the a' it was given
+    for stream in (psi_series, scan):
+        with pytest.raises(ParameterError, match=f"^divisibility: a' must not be divisible by 3, got {ap}$"):
+            stream(quin(ap, 1, 3, 2), 10)
+
+
 def test_scan_andrews_case():
     rep = scan(trip(3, 1, 1, 3), 1000)
     assert rep.violations == []

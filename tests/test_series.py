@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charfactor import _kernels, products
+from charfactor.params import Scheme
 from charfactor.series import (
     NEEDS_CONSTANT_SLOT,
     SeriesError,
@@ -25,7 +26,9 @@ from charfactor.series import (
     pochhammer_product,
     quadratic_window,
     quintuple_product,
+    quintuple_symbols,
     triple_product,
+    triple_symbols,
     triple_thetas,
 )
 
@@ -345,19 +348,19 @@ def test_pochhammer_product_tail_matches_naive_product(symbols, order):
     assert all(type(c) is int for c in got.coeffs)
 
 
-@pytest.mark.parametrize("numerator, args, symbols", [
+@pytest.mark.parametrize("scheme, args, symbols", [
     # (1 + q^0) and a base of sign -1: (-1, q^3, -q^3; -q^3)
-    (products.triple_numerator, (3, 1, 3, 80, (-1, -1)),
+    (Scheme.TRIPLE, (3, 1, 3, 80, (-1, -1)),
      [([(-1, 0), (1, 3), (-1, 3)], (-1, 3))]),
-    (products.triple_numerator, (5, 2, 1, 200, (1, -1)),
+    (Scheme.TRIPLE, (5, 2, 1, 200, (1, -1)),
      [([(1, 4), (-1, 6), (-1, 10)], (-1, 10))]),
     # (1 + q^0) and a base of sign -1 in the first symbol of a quintuple
-    (products.quintuple_numerator, (4, 1, 0, 150, (-1, -1)),
+    (Scheme.QUINTUPLE, (4, 1, 0, 150, (-1, -1)),
      [([(-1, 0), (1, 8), (-1, 8)], (-1, 8)), ([(-1, 8), (-1, 8)], (1, 16))]),
-    (products.quintuple_numerator, (5, 1, 2, 300, (1, 1)),
+    (Scheme.QUINTUPLE, (5, 1, 2, 300, (1, 1)),
      [([(1, 2), (1, 8), (1, 10)], (1, 10)), ([(1, 14), (1, 6)], (1, 20))]),
-])
-def test_numerators_reach_the_kernel_as_pochhammer_factors(monkeypatch, numerator, args, symbols):
+], ids=lambda v: f"{v.value}_numerator" if isinstance(v, Scheme) else None)
+def test_numerators_reach_the_kernel_as_pochhammer_factors(monkeypatch, scheme, args, symbols):
     # every factor is (m0, d, s): (1 - s q^(m0 + t d)) for all t >= 0, truncated at n_out
     calls = []
     kernel = _kernels.binomial_product
@@ -368,7 +371,7 @@ def test_numerators_reach_the_kernel_as_pochhammer_factors(monkeypatch, numerato
 
     monkeypatch.setattr(_kernels, "binomial_product", recording)
     order = args[3]
-    got = numerator(*args)
+    got = products.numerator(scheme, *args)
     [(n_out, factors)] = calls
     assert n_out == order + 1 and factors
     for m0, d, s in factors:
@@ -598,12 +601,16 @@ def test_quintuple_product_divergent_parameters_rejected():
 ])
 def test_theta_sums_match_product_oracles(eu, ev, su, sv):
     u, v = Q(su, eu), Q(sv, ev)
+    # both sides of each Jacobi identity: the theta sum and the symbols it expands
     jacobi = naive_pochhammer([(sv, ev), (su, eu), (su * sv, ev - eu)], (sv, ev), 80)
     assert triple_product(u, v, 80).coeffs == jacobi
+    assert pochhammer_product(triple_symbols(u, v), 80).coeffs == jacobi
     if 2 * eu <= ev:
         # (v, u, u^-1 v; v) (u^2 v, u^-2 v; v^2)
         second = naive_pochhammer([(sv, 2 * eu + ev), (sv, ev - 2 * eu)], (1, 2 * ev), 80)
-        assert quintuple_product(u, v, 80).coeffs == brute_convolve(jacobi, second, 81)
+        want = brute_convolve(jacobi, second, 81)
+        assert quintuple_product(u, v, 80).coeffs == want
+        assert pochhammer_product(quintuple_symbols(u, v), 80).coeffs == want
 
 
 def test_inverse_euler_power_matches_partitions():

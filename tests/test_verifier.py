@@ -218,13 +218,14 @@ def test_remark_products_telescope():
 
 def test_remark_products_fail_on_a_corrupted_numerator(monkeypatch):
     # one flipped factor sign in one numerator symbol breaks the relation
-    real = products.triple_symbol
+    real = series.triple_symbols
 
-    def corrupted(ap, B, c, signs=(1, 1)):
-        factors, base = real(ap, B, c, signs)
-        return ((-factors[0],) + factors[1:], base) if c == 3 else (factors, base)
+    def corrupted(u, v):
+        [(factors, base)] = real(u, v)
+        c = v.exponent - 2 * u.exponent  # B = 1: u = q^{(a'-c)/2}, v = q^{a'}
+        return (((-factors[0],) + factors[1:], base),) if c == 3 else ((factors, base),)
 
-    monkeypatch.setattr(products, "triple_symbol", corrupted)
+    monkeypatch.setattr(series, "triple_symbols", corrupted)
     assert verify_remark_products(5, 1, 100) is False
     assert verify_remark_products(7, 1, 100) is False
     assert verify_remark_products(3, 1, 100)  # no symbol with c = 3
@@ -302,18 +303,17 @@ def test_build_rhs_is_the_shifted_character_sum():
 
 
 def test_product_records_expand_to_the_numerators():
-    # the link the proof assumes: each kind's theta records, by the Jacobi triple or
-    # quintuple product identity, expand to exactly its Pochhammer numerator
+    # the link the proof assumes: under every sign vector (s1, s3) of either scheme, the
+    # kinds' four and the triple (-1, +1) that no kind uses, the theta records expand, by
+    # the Jacobi triple or quintuple product identity, to exactly the Pochhammer numerator
     order = 300
-    seen = set()
-    for kind in IdentityKind:
-        for fp in iter_applicable_params(kind, 40):
-            if (kind, fp.a_prime, fp.B, fp.c) in seen:
-                continue  # the numerator depends on nothing else
-            seen.add((kind, fp.a_prime, fp.B, fp.c))
-            want = vf._lhs_numerator(kind, fp, order).coeffs
-            assert series.bilateral_sum(vf._product_thetas(kind, fp), order) == want, (kind, fp)
-    assert {kind for kind, *_ in seen} == set(IdentityKind)
+    vectors = [(scheme, signs) for scheme in Scheme for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    assert {(kind.scheme, kind.signs) for kind in IdentityKind} < set(vectors)
+    for scheme, signs in vectors:
+        # the numerator depends on nothing but (a', B, c)
+        for args in sorted({(fp.a_prime, fp.B, fp.c) for fp in iter_scheme_params(scheme, 40)}):
+            want = products.numerator(scheme, *args, order, signs).coeffs
+            assert series.bilateral_sum(products.side_thetas(scheme, *args, signs), order) == want, (scheme, signs, args)
 
 
 @pytest.mark.parametrize("max_pp, order", [(60, 10**4), (100, 200)])
@@ -324,8 +324,7 @@ def test_proved_certificates_expand_no_numerator(monkeypatch, max_pp, order):
     def refuse(*args):
         raise AssertionError("a numerator expanded on a proved certificate")
 
-    monkeypatch.setattr(products, "triple_numerator", refuse)
-    monkeypatch.setattr(products, "quintuple_numerator", refuse)
+    monkeypatch.setattr(products, "numerator", refuse)
     for kind in IdentityKind:
         for fp in iter_applicable_params(kind, max_pp):
             cert = verify(kind, fp, order)
@@ -337,13 +336,13 @@ def test_proved_certificates_expand_no_numerator(monkeypatch, max_pp, order):
 def test_records_off_the_common_square_raise(monkeypatch):
     # doubling one product record's quadratic coefficient takes it off A's square
     # multiples, which valid parameters never do: verify names the record and stops
-    real = vf._product_thetas
+    real = products.side_thetas
 
-    def off_square(kind, fp):
-        first, *rest = real(kind, fp)
+    def off_square(*args):
+        first, *rest = real(*args)
         return (first._replace(a=2 * first.a), *rest)
 
-    monkeypatch.setattr(vf, "_product_thetas", off_square)
+    monkeypatch.setattr(products, "side_thetas", off_square)
     for kind, fp in ((IdentityKind.MAIN, triple(2, 9, 3)), (IdentityKind.QUINT, quintuple(9, 2, 2))):
         with pytest.raises(RuntimeError, match=r"theta record Theta\(a=.*\) does not dissect onto A = "):
             verify(kind, fp, 60)
@@ -374,7 +373,7 @@ def test_certificate_numerators_take_one_binomial_pass(monkeypatch):
             if kind.scheme is not Scheme.QUINTUPLE or fp.c != 0:
                 continue
             calls.clear()
-            num = products.quintuple_numerator(fp.a_prime, fp.B, 0, 60, kind.signs)
+            num = products.numerator(kind.scheme, fp.a_prime, fp.B, 0, 60, kind.signs)
             if kind in (IdentityKind.QUINT, IdentityKind.QUINT_B):
                 assert calls["binomial_product"] == 0 and num.is_zero(), (kind, fp)
                 assert cert.lhs_prefix == [0] * PREFIX_LEN
@@ -510,8 +509,7 @@ def test_no_certificate_or_workload_path_reaches_the_kernel(monkeypatch):
 
     _clear_caches()
     monkeypatch.setattr(_kernels, "binomial_product", refuse)
-    monkeypatch.setattr(products, "triple_numerator", refuse)
-    monkeypatch.setattr(products, "quintuple_numerator", refuse)
+    monkeypatch.setattr(products, "numerator", refuse)
     for rule in SIGN_RULES:
         monkeypatch.setattr(vf, "pair_sign", SIGN_RULES[rule])
         for order in (200, 10**4):
@@ -533,15 +531,14 @@ def test_residual_mismatch_equals_the_truncated_check_at_high_order(monkeypatch)
     # and every fifth plain one; the product numerator depends only on (kind, a', B, c)
     order = 10**4
     numerators = {}
-    real = vf._lhs_numerator
+    real = products.numerator
 
-    def shared(kind, fp, order):
-        key = (kind, fp.a_prime, fp.B, fp.c, order)
-        if key not in numerators:
-            numerators[key] = real(kind, fp, order)
-        return numerators[key]
+    def shared(*args):
+        if args not in numerators:
+            numerators[args] = real(*args)
+        return numerators[args]
 
-    monkeypatch.setattr(vf, "_lhs_numerator", shared)
+    monkeypatch.setattr(products, "numerator", shared)
     instances = [(kind, fp) for kind in IdentityKind
                  for i, fp in enumerate(iter_applicable_params(kind, 40)) if kind.has_variants or i % 5 == 0]
     assert len(instances) >= 100
@@ -574,7 +571,7 @@ def test_residual_is_the_difference_of_the_numerators(monkeypatch, rule):
         for fp in iter_applicable_params(kind, 40):
             pairs = contributing_pairs(fp)
             thetas = vf._character_thetas(fp, pairs)
-            lhs = vf._lhs_numerator(kind, fp, order).coeffs
+            lhs = products.numerator(kind.scheme, fp.a_prime, fp.B, fp.c, order, kind.signs).coeffs
             for variant in (AS_STATED, SWAPPED) if kind.has_variants else (AS_STATED,):
                 rhs = vf._signed_sum(kind, pairs, thetas, variant, order)
                 residual = vf.prove(kind, fp, pairs, thetas, variant)
