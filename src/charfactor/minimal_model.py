@@ -52,16 +52,14 @@ class CharacterLabel:
     s: int
 
 
-def _check_label(model: MinimalModel, label: CharacterLabel) -> None:
-    if not (1 <= label.r <= model.p - 1 and 1 <= label.s <= model.p_prime - 1):
-        raise InvalidLabel(
-            f"invalid label (r,s)=({label.r},{label.s}) for (p,p')=({model.p},{model.p_prime})"
-        )
+def check_label(p: int, p_prime: int, r: int, s: int) -> None:
+    if not (1 <= r <= p - 1 and 1 <= s <= p_prime - 1):
+        raise InvalidLabel(f"invalid label (r,s)=({r},{s}) for (p,p')=({p},{p_prime})")
 
 
 def conformal_dim(model: MinimalModel, label: CharacterLabel) -> Fraction:
     """Lowest grading offset Delta_{r,s} = ((p'r - sp)^2 - (p' - p)^2) / (4pp')."""
-    _check_label(model, label)
+    check_label(model.p, model.p_prime, label.r, label.s)
     p, pp = model.p, model.p_prime
     return Fraction((pp * label.r - label.s * p) ** 2 - (pp - p) ** 2, 4 * p * pp)
 
@@ -74,7 +72,7 @@ def central_charge(model: MinimalModel) -> Fraction:
 
 def bosonic_thetas(model: MinimalModel, label: CharacterLabel) -> tuple[Theta, Theta]:
     """The two :class:`Theta` records of theta_{r,s}, the bilateral sums of the module docstring."""
-    _check_label(model, label)
+    check_label(model.p, model.p_prime, label.r, label.s)
     p, pp = model.p, model.p_prime
     r, s = label.r, label.s
     return Theta(p * pp, pp * r - p * s, 0), Theta(p * pp, pp * r + p * s, r * s, -1)

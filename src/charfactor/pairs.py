@@ -18,7 +18,7 @@ cells outside the class, is the test oracle ``grid_pairs`` in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import FactorizationParams, Scheme
 
@@ -27,8 +27,7 @@ class LemmaViolation(RuntimeError):
     """Internal cross-check mismatch; must be impossible for valid inputs."""
 
 
-@dataclass(frozen=True)
-class ContributingPair:
+class ContributingPair(NamedTuple):
     r: int
     s: int
     ptype: int  # 1 or 2
@@ -58,6 +57,7 @@ def contributing_pairs(fp: FactorizationParams) -> list[ContributingPair]:
     out: list[ContributingPair] = []
     for s in range(first or step, P, step):
         qs = Q * s
+        row = (p * s - b * c) % ap == 0  # the triple membership criterion's part in s
         for r in range(1, Q):
             pr = P * r
             d1 = pr - qs + k
@@ -67,7 +67,7 @@ def contributing_pairs(fp: FactorizationParams) -> list[ContributingPair]:
             if type1 and type2:
                 raise LemmaViolation(f"pair ({r},{s}) matched both types")
             if triple:
-                if (type1 or type2) != (r % 2 == 1 and (p * s - b * c) % ap == 0):
+                if (type1 or type2) != (r % 2 == 1 and row):
                     raise LemmaViolation(f"membership criterion disagrees at ({r},{s})")
                 if not (type1 or type2):
                     continue

@@ -22,13 +22,15 @@ class ParameterError(ValueError):
 
 
 class Scheme(enum.Enum):
-    TRIPLE = "triple"
-    QUINTUPLE = "quintuple"
+    """The two product schemes; ``modulus`` is the fixed modulus a: 2 for triple products, 3 for quintuple."""
 
-    @property
-    def modulus(self) -> int:
-        """The fixed modulus a: 2 for triple products, 3 for quintuple."""
-        return 2 if self is Scheme.TRIPLE else 3
+    TRIPLE = "triple", 2
+    QUINTUPLE = "quintuple", 3
+
+    def __new__(cls, value: str, modulus: int):
+        scheme = object.__new__(cls)
+        scheme._value_, scheme.modulus = value, modulus
+        return scheme
 
 
 def divisors(m: int) -> list[int]:
@@ -62,8 +64,31 @@ def is_prime(m: int) -> bool:
     return m > 1 and prime_factors(m) == [m]
 
 
+def _problems(scheme: Scheme, p, p_prime, a_prime, b, b_prime, c) -> list[str]:
+    """Every constraint of a full tuple that the values violate, by name."""
+    ints = {"p": p, "p'": p_prime, "a'": a_prime, "b": b, "b'": b_prime, "c": c}
+    wrong = [f"type: {name} must be an integer" for name, v in ints.items() if not isinstance(v, int)]
+    if wrong:
+        return wrong
+    a = scheme.modulus
+    return [message for failed, message in (
+        (p < 2 or p_prime < 2, "range: p and p' must be greater than 1"),
+        (a_prime < 1 or b < 1 or b_prime < 1, "range: a', b, b' must be positive"),
+        (c < 0, "range: c must be nonnegative"),
+        (a_prime <= c, f"range: a' must exceed c (a'={a_prime}, c={c})"),
+        (p >= 2 and p_prime >= 2 and math.gcd(p, p_prime) != 1,
+         f"coprimality: gcd(p, p') must be 1, got gcd({p}, {p_prime})"),
+        (b >= 1 and p % (a * b) != 0, f"divisibility: a*b = {a * b} must divide p = {p}"),
+        (b_prime >= 1 and a_prime >= 1 and p_prime % (a_prime * b_prime) != 0,
+         f"divisibility: a'*b' = {a_prime * b_prime} must divide p' = {p_prime}"),
+        (scheme is Scheme.TRIPLE and c % 2 == 0, f"parity: c must be odd in the triple scheme, got c={c}"),
+    ) if failed]
+
+
 @dataclass(frozen=True)
 class FactorizationParams:
+    """A validated full tuple; a, B, n, p_over_b and pp_over_bp are attributes set at construction, not fields."""
+
     scheme: Scheme
     p: int
     p_prime: int
@@ -72,55 +97,17 @@ class FactorizationParams:
     b_prime: int
     c: int
 
-    def __post_init__(self) -> None:
-        problems = []
-        ints = {"p": self.p, "p'": self.p_prime, "a'": self.a_prime,
-                "b": self.b, "b'": self.b_prime, "c": self.c}
-        for name, v in ints.items():
-            if not isinstance(v, int):
-                problems.append(f"type: {name} must be an integer")
-        if not problems:
-            a = self.scheme.modulus
-            if self.p < 2 or self.p_prime < 2:
-                problems.append("range: p and p' must be greater than 1")
-            if self.a_prime < 1 or self.b < 1 or self.b_prime < 1:
-                problems.append("range: a', b, b' must be positive")
-            if self.c < 0:
-                problems.append("range: c must be nonnegative")
-            if self.a_prime <= self.c:
-                problems.append(f"range: a' must exceed c (a'={self.a_prime}, c={self.c})")
-            if self.p >= 2 and self.p_prime >= 2 and math.gcd(self.p, self.p_prime) != 1:
-                problems.append(f"coprimality: gcd(p, p') must be 1, got gcd({self.p}, {self.p_prime})")
-            if self.b >= 1 and self.p % (a * self.b) != 0:
-                problems.append(f"divisibility: a*b = {a * self.b} must divide p = {self.p}")
-            if self.b_prime >= 1 and self.a_prime >= 1 and self.p_prime % (self.a_prime * self.b_prime) != 0:
-                problems.append(
-                    f"divisibility: a'*b' = {self.a_prime * self.b_prime} must divide p' = {self.p_prime}"
-                )
-            if self.scheme is Scheme.TRIPLE and self.c % 2 == 0:
-                problems.append(f"parity: c must be odd in the triple scheme, got c={self.c}")
-        if problems:
-            raise ParameterError("; ".join(problems))
-
-    @property
-    def a(self) -> int:
-        return self.scheme.modulus
-
-    @property
-    def B(self) -> int:
-        return self.b * self.b_prime
-
-    @property
-    def n(self) -> int:
-        return (self.p * self.p_prime) // (self.a * self.a_prime * self.b * self.b_prime)
-
-    @property
-    def p_over_b(self) -> int:
-        return self.p // self.b
-
-    @property
-    def pp_over_bp(self) -> int:
-        return self.p_prime // self.b_prime
+    def __init__(self, scheme: Scheme, p: int, p_prime: int, a_prime: int, b: int, b_prime: int, c: int) -> None:
+        # one test of every constraint, then one dict update of all twelve attributes (frozen: no setattr)
+        if not (isinstance(p, int) and isinstance(p_prime, int) and isinstance(a_prime, int)
+                and isinstance(b, int) and isinstance(b_prime, int) and isinstance(c, int)
+                and p >= 2 and p_prime >= 2 and b >= 1 and b_prime >= 1 and 0 <= c < a_prime
+                and math.gcd(p, p_prime) == 1 and p % (scheme.modulus * b) == 0
+                and p_prime % (a_prime * b_prime) == 0 and (c % 2 == 1 or scheme is Scheme.QUINTUPLE)):
+            raise ParameterError("; ".join(_problems(scheme, p, p_prime, a_prime, b, b_prime, c)))
+        a, B = scheme.modulus, b * b_prime
+        vars(self).update(scheme=scheme, p=p, p_prime=p_prime, a_prime=a_prime, b=b, b_prime=b_prime, c=c,
+                          a=a, B=B, n=p * p_prime // (a * a_prime * B), p_over_b=p // b, pp_over_bp=p_prime // b_prime)
 
     def to_json_dict(self) -> dict:
         """The nine keys that open a certificate: the tuple with a, B and n."""

@@ -340,14 +340,13 @@ def dissect(theta: Theta, A: int) -> list[tuple[tuple[int, int, int, int], int]]
     m = math.isqrt(A // a)
     if m * m * a != A:
         return None
-    chi_m = chi ** m
-    pieces = []
+    A2, chi_m, pieces = 2 * A, chi ** m, []
     for t in range(m):
-        bt = m * (2 * a * t + b)
-        j = -(bt // (2 * A))
-        bt, ct, st = bt + 2 * A * j, (a * t + b) * t + c + (A * j + bt) * j, -s if j & 1 and chi_m < 0 else s
+        # k' -> k' - j with j = bt // 2A takes bt to bt mod 2A
+        j, bt = divmod(m * (2 * a * t + b), A2)
+        ct, st = (a * t + b) * t + c - (A * j + bt) * j, -s if j & 1 and chi_m < 0 else s
         if bt > A:
-            bt, ct, st = 2 * A - bt, A - bt + ct, st * chi_m
+            bt, ct, st = A2 - bt, A - bt + ct, st * chi_m
         if bt < A or chi_m > 0:
             pieces.append(((A, bt, ct, chi_m), st))
         s *= chi

@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import products, series
-from .minimal_model import CharacterLabel, MinimalModel, bosonic_thetas
+from .minimal_model import check_label
 from .minimal_model import normalized_character  # noqa: F401  (perfbench/tracing.py patches this name)
 from .pairs import ContributingPair, contributing_pairs
 from .params import FactorizationParams, ParameterError, Scheme, divisors
@@ -100,30 +100,35 @@ def applicability_error(kind: IdentityKind, fp: FactorizationParams) -> str | No
     """
     if fp.scheme is not kind.scheme:
         return f"scheme {fp.scheme.value} does not match kind {kind.value}"
+    return _kind_condition_error(kind, fp.n, fp.a_prime, fp.c, fp.p_over_b, fp.pp_over_bp)
+
+
+def _kind_condition_error(kind: IdentityKind, n: int, ap: int, c: int, Q: int, P: int) -> str | None:
+    """:func:`applicability_error` past the scheme check, from n, a', c, Q = p/b and P = p'/b'."""
     if kind is IdentityKind.MAIN_A_EVEN:
-        if fp.n % 2 != 0:
+        if n % 2 != 0:
             return "n must be even"
-        if (fp.a_prime - fp.c) % 4 != 0:
+        if (ap - c) % 4 != 0:
             return "a' must be congruent to c mod 4"
     elif kind is IdentityKind.MAIN_B_EVEN:
-        if fp.n % 2 != 0:
+        if n % 2 != 0:
             return "n must be even"
-        if (fp.a_prime - fp.c) % 4 == 0:
+        if (ap - c) % 4 == 0:
             return "a' must not be congruent to c mod 4"
     elif kind is IdentityKind.QUINT_A:
-        if not (fp.pp_over_bp % 2 == 0 or (fp.p_over_b % 2 == 0 and fp.c % 2 == 1)):
+        if not (P % 2 == 0 or (Q % 2 == 0 and c % 2 == 1)):
             return "p'/b' even, or p/b even with c odd, is required"
-        if fp.n % 2 != 0:
+        if n % 2 != 0:
             return "n must be even"
     elif kind is IdentityKind.QUINT_B:
-        if not (fp.pp_over_bp % 4 == 0 or (fp.p_over_b % 4 == 0 and fp.c % 4 == 0)):
+        if not (P % 4 == 0 or (Q % 4 == 0 and c % 4 == 0)):
             return "4 | p'/b', or 4 | p/b with 4 | c, is required"
-        if fp.n % 4 != 0:
+        if n % 4 != 0:
             return "n must be divisible by 4"
     elif kind is IdentityKind.QUINT_C:
-        if not (fp.pp_over_bp % 4 == 0 or (fp.p_over_b % 4 == 0 and (fp.c + 2) % 4 == 0)):
+        if not (P % 4 == 0 or (Q % 4 == 0 and (c + 2) % 4 == 0)):
             return "4 | p'/b', or 4 | p/b with 4 | c+2, is required"
-        if fp.n % 4 != 0:
+        if n % 4 != 0:
             return "n must be divisible by 4"
     return None
 
@@ -141,13 +146,15 @@ def build_lhs(kind: IdentityKind, fp: FactorizationParams, order: int) -> Shifte
     return ShiftedSeries(over_euler(enumerate(num.coeffs), fp.n, order))
 
 
+def _prefactor_numerator(fp: FactorizationParams) -> int:
+    """E * 4aa'B for the :func:`prefactor_exponent` E: (p - p')^2 - (xB)^2, x = c (triple) or a' - 3c."""
+    x = fp.c if fp.scheme is Scheme.TRIPLE else fp.a_prime - 3 * fp.c
+    return (fp.p - fp.p_prime) ** 2 - (x * fp.B) ** 2
+
+
 def prefactor_exponent(fp: FactorizationParams) -> Fraction:
     """Exponent of the global q-power in front of the character sum."""
-    if fp.scheme is Scheme.TRIPLE:
-        num = (fp.p - fp.p_prime) ** 2 - (fp.c * fp.B) ** 2
-    else:
-        num = (fp.p - fp.p_prime) ** 2 - ((fp.a_prime - 3 * fp.c) * fp.B) ** 2
-    return Fraction(num, 4 * fp.B * fp.a * fp.a_prime)
+    return Fraction(_prefactor_numerator(fp), 4 * fp.B * fp.a * fp.a_prime)
 
 
 def pair_sign(kind: IdentityKind, pair: ContributingPair, variant: str = AS_STATED) -> int:
@@ -169,34 +176,31 @@ def pair_sign(kind: IdentityKind, pair: ContributingPair, variant: str = AS_STAT
     return -1 if odd % 2 else 1
 
 
-def _character_thetas(fp: FactorizationParams, pairs: list[ContributingPair]) -> list[list[Theta]]:
-    """Per pair, the :class:`Theta` records of q**(E + n*Delta) theta(q**n).
+def _character_thetas(fp: FactorizationParams, pairs: list[ContributingPair]) -> list[tuple[Theta, Theta]]:
+    """Per pair, the :class:`Theta` records of q**(E + n*Delta) theta(q**n), from plain integers.
 
-    These are the pair's :func:`bosonic_thetas` records at q**n, shifted by
-    the combined exponent E + n*Delta, which must be a nonnegative integer
-    for every contributing pair, else the parameters are rejected.  E and
-    n*Delta share the denominator den = 4*a*a'*B (n*den = 4pp'), so the
-    exponent is one integer divmod, with no ``Fraction`` per pair.
+    They are the ``bosonic_thetas`` of the label (r*b, s*b') at q**n, shifted by E + n*Delta, which must
+    be a nonnegative integer, else the parameters are rejected.  With den = 4*a*a'*B (n*den = 4pp') and
+    d = p'r - ps, the shift is (E*den - (p' - p)^2 + d^2) / den: one integer divmod per pair.
     """
-    model = MinimalModel(fp.p, fp.p_prime)
-    p, pp, n = fp.p, fp.p_prime, fp.n
-    den = 4 * fp.a * fp.a_prime * fp.B
-    e_pref = prefactor_exponent(fp)
-    top = e_pref.numerator * (den // e_pref.denominator) - (pp - p) ** 2
+    p, pp, n, b, bp = fp.p, fp.p_prime, fp.n, fp.b, fp.b_prime
+    A, den = n * p * pp, 4 * fp.a * fp.a_prime * fp.B
+    top = _prefactor_numerator(fp) - (pp - p) ** 2
     out = []
     for pair in pairs:
-        label = CharacterLabel(pair.r * fp.b, pair.s * fp.b_prime)
-        thetas = bosonic_thetas(model, label)
-        offset, rem = divmod(top + (pp * label.r - p * label.s) ** 2, den)
+        r, s = pair.r * b, pair.s * bp
+        check_label(p, pp, r, s)
+        d = pp * r - p * s
+        offset, rem = divmod(top + d * d, den)
         if rem or offset < 0:
-            raise SeriesError(f"non-integral identity side: character ({label.r},{label.s}) "
+            raise SeriesError(f"non-integral identity side: character ({r},{s}) "
                               f"sits at exponent {Fraction(offset * den + rem, den)}")
-        out.append([Theta(n * a, n * b, n * c + offset, s, chi) for a, b, c, s, chi in thetas])
+        out.append((Theta(A, n * d, offset), Theta(A, n * (d + 2 * p * s), n * r * s + offset, -1)))
     return out
 
 
 def _signed_sum(kind: IdentityKind, pairs: list[ContributingPair],
-                thetas: list[list[Theta]], variant: str, order: int) -> list[int]:
+                thetas: list[tuple[Theta, Theta]], variant: str, order: int) -> list[int]:
     """Coefficients 0..order of the character-side numerator under one sign reading."""
     signs = [pair_sign(kind, pair, variant) for pair in pairs]
     return series.bilateral_sum([t._replace(s=sign * t.s) for sign, ts in zip(signs, thetas) for t in ts], order)
@@ -259,35 +263,36 @@ def first_mismatch_degree(lhs: list[int], rhs: list[int]) -> int | None:
 
 
 def _pieces(kind: IdentityKind, fp: FactorizationParams, product: tuple[Theta, ...],
-            thetas: list[list[Theta]]) -> list[list]:
+            thetas: list[tuple[Theta, Theta]]) -> list[list]:
     """The :func:`~charfactor.series.dissect` pieces of the ``product`` records, then of each pair's, on one A.
 
     A = n*pp', or 4n*pp' for the quintuple scheme at odd n, splits every
     record of valid parameters into squares; a record it does not split is a bug.
     """
     A = fp.n * fp.p * fp.p_prime * (4 if kind.scheme is Scheme.QUINTUPLE and fp.n % 2 else 1)
-    sides = []
+    dissect, sides = series.dissect, []
     for records in (product, *thetas):
-        sides.append([])
+        sides.append(side := [])
         for record in records:
-            pieces = series.dissect(record, A)
+            pieces = dissect(record, A)
             if pieces is None:
                 raise RuntimeError(f"theta record {record} does not dissect onto A = {A}")
-            sides[-1] += pieces
+            side += pieces
     return sides
 
 
 def _residual(kind: IdentityKind, pairs: list[ContributingPair], pieces: list[list], variant: str) -> list[Theta]:
     """:func:`prove` from the :func:`_pieces` of the records, which each sign reading only re-signs."""
-    counts = defaultdict(int)
+    counts = {}
+    get = counts.get
     for sign, side in zip([-1] + [pair_sign(kind, pair, variant) for pair in pairs], pieces):
         for key, s in side:
-            counts[key] -= sign * s
+            counts[key] = get(key, 0) - sign * s
     return [Theta(a, b, c, count, chi) for (a, b, c, chi), count in counts.items() if count]
 
 
 def prove(kind: IdentityKind, fp: FactorizationParams, pairs: list[ContributingPair],
-          thetas: list[list[Theta]], variant: str) -> list[Theta]:
+          thetas: list[tuple[Theta, Theta]], variant: str) -> list[Theta]:
     """The residual of the identity under the sign reading ``variant``: empty when it holds at every order.
 
     ``thetas`` are the pairs' :func:`_character_thetas`.  Both numerators
@@ -305,12 +310,14 @@ def _first_mismatch(residual: list[Theta], order: int) -> int | None:
 
     The records are summed term by term first: pieces can cancel at one exponent.
     """
+    if not residual:
+        return None
     terms = series._add_terms(defaultdict(int), residual, order)
     return min((e for e, c in terms.items() if c), default=None)
 
 
 def _sides(kind: IdentityKind, fp: FactorizationParams,
-           order: int) -> tuple[list[ContributingPair], list[list[Theta]]]:
+           order: int) -> tuple[list[ContributingPair], list[tuple[Theta, Theta]]]:
     """The contributing pairs and their :func:`_character_thetas`, after the order and applicability checks."""
     if order < 0:
         raise SeriesError(NEEDS_CONSTANT_SLOT)
@@ -387,12 +394,8 @@ def verify_remark_products(a_prime: int, c: int, order: int) -> bool:
 # instance sweeps
 # ---------------------------------------------------------------------------
 
-def iter_scheme_params(scheme: Scheme, max_pp: int) -> Iterator[FactorizationParams]:
-    """All valid tuples of the scheme with p*p' <= max_pp, lexicographic order.
-
-    Triple tuples range over odd c; quintuple tuples include c = 0.
-    A negative bound raises :class:`ParameterError` on the first step.
-    """
+def _scheme_tuples(scheme: Scheme, max_pp: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """The (p, p', a', b, b', c) of :func:`iter_scheme_params`, as plain integers."""
     if max_pp < 0:
         raise ParameterError(f"max_pp must be nonnegative, got {max_pp}")
     a = scheme.modulus
@@ -405,10 +408,21 @@ def iter_scheme_params(scheme: Scheme, max_pp: int) -> Iterator[FactorizationPar
                 for b_prime in divisors(p_prime):
                     for a_prime in divisors(p_prime // b_prime):
                         for c in range(start, a_prime, step):
-                            yield FactorizationParams(scheme, p, p_prime, a_prime, b, b_prime, c)
+                            yield p, p_prime, a_prime, b, b_prime, c
+
+
+def iter_scheme_params(scheme: Scheme, max_pp: int) -> Iterator[FactorizationParams]:
+    """All valid tuples of the scheme with p*p' <= max_pp, lexicographic order.
+
+    Triple tuples range over odd c; quintuple tuples include c = 0.
+    A negative bound raises :class:`ParameterError` on the first step.
+    """
+    return (FactorizationParams(scheme, *t) for t in _scheme_tuples(scheme, max_pp))
 
 
 def iter_applicable_params(kind: IdentityKind, max_pp: int) -> Iterator[FactorizationParams]:
-    for fp in iter_scheme_params(kind.scheme, max_pp):
-        if applicability_error(kind, fp) is None:
-            yield fp
+    """The tuples of :func:`iter_scheme_params` that the kind applies to; the others are never built."""
+    a = kind.scheme.modulus
+    for p, pp, ap, b, bp, c in _scheme_tuples(kind.scheme, max_pp):
+        if _kind_condition_error(kind, p * pp // (a * ap * b * bp), ap, c, p // b, pp // bp) is None:
+            yield FactorizationParams(kind.scheme, p, pp, ap, b, bp, c)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from charfactor import _kernels
 
-from oracles import brute_convolve, naive_pochhammer, naive_product
+from oracles import brute_convolve, naive_product
 
 
 def _random_arrays(rng, n):

@@ -5,7 +5,10 @@ in-process on one thread; a change in one means the default output changed.
 The sweep digest was computed before the theta sums moved to ``Theta``
 records, the high-order one before the quintuple numerators were expanded in
 one binomial pass, and the wide scan digest before the scan streams were
-built straight from theta terms and partition numbers.
+built straight from theta terms and partition numbers.  The verify sweep
+digest, every kind at pp' <= 100 and N = 200 (the benchmark's
+``verify_sweep``), was computed before certificates were built from plain
+integers.
 """
 
 import contextlib
@@ -20,6 +23,11 @@ COMMANDS = [["verify", "--kind", k, "--sweep", "--max-pp", "60", "--order", "90"
 COMMANDS.append(["scan", "--sweep", "--max-size", "20", "--order", "300", "--json"])
 
 GOLDEN = "9b26dd3829c56b679c88a8532022b6b59630b81eb274776c9581e681bd207c9a"
+
+#: every kind's sweep over pp' <= 100 at N = 200: 2,638 certificates
+VERIFY_SWEEP = [["verify", "--kind", k, "--sweep", "--max-pp", "100", "--order", "200", "--json"] for k in KINDS]
+
+GOLDEN_VERIFY_SWEEP = "eb8d6ba67edc2268e2f5554ae17485eef15d960490821fbf2f833f791bc1e6b0"
 
 #: a scan sweep at order 1000, where stream coefficients pass 2^63
 WIDE_SCAN = [["scan", "--sweep", "--max-size", "30", "--order", "1000", "--json"]]
@@ -54,6 +62,11 @@ def _digest(commands) -> str:
 def test_default_sweep_json_is_byte_stable(monkeypatch):
     monkeypatch.setenv("CHARFACTOR_THREADS", "1")
     assert _digest(COMMANDS) == GOLDEN
+
+
+def test_verify_sweep_json_is_byte_stable(monkeypatch):
+    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+    assert _digest(VERIFY_SWEEP) == GOLDEN_VERIFY_SWEEP
 
 
 def test_wide_scan_json_is_byte_stable(monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from charfactor.params import (
     product_params_of,
     validate,
 )
+from charfactor.verifier import iter_scheme_params
 
 
 def test_number_utils():
@@ -44,6 +47,54 @@ def test_validate_worked_instances():
 def test_validate_reports_violations_by_name(args, fragment):
     with pytest.raises(ParameterError, match=fragment):
         validate(*args)
+
+
+#: every message as the validation printed it before it became one boolean test
+EXACT_MESSAGES = [
+    ((Scheme.TRIPLE, 4, 6, 3, 1, 1, 1), "coprimality: gcd(p, p') must be 1, got gcd(4, 6)"),
+    ((Scheme.TRIPLE, 3, 5, 5, 1, 1, 1), "divisibility: a*b = 2 must divide p = 3"),
+    ((Scheme.TRIPLE, 2, 9, 4, 1, 1, 1), "divisibility: a'*b' = 4 must divide p' = 9"),
+    ((Scheme.TRIPLE, 2, 9, 3, 1, 1, 2), "parity: c must be odd in the triple scheme, got c=2"),
+    ((Scheme.TRIPLE, 2, 9, 3, 1, 1, 0), "parity: c must be odd in the triple scheme, got c=0"),
+    ((Scheme.TRIPLE, 2, 9, 3, 1, 1, 3), "range: a' must exceed c (a'=3, c=3)"),
+    ((Scheme.QUINTUPLE, 9, 2, 2, 1, 1, -1), "range: c must be nonnegative"),
+    ((Scheme.QUINTUPLE, 8, 3, 3, 1, 1, 1), "divisibility: a*b = 3 must divide p = 8"),
+    ((Scheme.QUINTUPLE, 3, 4, 4, 0, 1, 1), "range: a', b, b' must be positive"),
+    ((Scheme.TRIPLE, 2.0, 9, 3, 1, 1, 1), "type: p must be an integer"),
+    ((Scheme.QUINTUPLE, 9, 2, 2, 1, 1, 1.0), "type: c must be an integer"),
+    ((Scheme.TRIPLE, None, "9", 3, 1, 1, 1), "type: p must be an integer; type: p' must be an integer"),
+    ((Scheme.TRIPLE, 1, 9, 3, 1, 1, 1),
+     "range: p and p' must be greater than 1; divisibility: a*b = 2 must divide p = 1"),
+    ((Scheme.TRIPLE, True, 9, 3, 1, 1, 1),
+     "range: p and p' must be greater than 1; divisibility: a*b = 2 must divide p = True"),
+    ((Scheme.TRIPLE, 0, 0, 0, 0, 0, -1),
+     "range: p and p' must be greater than 1; range: a', b, b' must be positive; range: c must be nonnegative"),
+    ((Scheme.QUINTUPLE, 3, 4, 0, 1, 0, 0), "range: a', b, b' must be positive; range: a' must exceed c (a'=0, c=0)"),
+    ((Scheme.QUINTUPLE, 4, 9, 3, 1, 1, 3), "range: a' must exceed c (a'=3, c=3); divisibility: a*b = 3 must divide p = 4"),
+    ((Scheme.TRIPLE, 6, 4, 3, 2, 1, 2),
+     "coprimality: gcd(p, p') must be 1, got gcd(6, 4); divisibility: a*b = 4 must divide p = 6; "
+     "divisibility: a'*b' = 3 must divide p' = 4; parity: c must be odd in the triple scheme, got c=2"),
+]
+
+
+@pytest.mark.parametrize("args,message", EXACT_MESSAGES)
+def test_validate_keeps_every_message(args, message):
+    with pytest.raises(ParameterError) as err:
+        validate(*args)
+    assert str(err.value) == message
+
+
+def test_derived_fields_equal_their_formulas():
+    for scheme in Scheme:
+        for fp in iter_scheme_params(scheme, 200):
+            a = 2 if scheme is Scheme.TRIPLE else 3
+            assert (fp.a, fp.B, fp.p_over_b, fp.pp_over_bp) == (a, fp.b * fp.b_prime, fp.p // fp.b,
+                                                                fp.p_prime // fp.b_prime), fp
+            assert fp.n * a * fp.a_prime * fp.B == fp.p * fp.p_prime, fp
+            # the derived values are not fields: equality and repr see the seven inputs
+            twin = validate(scheme, fp.p, fp.p_prime, fp.a_prime, fp.b, fp.b_prime, fp.c)
+            assert twin == fp and hash(twin) == hash(fp) and repr(twin) == repr(fp)
+            assert [f.name for f in fields(fp)] == ["scheme", "p", "p_prime", "a_prime", "b", "b_prime", "c"]
 
 
 def test_derived_quantities_are_consistent():

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 import charfactor.verifier as vf
 from charfactor import _kernels, cli, products, series
-from charfactor.minimal_model import CharacterLabel, MinimalModel, character, conformal_dim, normalized_character
+from charfactor.minimal_model import (
+    CharacterLabel,
+    MinimalModel,
+    bosonic_thetas,
+    character,
+    conformal_dim,
+    normalized_character,
+)
 from charfactor.pairs import contributing_pairs
 from charfactor.params import ParameterError, ProductParams, Scheme, validate
 from charfactor.scanner import iter_canonical_quadruples, phi_series, psi_series, scan
@@ -390,15 +397,19 @@ def test_certificate_numerators_take_one_binomial_pass(monkeypatch):
 
 
 def test_character_offsets_are_exact_integers():
+    # the records built from plain integers are the model's bosonic_thetas of (r*b, s*b') at
+    # q**n, shifted by the exact E + n*Delta, for every pair of every scheme tuple
     for scheme in Scheme:
         for fp in iter_scheme_params(scheme, 200):
-            model = MinimalModel(fp.p, fp.p_prime)
+            model, n = MinimalModel(fp.p, fp.p_prime), fp.n
             pairs = contributing_pairs(fp)
             for pair, thetas in zip(pairs, vf._character_thetas(fp, pairs), strict=True):
                 label = CharacterLabel(pair.r * fp.b, pair.s * fp.b_prime)
-                offset = thetas[0].c  # the record with no constant of its own
-                assert type(offset) is int
-                assert offset == prefactor_exponent(fp) + fp.n * conformal_dim(model, label), (fp, pair)
+                offset = prefactor_exponent(fp) + n * conformal_dim(model, label)
+                assert offset.denominator == 1 and offset >= 0, (fp, pair)
+                assert type(thetas[0].c) is int  # the record with no constant of its own
+                assert thetas == tuple(Theta(n * a, n * b, n * c + int(offset), s, chi)
+                                       for a, b, c, s, chi in bosonic_thetas(model, label)), (fp, pair)
 
 
 @pytest.mark.parametrize("kind, fp, e_pref, message", [
@@ -406,7 +417,10 @@ def test_character_offsets_are_exact_integers():
     (IdentityKind.QUINT_B, quintuple(3, 16, 4, c=3), F(-7, 4), "character (1,7) sits at exponent -19/4"),
 ])
 def test_off_grid_character_side_is_rejected_with_its_exponent(monkeypatch, kind, fp, e_pref, message):
-    monkeypatch.setattr(vf, "prefactor_exponent", lambda fp: e_pref)
+    # the records take the prefactor E as its integer numerator over 4aa'B
+    den = 4 * fp.a * fp.a_prime * fp.B
+    assert (e_pref * den).denominator == 1
+    monkeypatch.setattr(vf, "_prefactor_numerator", lambda fp: int(e_pref * den))
     with pytest.raises(SeriesError) as err:
         verify(kind, fp, 30)
     assert str(err.value) == "non-integral identity side: " + message
