@@ -10,13 +10,14 @@ import charfactor.verifier as vf
 from charfactor import _kernels, cli, products, series
 from charfactor.minimal_model import (
     CharacterLabel,
+    InvalidLabel,
     MinimalModel,
     bosonic_thetas,
     character,
     conformal_dim,
     normalized_character,
 )
-from charfactor.pairs import contributing_pairs
+from charfactor.pairs import ContributingPair, contributing_pairs
 from charfactor.params import ParameterError, ProductParams, Scheme, validate
 from charfactor.scanner import iter_canonical_quadruples, phi_series, psi_series, scan
 from charfactor.series import SeriesError, ShiftedSeries, Theta, inverse_euler_power, pochhammer_product
@@ -424,6 +425,14 @@ def test_off_grid_character_side_is_rejected_with_its_exponent(monkeypatch, kind
     with pytest.raises(SeriesError) as err:
         verify(kind, fp, 30)
     assert str(err.value) == "non-integral identity side: " + message
+
+
+def test_label_out_of_range_is_rejected_by_name(monkeypatch):
+    # r*b = 2 is no label of (p, p') = (2, 9): the character side checks the range before its exponent
+    monkeypatch.setattr(vf, "contributing_pairs", lambda fp: [ContributingPair(2, 1, 1, 0)])
+    with pytest.raises(InvalidLabel) as err:
+        verify(IdentityKind.MAIN, triple(2, 9, 3), 30)
+    assert str(err.value) == "invalid label (r,s)=(2,1) for (p,p')=(2,9)"
 
 
 def test_no_package_path_multiplies_two_series(monkeypatch, capsys):
