@@ -2,17 +2,21 @@
 
 The series layer (:mod:`charfactor.series`) is exact: coefficients are
 arbitrary-precision Python integers.  The kernels here compute on int64
-arrays and carry past int64 on one representation, base-2**LIMB_BITS limb
-columns with a signed top limb (:func:`_carry`), from which
-:func:`limb_ints` builds Python ints and :func:`limb_signs` reads signs.
+arrays and carry past int64 on one representation, limb-major
+base-2**LIMB_BITS limbs: an int64 array of shape ``(W, n)`` whose column j
+is coefficient j and whose row k is the k-th limb of every coefficient, one
+contiguous row per limb, each limb in [0, 2**LIMB_BITS) but the signed top
+one (:func:`_carry`).  :func:`limb_ints` builds Python ints from them and
+:func:`limb_signs` reads one sign vector.
 
 * :func:`scatter` adds a multiple of one coefficient list per sparse term:
   the partition numbers on stride n in :func:`charfactor.series.over_euler`,
   and, in one call, :func:`convolve`, the general multiply that no package
-  path calls.  Below 2**62 it sums one int64 column of values.  Past that
-  it runs residue-major, ``(n, rows, W)``, so that each digit of a term is
-  one contiguous add of the limb table, and it carries only when the
-  digits added since the last carry could push a limb past 2**62.
+  path calls.  Below 2**62 it sums one int64 row of values.  Past that it
+  adds residue-major and row-major, ``(n, rows, W)``, so that each digit
+  of a term is one contiguous add of the limb table, and it carries only
+  when the digits added since the last carry could push a limb past 2**62;
+  one transposed copy then gives the ``(W, n_out)`` limbs of the final carry.
 * :func:`invert_unit` inverts a unit series by the sparse recurrence over
   its nonzero terms.
 * :func:`binomial_product` expands truncated products of Pochhammer
@@ -21,9 +25,10 @@ columns with a signed top limb (:func:`_carry`), from which
   d))`` for every t >= 0, truncated at n_out.  A single binomial ``(1 - s
   q^m)`` is ``(m, n_out, s)``.  The binomials run in ascending order of
   shift, one ufunc pass over the coefficients each, in one loop: on one
-  int64 limb while every coefficient stays below 2**62, then on the limb
-  columns.  A binomial whose read and write windows overlap writes into a
-  second array and the two swap, so no window is copied before it is read.
+  int64 limb while every coefficient stays below 2**62, then on limbs,
+  whose transpose it carries.  A binomial whose read and write windows
+  overlap writes into a second array and the two swap, so no window is
+  copied before it is read.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ LANE = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# sparse-times-dense sums on limb columns
+# sparse-times-dense sums on limbs
 # ---------------------------------------------------------------------------
 
 class LimbTable(NamedTuple):
@@ -58,7 +63,8 @@ class LimbTable(NamedTuple):
 
     ``peaks[k]`` is ``max |values[:k+1]|``; ``small`` holds, as int64, the
     values before the first one of magnitude HALF or more; ``limbs`` holds
-    them all as signed base-2**LIMB_BITS digits (:func:`_to_limbs`).
+    them all as signed base-2**LIMB_BITS digits (:func:`_to_limbs`), row-major,
+    one row per value, so that :func:`scatter`'s digit adds stay flat.
     """
 
     peaks: list[int]
@@ -108,21 +114,24 @@ def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
     """Carried limbs of coefficients 0..n_out-1 of ``sum_{(i, c) in terms} c q**i * y(q**stride)``, exact.
 
     ``terms`` are ``(index, coefficient)`` pairs in ascending index order and
-    ``table`` is :func:`limb_table` of y.  Returns an int64 array of shape
-    ``(n_out, W)``: row i holds coefficient i as ``sum_k limbs[i, k]
-    2**(LIMB_BITS k)``, every limb but the signed top one in
+    ``table`` is :func:`limb_table` of y.  Returns limb-major limbs, an int64
+    array of shape ``(W, n_out)``: column i holds coefficient i as ``sum_k
+    limbs[k, i] 2**(LIMB_BITS k)``, every limb but the signed top one in
     ``[0, 2**LIMB_BITS)`` (read by :func:`limb_ints` and
     :func:`limb_signs`).  W comes from the bound ``sum |c| * max |y|`` on
-    every partial sum.  Below HALF, W = 1: the one column holds the values,
+    every partial sum.  Below HALF, W = 1: the one row holds the values,
     and each term is one strided int64 add.  Otherwise the sum runs
-    residue-major, as ``out[r, q*W + j:]`` for index ``r + stride*q``, so
-    that each base-2**LIMB_BITS digit d of ``|c|`` is one contiguous add of
-    ``d * y``'s limbs, shifted by the digit's place j.  The bound leaves
-    the top j limbs of every row of y it reaches zero, so no limb crosses
-    into the next row.  After a carry every limb is at most 2**LIMB_BITS in
-    magnitude and an add of d raises it by less than ``d * 2**LIMB_BITS``,
-    so the kernel carries again only before the digits since the last carry
-    would sum past ``HALF / 2**LIMB_BITS - 1``.
+    residue-major and row-major, as ``out[r, q*W + j:]`` for index ``r +
+    stride*q``, so that each base-2**LIMB_BITS digit d of ``|c|`` is one
+    flat contiguous add of ``d * y``'s limbs, shifted by the digit's place
+    j.  The bound leaves the top j limbs of every row of y it reaches zero,
+    so no limb crosses into the next row.  After a carry every limb is at
+    most 2**LIMB_BITS in magnitude and an add of d raises it by less than
+    ``d * 2**LIMB_BITS``, so the kernel carries again, on the transposed
+    view, only before the digits since the last carry would sum past
+    ``HALF / 2**LIMB_BITS - 1``.  One transposed copy to ``(W, rows *
+    stride)`` puts the coefficients in order, and the final carry runs on
+    its contiguous rows.
     """
     rows = -(-n_out // stride)
     t = min(rows, len(table.peaks))
@@ -145,7 +154,7 @@ def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
                 seg -= y[: len(seg)]
             else:
                 seg += c * y[: len(seg)]
-        return out[:, None]
+        return out[None, :]
     w = _width(bound)
     y = table.limbs[:t]
     if y.shape[1] != w:  # the columns past either width are zero
@@ -163,40 +172,38 @@ def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
             d = mag & LIMB_MASK
             if d:
                 if load + d > cap:
-                    _carry(out.reshape(-1, w))  # in place, as below
+                    _carry(out.reshape(-1, w).T)  # in place, as below
                     load = 0
                 seg = row[start + j : start + span]
                 add(seg, y[: span - j] if d == 1 else d * y[: span - j], seg)
                 load += d
             mag >>= LIMB_BITS
             j += 1
-    # |partial sums| <= bound < 2**(LIMB_BITS w): every carry leaves |top| <= 2**LIMB_BITS, in place
-    limbs = _carry(out.reshape(-1, w))
-    return limbs.reshape(stride, rows, w).transpose(1, 0, 2).reshape(-1, w)[:n_out]
+    # at stride 1 the reshape alone would be a strided view, so copy; |partial sums| <= bound
+    # < 2**(LIMB_BITS w): every carry leaves |top| <= 2**LIMB_BITS, in place
+    limbs = np.ascontiguousarray(out.reshape(stride, rows, w).transpose(2, 1, 0)).reshape(w, -1)
+    return _carry(limbs[:, :n_out])
 
 
 def limb_ints(limbs: np.ndarray) -> list[int]:
-    """The Python ints ``sum_k limbs[:, k] 2**(LIMB_BITS k)`` of rows of limb columns."""
-    cols = limbs.T.tolist()
-    out = cols.pop()
-    while cols:
-        out = [(hi << LIMB_BITS) + lo for hi, lo in zip(out, cols.pop())]
+    """The Python ints ``sum_k limbs[k] 2**(LIMB_BITS k)`` of the columns of limb rows ``(W, n)``."""
+    rows = limbs.tolist()
+    out = rows.pop()
+    while rows:
+        out = [(hi << LIMB_BITS) + lo for hi, lo in zip(out, rows.pop())]
     return out
 
 
-def limb_signs(limbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(negative, positive) masks of the rows of carried limbs, read without building their ints.
+def limb_signs(limbs: np.ndarray) -> np.ndarray:
+    """The signs, -1, 0 or +1 as int8, of the columns of carried limb rows ``(W, n)``, read without building their ints.
 
-    Below a signed top limb every limb lies in [0, 2**LIMB_BITS), so a row
-    is negative exactly when its top limb is; otherwise it is positive when
-    any of its limbs is nonzero.
+    Below a signed top limb every limb lies in [0, 2**LIMB_BITS), so a column
+    has the sign of its top limb, or is positive when that is zero and any
+    lower limb is not.
     """
-    top = limbs[:, -1]
-    neg = top < 0
-    nonzero = top.copy()
-    for col in limbs.T[:-1]:
-        nonzero |= col
-    return neg, (nonzero != 0) & ~neg
+    signs = np.sign(limbs[-1]).astype(np.int8)
+    signs |= limbs[:-1].any(axis=0)  # -1 | 1 = -1
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +243,11 @@ def binomial_product(n_out, factors):
     order of shift, stable among equal shifts, in batches of :func:`_apply`.
     A binomial at most doubles max|c|: on one limb, a maximum of b bits lets
     the next ``63 - b`` run below HALF before each.  Once it reaches HALF the
-    array becomes its own ``(n_out, 1)`` view, and on limb columns a carry
-    before each batch lets the next ``62 - LIMB_BITS`` run.
+    array becomes its own ``(n_out, 1)`` view, and a carry before each batch
+    lets the next ``62 - LIMB_BITS`` run.  The carry takes the transpose,
+    the ``(W, n_out)`` limbs, and its first call adds limb rows, so from then
+    on ``c`` is the transpose of limb-major memory: binomials still slice
+    ``c[m:w]``, and every limb is one contiguous row.
     """
     k, keys = len(factors), []
     for i, (m0, d, _) in enumerate(factors):  # shift m of factor i sorts as m*k + i: by m, then by i
@@ -249,7 +259,7 @@ def binomial_product(n_out, factors):
     spare, same, w, done, bits = None, 0, 1, 0, 1
     while done < len(ms):
         if c.ndim > 1:
-            c, same, bits = _carry(c), 0, LIMB_BITS + 1
+            c, same, bits = _carry(c.T).T, 0, LIMB_BITS + 1
             if spare is not None and spare.shape != c.shape:
                 spare = None
         start, done = done, min(done + HALF.bit_length() - bits, len(ms))
@@ -259,7 +269,7 @@ def binomial_product(n_out, factors):
             bits = peak.bit_length()
             if peak >= HALF:
                 c = c[:, None]
-    return (c.tolist(), True) if c.ndim == 1 else (limb_ints(c), False)
+    return (c.tolist(), True) if c.ndim == 1 else (limb_ints(c.T), False)
 
 
 def _apply(c, spare, same, w, shifts, signs):
@@ -298,13 +308,18 @@ def _apply(c, spare, same, w, shifts, signs):
 
 
 def _carry(limbs):
-    """Carry every limb but the signed top one into [0, 2**LIMB_BITS); add limbs until |top| < 2**(LIMB_BITS+1)."""
-    for k in range(limbs.shape[1] - 1):
-        limbs[:, k + 1] += limbs[:, k] >> LIMB_BITS
-        limbs[:, k] &= LIMB_MASK
-    while np.abs(limbs[:, -1]).max() >= 1 << (LIMB_BITS + 1):
-        limbs = np.column_stack((limbs, limbs[:, -1] >> LIMB_BITS))
-        limbs[:, -2] &= LIMB_MASK
+    """Carry every limb row but the signed top one into [0, 2**LIMB_BITS); add rows until |top| < 2**(LIMB_BITS+1).
+
+    ``limbs`` has shape ``(W, n)``, one row per limb, and is carried in place;
+    a row view such as ``a.T`` works too.  The result is ``limbs`` itself unless
+    rows had to be added.
+    """
+    for k in range(len(limbs) - 1):
+        limbs[k + 1] += limbs[k] >> LIMB_BITS
+        limbs[k] &= LIMB_MASK
+    while np.abs(limbs[-1]).max() >= 1 << (LIMB_BITS + 1):
+        limbs = np.vstack((limbs, limbs[-1:] >> LIMB_BITS))
+        limbs[-2] &= LIMB_MASK
     return limbs
 
 
@@ -312,6 +327,6 @@ def warmup() -> None:
     """Run tiny inputs through the kernels that certificates and scans reach."""
     a = [1, -1]
     table = limb_table(a)
-    scatter([(0, 1)], table, 1, 3)  # one column
-    scatter([(0, HALF)], table, 1, 3)  # past one column: the limb path
+    scatter([(0, 1)], table, 1, 3)  # one row of values
+    scatter([(0, HALF)], table, 1, 3)  # past one row: the limb path
     invert_unit(a, 3)

@@ -168,16 +168,15 @@ def canonicalize(pp: ProductParams) -> tuple[ProductParams, int]:
 
     Returns the reduced quadruple and the power k such that the original
     series equals the reduced series evaluated at q**k.  The (a', c)
-    reduction needs c > 0 and is skipped for c = 0.
+    reduction needs c > 0 and is skipped for c = 0.  A canonical quadruple
+    comes back as itself, with k = 1.
     """
     ap, B, c, n = pp.a_prime, pp.B, pp.c, pp.n
-    if c > 0:
-        g = math.gcd(ap, c)
-        ap //= g
-        c //= g
-        B *= g
-    k = math.gcd(B, n)
-    return ProductParams(pp.scheme, ap, B // k, c, n // k), k
+    g = math.gcd(ap, c) if c > 0 else 1
+    k = math.gcd(B * g, n)
+    if g == k == 1:  # already canonical: the quadruple itself, validated once
+        return pp, 1
+    return ProductParams(pp.scheme, ap // g, B * g // k, c // g, n // k), k
 
 
 def find_realizations(pp: ProductParams, limit: int | None = None) -> list[FactorizationParams]:

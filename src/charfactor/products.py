@@ -2,7 +2,8 @@
 
 Every product side is a Jacobi triple or quintuple product of two
 monomials u and v, and :func:`jacobi_arguments` is the one place where the
-scheme picks them from a quadruple (a', B, c, n).  Every identity kind
+scheme picks them from a quadruple (a', B, c, n); :func:`side_thetas`
+reads the same exponents without building the monomials.  Every identity kind
 signs its product by a pair of Jacobi signs ``(s1, s3)`` (the kind's
 ``signs`` in ``verifier.IdentityKind``), (1, 1) being the plain identities:
 u = s1 q^.. and v = s3 q^.., so the middle argument u^-1 v carries s2 =
@@ -16,7 +17,7 @@ the truncated reference ``verifier.check`` and the full product side
 
 The plain sides, which the scanner streams, are built in one pass from the
 same records: their O(sqrt(N)) terms, each times the partition numbers on
-stride n, summed on int64 limb columns by
+stride n, summed on int64 limbs by
 :func:`~charfactor.series.over_euler_limbs`, the one division by (q^n; q^n).
 """
 
@@ -24,27 +25,33 @@ from __future__ import annotations
 
 from .params import Scheme
 from .series import DIVERGENT_QUINTUPLE, ShiftedSeries, SignedMonomial, Theta, pochhammer_product, theta_stream
-from .series import quintuple_symbols, quintuple_thetas, triple_symbols, triple_thetas
+from .series import quintuple_records, quintuple_symbols, triple_records, triple_symbols
 from .series import pochhammer  # noqa: F401  (perfbench/tracing.py patches this name)
 
-#: per scheme, the Pochhammer symbols and the theta records of one pair (u, v)
-_JACOBI = {Scheme.TRIPLE: (triple_symbols, triple_thetas), Scheme.QUINTUPLE: (quintuple_symbols, quintuple_thetas)}
+#: per scheme, the Pochhammer symbols of one pair (u, v) and the theta records of its signs and exponents
+_JACOBI = {Scheme.TRIPLE: (triple_symbols, triple_records), Scheme.QUINTUPLE: (quintuple_symbols, quintuple_records)}
 
 
 def jacobi_arguments(scheme: Scheme, ap: int, B: int, c: int,
                      signs: tuple[int, int] = (1, 1)) -> tuple[SignedMonomial, SignedMonomial]:
     """The (u, v) of the scheme's product: triple s1 q^{B(a'-c)/2}, s3 q^{Ba'}; quintuple s1 q^{Bc}, s3 q^{2Ba'}."""
-    s1, s3 = signs
+    eu, ev = _exponents(scheme, ap, B, c)
+    return SignedMonomial(signs[0], eu), SignedMonomial(signs[1], ev)
+
+
+def _exponents(scheme: Scheme, ap: int, B: int, c: int) -> tuple[int, int]:
+    """The exponents of the (u, v) of :func:`jacobi_arguments`."""
     if scheme is Scheme.QUINTUPLE:
-        return SignedMonomial(s1, B * c), SignedMonomial(s3, 2 * B * ap)
+        return B * c, 2 * B * ap
     if (ap - c) % 2 != 0:
         raise ValueError(f"a' and c must have equal parity for a triple product (a'={ap}, c={c})")
-    return SignedMonomial(s1, B * (ap - c) // 2), SignedMonomial(s3, B * ap)
+    return B * (ap - c) // 2, B * ap
 
 
 def side_thetas(scheme: Scheme, ap: int, B: int, c: int, signs: tuple[int, int] = (1, 1)) -> tuple[Theta, ...]:
-    """The theta records of :func:`numerator`, by the scheme's Jacobi identity."""
-    return _JACOBI[scheme][1](*jacobi_arguments(scheme, ap, B, c, signs))
+    """The theta records of :func:`numerator`, by the scheme's Jacobi identity, from the integers of (u, v)."""
+    eu, ev = _exponents(scheme, ap, B, c)
+    return _JACOBI[scheme][1](signs[0], eu, signs[1], ev)
 
 
 def numerator(scheme: Scheme, ap: int, B: int, c: int, order: int,

@@ -14,9 +14,9 @@ from the terms of its theta series (Jacobi triple and quintuple product,
 expansion stays with the verifier.
 :func:`phi_series` and :func:`psi_series` give the stream as Python ints
 (:func:`products.triple_side`, :func:`products.quintuple_side`).
-:func:`scan` keeps it as the int64 limb columns that pass fills, reads every
-sign from them with array operations, and builds Python ints only for the
-coefficients it reports.
+:func:`scan` keeps it as the ``(W, order + 1)`` int64 limbs that pass fills,
+one contiguous row per limb, reads one sign vector from them, and builds
+Python ints only for the coefficients it reports.
 """
 
 from __future__ import annotations
@@ -148,19 +148,22 @@ def scan(pp: ProductParams, order: int) -> SignReport:
     n = reduced.n
     support = support_residues(reduced)
     # read signs only: a product of two big coefficients per j would cost more than the test needs
-    neg, pos = limb_signs(limbs)
-    nz = np.flatnonzero(neg | pos)
-    allowed = np.zeros(n, bool)
-    allowed[list(support)] = True
-    off = nz[~allowed[nz % n]]
-    if off.size:
-        j = int(off[0])
-        raise RuntimeError(
-            f"support violation: coefficient {limb_ints(limbs[j : j + 1])[0]} at degree {j}"
-            f" outside residues {sorted(support)}"
-        )
-    flips = np.flatnonzero((neg[:-n] & pos[n:]) | (pos[:-n] & neg[n:]))
-    violations = list(map(SignViolation, flips.tolist(), limb_ints(limbs[flips]), limb_ints(limbs[flips + n])))
+    signs = limb_signs(limbs)
+    if len(support) < n:  # degree r + n*k at row k, column r: clear the allowed columns
+        off = np.zeros((-(-len(signs) // n), n), bool)
+        off.reshape(-1)[: len(signs)] = signs != 0
+        off[:, list(support)] = False
+        if off.any():
+            j = int(np.flatnonzero(off)[0])
+            raise RuntimeError(
+                f"support violation: coefficient {limb_ints(limbs[:, j : j + 1])[0]} at degree {j}"
+                f" outside residues {sorted(support)}"
+            )
+    flips = np.flatnonzero(signs[:-n] * signs[n:] < 0)
+    violations = []
+    if flips.size:
+        violations = list(map(SignViolation, flips.tolist(), limb_ints(limbs[:, flips]),
+                              limb_ints(limbs[:, flips + n])))
     return SignReport(
         params=reduced,
         order=order,

@@ -7,7 +7,7 @@ its operands, and equality never reads past it.
 
 All arithmetic is exact and has one code path per operation.  Every
 quotient by (q^n; q^n) is one :func:`over_euler_limbs` call, which adds the
-partition numbers on stride n once per term on int64 limb columns, and
+partition numbers on stride n once per term on limb-major int64 limbs, and
 :func:`over_euler` assembles its Python ints; every Pochhammer product is one
 :func:`charfactor._kernels.binomial_product` call, which carries
 coefficients past int64 on the same limbs (the truncated check, the full
@@ -383,7 +383,7 @@ def theta_stream(thetas: Iterable[Theta], n: int, order: int,
 
 def theta_limbs(thetas: Iterable[Theta], n: int, order: int,
                 error_label: str = "divergent theta parameters") -> np.ndarray:
-    """:func:`theta_stream` as the carried limbs of :func:`over_euler_limbs`.
+    """:func:`theta_stream` as the carried ``(W, order + 1)`` limbs of :func:`over_euler_limbs`.
 
     The records' terms are collected sparsely, equal exponents summed, and
     divided by (q^n; q^n) in one pass.
@@ -401,7 +401,10 @@ def over_euler(terms: Iterable[tuple[int, int]], n: int, order: int) -> list[int
 
 
 def over_euler_limbs(terms: Iterable[tuple[int, int]], n: int, order: int) -> np.ndarray:
-    """:func:`over_euler` as int64 limb columns, one row per coefficient (:func:`charfactor._kernels.scatter`).
+    """:func:`over_euler` as carried limb-major limbs (:func:`charfactor._kernels.scatter`).
+
+    An int64 array of shape ``(W, order + 1)``: column j holds coefficient j,
+    row k the k-th base-2**LIMB_BITS limb of every coefficient.
 
     Each term adds ``c`` times the partition numbers at ``e, e + n, ...``;
     terms past ``order`` are ignored.  The partition numbers come from one
@@ -416,24 +419,32 @@ def over_euler_limbs(terms: Iterable[tuple[int, int]], n: int, order: int) -> np
 
 
 def triple_thetas(u: SignedMonomial, v: SignedMonomial) -> tuple[Theta, Theta]:
-    """The :class:`Theta` records of ``sum_j (-1)**j u**j v**(j(j-1)/2)``.
-
-    The even and odd j = 2k + t are one record each, with v's sign as ``chi``.
-    """
-    if v.exponent < 1:
-        raise SeriesError("non-convergent theta sum: v must have positive exponent")
-    eu, su, ev, sv = u.exponent, u.sign, v.exponent, v.sign
-    return Theta(2 * ev, 2 * eu - ev, 0, 1, sv), Theta(2 * ev, 2 * eu + ev, eu, -su, sv)
+    """The :class:`Theta` records of ``sum_j (-1)**j u**j v**(j(j-1)/2)``: :func:`triple_records` of u and v."""
+    return triple_records(u.sign, u.exponent, v.sign, v.exponent)
 
 
 def quintuple_thetas(u: SignedMonomial, v: SignedMonomial) -> tuple[Theta, Theta, Theta, Theta]:
-    """The :class:`Theta` records of ``sum_j (u**(-3j) - u**(3j+1)) v**(j(3j+1)/2)``.
+    """The :class:`Theta` records of ``sum_j (u**(-3j) - u**(3j+1)) v**(j(3j+1)/2)``: :func:`quintuple_records` of u and v."""
+    return quintuple_records(u.sign, u.exponent, v.sign, v.exponent)
+
+
+def triple_records(su: int, eu: int, sv: int, ev: int) -> tuple[Theta, Theta]:
+    """:func:`triple_thetas` of u = su q**eu and v = sv q**ev, from the four integers.
+
+    The even and odd j = 2k + t are one record each, with v's sign as ``chi``.
+    """
+    if ev < 1:
+        raise SeriesError("non-convergent theta sum: v must have positive exponent")
+    return Theta(2 * ev, 2 * eu - ev, 0, 1, sv), Theta(2 * ev, 2 * eu + ev, eu, -su, sv)
+
+
+def quintuple_records(su: int, eu: int, sv: int, ev: int) -> tuple[Theta, Theta, Theta, Theta]:
+    """:func:`quintuple_thetas` of u = su q**eu and v = sv q**ev, from the four integers.
 
     Each of the two sums splits on even and odd j = 2k + t into two records.
     """
-    if v.exponent < 1:
+    if ev < 1:
         raise SeriesError("non-convergent theta sum: v must have positive exponent")
-    eu, su, ev, sv = u.exponent, u.sign, v.exponent, v.sign
     return (
         Theta(6 * ev, ev - 6 * eu, 0, 1, sv),
         Theta(6 * ev, 7 * ev - 6 * eu, 2 * ev - 3 * eu, su, sv),

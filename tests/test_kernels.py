@@ -94,6 +94,42 @@ def test_invert_unit_is_exact_past_int64():
     assert all(type(c) is int for c in out)
 
 
+#: limbs that _carry may meet: its carries stay far below int64
+_limb = st.one_of(st.sampled_from([0, 1, -1, _kernels.LIMB_MASK]), st.integers(-(2**61), 2**61))
+
+
+@st.composite
+def _limb_rows(draw):
+    width, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    return [draw(st.lists(_limb, min_size=n, max_size=n)) for _ in range(width)], draw(st.booleans())
+
+
+@given(_limb_rows())
+@example(([[-1, 5, 2**30 + 7], [0, 0, -3]], False))  # negative columns; 5 under a zero top limb
+@example(([[3, -(2**40)], [2**31, -(2**31)]], False))  # a top limb of 2^31 takes a new limb
+@example(([[1, 2], [0, 0], [2**61, -(2**61)]], True))  # two new limbs, from a .T view
+@example(([[0, 2**30 - 1], [-(2**30), 1]], True))
+@settings(max_examples=200, deadline=None)
+def test_carry_keeps_the_ints_of_limb_rows(case):
+    rows, transposed = case
+    width = len(rows)
+    want = [sum(limb << (_kernels.LIMB_BITS * k) for k, limb in enumerate(col)) for col in zip(*rows)]
+    if transposed:  # the limb rows as a strided view, as scatter's in-loop carry passes them
+        held = np.array(rows, np.int64).T.copy()
+        limbs = held.T
+    else:
+        limbs = held = np.array(rows, np.int64)
+    got = _kernels._carry(limbs)
+    assert _kernels.limb_ints(got) == want
+    assert all(0 <= limb <= _kernels.LIMB_MASK for row in got[:-1].tolist() for limb in row)
+    # as few rows as keep every signed top limb below 2^(LIMB_BITS + 1), and never fewer than given
+    fits = lambda k: all(abs(v >> (_kernels.LIMB_BITS * (k - 1))) < 2 ** (_kernels.LIMB_BITS + 1) for v in want)
+    assert len(got) == next(k for k in range(width, width + 4) if fits(k))
+    if len(got) == width:  # carried in place
+        assert got is limbs
+        assert _kernels.limb_ints(held.T if transposed else held) == want
+
+
 def _binomials_as_factors(binomials, n_out):
     """Single binomials ``(s, m)`` as kernel factors ``(m, n_out, s)``."""
     return [(m, n_out, s) for s, m in binomials]

@@ -16,6 +16,7 @@ from charfactor.params import (
     product_params_of,
     validate,
 )
+from charfactor.scanner import iter_canonical_quadruples
 from charfactor.verifier import iter_scheme_params
 
 
@@ -161,6 +162,14 @@ def test_canonicalize_idempotent(ap, B, c, n):
     assert reduced.is_canonical
     again, k2 = canonicalize(reduced)
     assert again == reduced and k2 == 1
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_canonicalize_returns_a_canonical_quadruple_itself(scheme):
+    # every quadruple the scan sweep enumerates: no second ProductParams is built for it
+    for pp in iter_canonical_quadruples(scheme, 30):
+        reduced, k = canonicalize(pp)
+        assert reduced == pp and reduced is pp and k == 1
 
 
 def test_find_realizations_examples():

@@ -672,18 +672,19 @@ def test_over_euler_limbs_are_exact_and_read_their_signs(terms, n, order):
             num[e] += c
     want = brute_convolve(num, euler_power_oracle(n, order), order + 1)
     limbs = over_euler_limbs(terms, n, order)
+    assert limbs.shape[1] == order + 1  # one row per limb, one column per coefficient
     assert _kernels.limb_ints(limbs) == want
-    neg, pos = _kernels.limb_signs(limbs)
-    assert neg.tolist() == [c < 0 for c in want]
-    assert pos.tolist() == [c > 0 for c in want]
+    signs = _kernels.limb_signs(limbs)
+    assert signs.dtype == np.int8
+    assert signs.tolist() == [(c > 0) - (c < 0) for c in want]
 
 
 def test_over_euler_takes_one_column_below_the_int64_bound():
-    # sum |c| * p(order // n) < 2^62: one column of values, no limbs
+    # sum |c| * p(order // n) < 2^62: one limb row of values, no carried limbs
     p = partition_counts(390)
     assert p[390] < 2**62 <= 2 * p[390]
-    assert over_euler_limbs([(0, 1)], 1, 390).shape == (391, 1)
-    assert over_euler_limbs([(0, 1), (3, -1)], 1, 390).shape == (391, 3)
+    assert over_euler_limbs([(0, 1)], 1, 390).shape == (1, 391)
+    assert over_euler_limbs([(0, 1), (3, -1)], 1, 390).shape == (3, 391)
 
 
 def test_over_euler_rejects_a_negative_order_and_a_bad_modulus():
