@@ -13,10 +13,14 @@ one (:func:`_carry`).  :func:`limb_ints` builds Python ints from them and
   the partition numbers on stride n in :func:`charfactor.series.over_euler`,
   and, in one call, :func:`convolve`, the general multiply that no package
   path calls.  Below 2**62 it sums one int64 row of values.  Past that it
-  adds residue-major and row-major, ``(n, rows, W)``, so that each digit
-  of a term is one contiguous add of the limb table, and it carries only
-  when the digits added since the last carry could push a limb past 2**62;
-  one transposed copy then gives the ``(W, n_out)`` limbs of the final carry.
+  adds residue-major and row-major, ``(n, rows, W)``, so that each term is
+  one contiguous add of the limb table, and it carries only when the terms
+  added since the last carry could push a limb past 2**62; one transposed
+  copy then gives the ``(W, n_out)`` limbs of the final carry.  A limb of
+  LIMB_BITS = 56 bits leaves 6 bits of an int64 slot free: 63 unit terms
+  fit between carries, and the 152-bit p(2000) takes 3 limbs.  The larger
+  coefficients of :func:`convolve` and the public quotients go in base-2**6
+  digits, one such sum per digit, each added 6 bits above the last.
 * :func:`invert_unit` inverts a unit series by the sparse recurrence over
   its nonzero terms.
 * :func:`binomial_product` expands truncated products of Pochhammer
@@ -41,10 +45,11 @@ import numpy as np
 
 #: int64 holds magnitudes below LIMIT.  A binomial product keeps
 #: ``max|c| < HALF`` before each factor, so that ``c[j] -+ c[j-m]`` stays
-#: below LIMIT; where it cannot, it carries into LIMB_BITS-bit limbs instead.
+#: below LIMIT; where it cannot, it carries into LIMB_BITS-bit limbs instead,
+#: which leave ``62 - LIMB_BITS`` bits of each int64 below HALF for the adds between carries.
 LIMIT = 1 << 63
 HALF = LIMIT // 2
-LIMB_BITS = 30
+LIMB_BITS = 56
 LIMB_MASK = (1 << LIMB_BITS) - 1
 
 #: the ufuncs of one binomial step or scatter add, bound once
@@ -64,7 +69,7 @@ class LimbTable(NamedTuple):
     ``peaks[k]`` is ``max |values[:k+1]|``; ``small`` holds, as int64, the
     values before the first one of magnitude HALF or more; ``limbs`` holds
     them all as signed base-2**LIMB_BITS digits (:func:`_to_limbs`), row-major,
-    one row per value, so that :func:`scatter`'s digit adds stay flat.
+    one row per value, so that :func:`scatter`'s adds stay flat.
     """
 
     peaks: list[int]
@@ -121,20 +126,25 @@ def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
     :func:`limb_signs`).  W comes from the bound ``sum |c| * max |y|`` on
     every partial sum.  Below HALF, W = 1: the one row holds the values,
     and each term is one strided int64 add.  Otherwise the sum runs
-    residue-major and row-major, as ``out[r, q*W + j:]`` for index ``r +
-    stride*q``, so that each base-2**LIMB_BITS digit d of ``|c|`` is one
-    flat contiguous add of ``d * y``'s limbs, shifted by the digit's place
-    j.  The bound leaves the top j limbs of every row of y it reaches zero,
-    so no limb crosses into the next row.  After a carry every limb is at
-    most 2**LIMB_BITS in magnitude and an add of d raises it by less than
-    ``d * 2**LIMB_BITS``, so the kernel carries again, on the transposed
-    view, only before the digits since the last carry would sum past
-    ``HALF / 2**LIMB_BITS - 1``.  One transposed copy to ``(W, rows *
-    stride)`` puts the coefficients in order, and the final carry runs on
-    its contiguous rows.
+    residue-major and row-major, as ``out[(r*rows + q) * W:]`` for index
+    ``r + stride*q``, so that a term with ``|c| <= cap = HALF / 2**LIMB_BITS - 1``
+    is one flat contiguous add of ``c * y``'s limbs.  After a carry every
+    limb is at most 2**LIMB_BITS in magnitude and such an add raises it by
+    less than ``|c| * 2**LIMB_BITS``, so the kernel carries again, on the
+    transposed view, only before the ``|c|`` added since the last carry
+    would sum past cap.  One transposed copy to ``(W, rows * stride)`` puts
+    the coefficients in order, and the final carry runs on its contiguous
+    rows.  A larger ``|c|``, which only :func:`convolve` and the public
+    quotients pass, goes in base-2**D digits, D = ``cap.bit_length()``: each
+    round adds the lowest digit of every term so, on the limbs that the
+    bound of those digits needs, and leaves the rest of the terms, ``|c| >>
+    D``, to the next round, whose sum :func:`_add_shifted` adds D bits
+    higher, until the bound of what is left falls below HALF and one int64
+    row takes it.
     """
     rows = -(-n_out // stride)
     t = min(rows, len(table.peaks))
+    peak = table.peaks[t - 1] if t else 0
     kept, total = [], 0
     for i, c in terms:
         if i >= n_out:
@@ -142,47 +152,76 @@ def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
         if c:
             kept.append((i, c))
             total += abs(c)
-    bound = total * table.peaks[t - 1] if t else 0
-    if bound < HALF:
-        out = np.zeros(n_out, np.int64)
-        y = table.small
-        for i, c in kept if bound else ():  # y is zero where the terms reach; c may pass int64
-            seg = out[i::stride][:t]
-            if c == 1:
-                seg += y[: len(seg)]
-            elif c == -1:
-                seg -= y[: len(seg)]
-            else:
-                seg += c * y[: len(seg)]
-        return out[None, :]
-    w = _width(bound)
-    y = table.limbs[:t]
-    if y.shape[1] != w:  # the columns past either width are zero
-        y, k = np.zeros((t, w), np.int64), min(w, y.shape[1])
-        y[:, :k] = table.limbs[:t, :k]
-    y = y.reshape(-1)
-    out = np.zeros((stride, rows * w), np.int64)
-    cap, load = (HALF >> LIMB_BITS) - 1, 0
-    for i, c in kept:
-        q, r = divmod(i, stride)
-        row, start, span = out[r], q * w, min(rows - q, t) * w
-        add = _ADD if c > 0 else _SUBTRACT
-        mag, j = abs(c), 0
-        while mag:
-            d = mag & LIMB_MASK
-            if d:
+    cap = (HALF >> LIMB_BITS) - 1
+    bits = cap.bit_length()  # of one digit
+    limbs, place, low = None, 0, total  # low bounds the sum of this round's digits
+    while True:
+        bound = total * peak
+        if bound < HALF:
+            out = np.zeros(n_out, np.int64)
+            y = table.small
+            for i, c in kept if bound else ():  # y is zero where the terms reach; c may pass int64
+                seg = out[i::stride][:t]
+                if c == 1:
+                    seg += y[: len(seg)]
+                elif c == -1:
+                    seg -= y[: len(seg)]
+                else:
+                    seg += c * y[: len(seg)]
+            plane, kept = out[None, :], ()
+        else:
+            w = _width(low * peak)
+            y = table.limbs[:t]
+            if y.shape[1] != w:  # the columns past either width are zero
+                y, k = np.zeros((t, w), np.int64), min(w, y.shape[1])
+                y[:, :k] = table.limbs[:t, :k]
+            y, rw, tw = y.reshape(-1), rows * w, t * w
+            out = np.zeros(stride * rw, np.int64)  # residue r's rows start at r * rw
+            high, total, low, load = [], 0, 0, 0
+            for i, c in kept:
+                d = abs(c)
+                if d > cap:  # the digits above the lowest go to the next round
+                    h = d >> bits
+                    high.append((i, h if c > 0 else -h))
+                    total += h
+                    low += h & cap
+                    d &= cap
+                    if not d:
+                        continue
                 if load + d > cap:
                     _carry(out.reshape(-1, w).T)  # in place, as below
                     load = 0
-                seg = row[start + j : start + span]
-                add(seg, y[: span - j] if d == 1 else d * y[: span - j], seg)
+                q, r = divmod(i, stride)
+                start, span = r * rw + q * w, rw - q * w
+                if span > tw:
+                    span = tw
+                seg = out[start : start + span]
+                (_ADD if c > 0 else _SUBTRACT)(seg, y[:span] if d == 1 else d * y[:span], seg)
                 load += d
-            mag >>= LIMB_BITS
-            j += 1
-    # at stride 1 the reshape alone would be a strided view, so copy; |partial sums| <= bound
-    # < 2**(LIMB_BITS w): every carry leaves |top| <= 2**LIMB_BITS, in place
-    limbs = np.ascontiguousarray(out.reshape(stride, rows, w).transpose(2, 1, 0)).reshape(w, -1)
-    return _carry(limbs[:, :n_out])
+            # at stride 1 the reshape alone would be a strided view, so copy; |partial sums| <= low *
+            # peak < 2**(LIMB_BITS w): every carry leaves |top| <= 2**LIMB_BITS, in place
+            plane = np.ascontiguousarray(out.reshape(stride, rows, w).transpose(2, 1, 0)).reshape(w, -1)
+            plane, kept = _carry(plane[:, :n_out]), high
+        limbs = plane if limbs is None else _add_shifted(limbs, plane, place)
+        if not kept:
+            return limbs
+        place += bits
+
+
+def _add_shifted(limbs, plane, place):
+    """Carried limbs of ``limbs + plane * 2**place``: each plane row splits into the two limbs it straddles.
+
+    The rows of ``limbs`` below ``place // LIMB_BITS`` are carried and stay
+    so.  :func:`scatter`'s first round sets the width from the bound on every
+    partial sum of all its rounds, so the carry of the rows above adds none.
+    """
+    k, s = divmod(place, LIMB_BITS)
+    if k + len(plane) >= len(limbs):
+        limbs = np.vstack((limbs, np.zeros((k + len(plane) + 1 - len(limbs), limbs.shape[1]), np.int64)))
+    limbs[k : k + len(plane)] += (plane & ((1 << (LIMB_BITS - s)) - 1)) << s
+    limbs[k + 1 : k + 1 + len(plane)] += plane >> (LIMB_BITS - s)
+    _carry(limbs[k:])  # in place
+    return limbs
 
 
 def limb_ints(limbs: np.ndarray) -> list[int]:
@@ -244,10 +283,12 @@ def binomial_product(n_out, factors):
     A binomial at most doubles max|c|: on one limb, a maximum of b bits lets
     the next ``63 - b`` run below HALF before each.  Once it reaches HALF the
     array becomes its own ``(n_out, 1)`` view, and a carry before each batch
-    lets the next ``62 - LIMB_BITS`` run.  The carry takes the transpose,
+    lets the next ``62 - LIMB_BITS``, six, run.  The carry takes the transpose,
     the ``(W, n_out)`` limbs, and its first call adds limb rows, so from then
     on ``c`` is the transpose of limb-major memory: binomials still slice
-    ``c[m:w]``, and every limb is one contiguous row.
+    ``c[m:w]``, and every limb is one contiguous row.  Shifts ascend, so a
+    batch leaves the columns below its first shift as they were, and each
+    later carry covers only the columns from there to w.
     """
     k, keys = len(factors), []
     for i, (m0, d, _) in enumerate(factors):  # shift m of factor i sorts as m*k + i: by m, then by i
@@ -256,10 +297,16 @@ def binomial_product(n_out, factors):
     ms, ss = [key // k for key in keys], [factors[key % k][2] for key in keys]
     c = np.zeros(n_out, np.int64)
     c[0] = 1
-    spare, same, w, done, bits = None, 0, 1, 0, 1
+    spare, same, w, done, bits, low = None, 0, 1, 0, 1, 0
     while done < len(ms):
-        if c.ndim > 1:
-            c, same, bits = _carry(c.T).T, 0, LIMB_BITS + 1
+        if c.ndim > 1:  # the columns below the last batch's first shift, and from w on, are carried
+            limbs = _carry(c.T[:, low:w])
+            if len(limbs) > c.shape[1]:  # rows added: every column takes them
+                wide = np.zeros((len(limbs), n_out), np.int64)
+                wide[: c.shape[1]] = c.T
+                wide[:, low:w] = limbs
+                c = wide.T
+            same, bits, low = 0, LIMB_BITS + 1, ms[done]
             if spare is not None and spare.shape != c.shape:
                 spare = None
         start, done = done, min(done + HALF.bit_length() - bits, len(ms))
@@ -328,5 +375,6 @@ def warmup() -> None:
     a = [1, -1]
     table = limb_table(a)
     scatter([(0, 1)], table, 1, 3)  # one row of values
-    scatter([(0, HALF)], table, 1, 3)  # past one row: the limb path
+    # past one row: a digit on limbs, then the rest on one row, added a digit higher
+    scatter([(0, HALF + (HALF >> LIMB_BITS) - 1)], table, 1, 3)
     invert_unit(a, 3)

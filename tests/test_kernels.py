@@ -104,11 +104,14 @@ def _limb_rows(draw):
     return [draw(st.lists(_limb, min_size=n, max_size=n)) for _ in range(width)], draw(st.booleans())
 
 
+_L = _kernels.LIMB_BITS
+
+
 @given(_limb_rows())
-@example(([[-1, 5, 2**30 + 7], [0, 0, -3]], False))  # negative columns; 5 under a zero top limb
-@example(([[3, -(2**40)], [2**31, -(2**31)]], False))  # a top limb of 2^31 takes a new limb
-@example(([[1, 2], [0, 0], [2**61, -(2**61)]], True))  # two new limbs, from a .T view
-@example(([[0, 2**30 - 1], [-(2**30), 1]], True))
+@example(([[-1, 5, 2**_L + 7], [0, 0, -3]], False))  # negative columns; 5 under a zero top limb
+@example(([[3, -(2 ** (_L + 4))], [2 ** (_L + 1), -(2 ** (_L + 1))]], False))  # a top limb of 2^(L+1) takes a new limb
+@example(([[1, 2], [0, 0], [2**61, -(2**61)]], True))  # a new limb, from a .T view
+@example(([[0, _kernels.LIMB_MASK], [-(2**_L), 1]], True))
 @settings(max_examples=200, deadline=None)
 def test_carry_keeps_the_ints_of_limb_rows(case):
     rows, transposed = case

@@ -644,9 +644,16 @@ def test_over_euler_matches_the_partition_oracle(terms, n, order):
 
 _wide = st.one_of(st.integers(-9, 9), st.integers(-(2**210), 2**210))
 
-#: sixteen terms of three full digits each: 48 digit adds of 2^30 - 1 onto rows
-#: whose partition numbers have a full low limb, far past one batch's budget
+#: the largest |c| that scatter adds in one flat add of the limbs between carries
+_CAP = (_kernels.HALF >> _kernels.LIMB_BITS) - 1
+
+#: sixteen terms whose base-(_CAP + 1) digits are all full: every digit round adds
+#: 16 * _CAP onto rows whose partition numbers have a full low limb (p(m) >= 2^56 from
+#: m = 330 on), so an int64 limb would overflow without the carries between terms
 _FULL_DIGITS = [(k, 2**90 - 1) for k in range(16)]
+
+#: more than _CAP unit terms, over partition numbers past 2^62 / 70: the kernel carries between them
+_UNITS = [(k, (-1) ** (k // 3)) for k in range(_CAP + 7)]
 
 #: X (q;q) up to q^21, over (q;q): X, then exact zeros from cancellation
 _X = 2**100 + 3
@@ -656,13 +663,20 @@ _EULER_TIMES_X = [(0, _X), (1, -_X), (2, -_X), (5, _X), (7, _X), (12, -_X), (15,
 @given(terms=st.lists(st.tuples(st.integers(0, 70), _wide), max_size=12), n=st.integers(1, 12),
        order=st.integers(0, 60))
 @example(terms=[(0, 2**200 + 12345), (2, -(2**63) - 7), (5, 3**130)], n=1, order=60)  # several digits
-@example(terms=_FULL_DIGITS, n=1, order=200)  # carries between batches
-@example(terms=_FULL_DIGITS, n=3, order=200)
+@example(terms=_FULL_DIGITS, n=1, order=400)  # carries between terms
+@example(terms=_FULL_DIGITS, n=3, order=1200)
 @example(terms=[(0, -1), (1, 2**70), (4, -5)], n=1, order=30)  # -1: top limb -1 over full lower limbs
 @example(terms=_EULER_TIMES_X, n=1, order=21)  # exact zeros on several limbs
 @example(terms=[(0, 2**90), (1, -(2**90)), (2, 2**90 - 1), (3, 1 - 2**90)], n=10, order=3)
 @example(terms=[(0, 2**60), (1, -(2**60)), (2, 2**60 - 1), (3, 1 - 2**60)], n=10, order=3)
 @example(terms=[(0, 2**30), (1, -(2**30)), (2, 2**30 - 1), (3, 1 - 2**30), (4, 2**62)], n=10, order=4)
+@example(terms=[(0, 2**56), (1, -(2**56)), (2, 2**56 - 1), (3, 1 - 2**56), (4, 2**62)], n=10, order=4)
+@example(terms=[(0, _CAP)], n=1, order=400)  # one flat add of _CAP * y on limbs
+@example(terms=[(0, _CAP), (3, _CAP + 1), (5, -(_CAP + 1))], n=1, order=340)  # one digit split
+@example(terms=[(0, _CAP), (1, _CAP + 1), (2, -(_CAP + 1)), (3, _CAP << 60), (4, 2**62)], n=1, order=50)
+@example(terms=[(0, 2**62), (2, -(2**210) + 1), (3, 3 * 2**209 + _CAP)], n=2, order=60)
+@example(terms=_UNITS, n=1, order=400)
+@example(terms=_UNITS, n=3, order=1000)
 @settings(max_examples=300, deadline=None)
 def test_over_euler_limbs_are_exact_and_read_their_signs(terms, n, order):
     terms = sorted(terms)
@@ -680,11 +694,13 @@ def test_over_euler_limbs_are_exact_and_read_their_signs(terms, n, order):
 
 
 def test_over_euler_takes_one_column_below_the_int64_bound():
-    # sum |c| * p(order // n) < 2^62: one limb row of values, no carried limbs
+    # sum |c| * p(order // n) < 2^62: one limb row of values; at 2^62, carried limbs
     p = partition_counts(390)
     assert p[390] < 2**62 <= 2 * p[390]
     assert over_euler_limbs([(0, 1)], 1, 390).shape == (1, 391)
-    assert over_euler_limbs([(0, 1), (3, -1)], 1, 390).shape == (3, 391)
+    w = _kernels._width(2 * p[390])
+    assert w > 1
+    assert over_euler_limbs([(0, 1), (3, -1)], 1, 390).shape == (w, 391)
 
 
 def test_over_euler_rejects_a_negative_order_and_a_bad_modulus():
