@@ -119,7 +119,8 @@ def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
     """Carried limbs of coefficients 0..n_out-1 of ``sum_{(i, c) in terms} c q**i * y(q**stride)``, exact.
 
     ``terms`` are ``(index, coefficient)`` pairs in ascending index order and
-    ``table`` is :func:`limb_table` of y.  Returns limb-major limbs, an int64
+    ``table`` is :func:`limb_table` of y; a nonzero coefficient at a negative
+    index raises ``ValueError``.  Returns limb-major limbs, an int64
     array of shape ``(W, n_out)``: column i holds coefficient i as ``sum_k
     limbs[k, i] 2**(LIMB_BITS k)``, every limb but the signed top one in
     ``[0, 2**LIMB_BITS)`` (read by :func:`limb_ints` and
@@ -152,6 +153,8 @@ def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
         if c:
             kept.append((i, c))
             total += abs(c)
+    if kept and kept[0][0] < 0:  # ascending: the first kept term has the least index
+        raise ValueError(f"scatter: negative term index {kept[0][0]}")
     cap = (HALF >> LIMB_BITS) - 1
     bits = cap.bit_length()  # of one digit
     limbs, place, low = None, 0, total  # low bounds the sum of this round's digits

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain, product
 
 from . import scanner, verifier
 from .minimal_model import InvalidLabel, InvalidModel
@@ -138,14 +139,11 @@ def _cmd_verify(args) -> int:
         jobs = [(kind, fp, args.order) for fp in verifier.iter_applicable_params(kind, args.max_pp)]
         certs = _run_pool(_verify_task, jobs)
         failures = sum(not c["match"] for c in certs)
-        if args.json:
-            print(json.dumps({"kind": kind.value, "order": args.order, "instances": len(certs),
-                              "failures": failures, "certificates": certs}, indent=2))
-        else:
-            for c in certs:
-                print(f"p={c['p']} p'={c['pp']} a'={c['ap']} b={c['b']} b'={c['bp']} c={c['c']} "
-                      f"n={c['n']}: match={c['match']} variant={c['sign_variant']}")
-            print(f"{len(certs)} instances, {failures} failures")
+        rows = (f"p={c['p']} p'={c['pp']} a'={c['ap']} b={c['b']} b'={c['bp']} c={c['c']} "
+                f"n={c['n']}: match={c['match']} variant={c['sign_variant']}" for c in certs)
+        _emit({"kind": kind.value, "order": args.order, "instances": len(certs),
+               "failures": failures, "certificates": certs},
+              args.json, chain(rows, [f"{len(certs)} instances, {failures} failures"]))
         return 1 if failures else 0
     fp = _tuple_from_args(kind.scheme, args)
     cert = verifier.verify(kind, fp, args.order)
@@ -161,22 +159,10 @@ def _cmd_pairs(args) -> int:
     return 0
 
 
-def _series_payload(pp: ProductParams, coeffs: list[int], order: int) -> dict:
-    return {
-        "scheme": pp.scheme.value,
-        "ap": pp.a_prime,
-        "B": pp.B,
-        "c": pp.c,
-        "n": pp.n,
-        "order": order,
-        "coeffs": [str(c) for c in coeffs],
-    }
-
-
 def _cmd_series(args) -> int:
     pp = ProductParams(args.scheme, args.ap, args.B, args.c, args.n)
     coeffs = list(args.series(pp, args.order).coeffs)
-    _emit(_series_payload(pp, coeffs, args.order), args.json,
+    _emit({**pp.to_json_dict(), "order": args.order, "coeffs": [str(c) for c in coeffs]}, args.json,
           ["coefficients 0..%d:" % args.order, " ".join(map(str, coeffs))])
     return 0
 
@@ -188,14 +174,10 @@ def _cmd_scan(args) -> int:
                 for pp in scanner.iter_canonical_quadruples(scheme, args.max_size)]
         reports = _run_pool(_scan_task, jobs)
         bad = sum(bool(r["violations"]) for r in reports)
-        if args.json:
-            print(json.dumps({"order": args.order, "instances": len(reports),
-                              "with_violations": bad, "reports": reports}, indent=2))
-        else:
-            for r in reports:
-                print(f"{r['scheme']} a'={r['ap']} B={r['B']} c={r['c']} n={r['n']} "
-                      f"covered={r['covered']}: {len(r['violations'])} violations")
-            print(f"{len(reports)} quadruples, {bad} with violations")
+        rows = (f"{r['scheme']} a'={r['ap']} B={r['B']} c={r['c']} n={r['n']} "
+                f"covered={r['covered']}: {len(r['violations'])} violations" for r in reports)
+        _emit({"order": args.order, "instances": len(reports), "with_violations": bad, "reports": reports},
+              args.json, chain(rows, [f"{len(reports)} quadruples, {bad} with violations"]))
         return 1 if bad else 0
     if not args.scheme:
         raise ParameterError("missing flag: --scheme")
@@ -227,26 +209,16 @@ def _selftest_checks():
                          triple_symbols)
 
     def theta_oracles():
-        for eu in range(0, 5):
-            for ev in range(max(eu, 1), 5):
-                for su in (1, -1):
-                    for sv in (1, -1):
-                        u = SignedMonomial(su, eu)
-                        v = SignedMonomial(sv, ev)
-                        lhs = triple_product(u, v, 60)
-                        rhs = pochhammer_product(triple_symbols(u, v), 60)
-                        if lhs != rhs:
-                            return f"triple product mismatch at u={u}, v={v}"
-        for eu in range(0, 3):
-            for ev in range(2 * eu + 1, 7):
-                for su in (1, -1):
-                    for sv in (1, -1):
-                        u = SignedMonomial(su, eu)
-                        v = SignedMonomial(sv, ev)
-                        lhs = quintuple_product(u, v, 60)
-                        rhs = pochhammer_product(quintuple_symbols(u, v), 60)
-                        if lhs != rhs:
-                            return f"quintuple product mismatch at u={u}, v={v}"
+        # each Jacobi identity on the exponents (e_u, e_v) where all its Pochhammer factors are power series
+        for name, theta_sum, symbols, grid in (
+                ("triple", triple_product, triple_symbols,
+                 [(eu, ev) for eu in range(5) for ev in range(max(eu, 1), 5)]),
+                ("quintuple", quintuple_product, quintuple_symbols,
+                 [(eu, ev) for eu in range(3) for ev in range(2 * eu + 1, 7)])):
+            for (eu, ev), su, sv in product(grid, (1, -1), (1, -1)):
+                u, v = SignedMonomial(su, eu), SignedMonomial(sv, ev)
+                if theta_sum(u, v, 60) != pochhammer_product(symbols(u, v), 60):
+                    return f"{name} product mismatch at u={u}, v={v}"
         return None
 
     def identity_sweeps():

@@ -150,6 +150,10 @@ class ProductParams:
         if problems:
             raise ParameterError("; ".join(problems))
 
+    def to_json_dict(self) -> dict:
+        """The five keys that open a scan report or a series payload."""
+        return {"scheme": self.scheme.value, "ap": self.a_prime, "B": self.B, "c": self.c, "n": self.n}
+
     @property
     def is_canonical(self) -> bool:
         """gcd(a', c) = 1 (when c > 0) and gcd(B, n) = 1."""

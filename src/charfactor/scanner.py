@@ -60,13 +60,8 @@ class SignReport:
         return not self.violations
 
     def to_json_dict(self) -> dict:
-        pp = self.params
         return {
-            "scheme": pp.scheme.value,
-            "ap": pp.a_prime,
-            "B": pp.B,
-            "c": pp.c,
-            "n": pp.n,
+            **self.params.to_json_dict(),
             "order": self.order,
             "covered": self.covered.value,
             "support": self.support,

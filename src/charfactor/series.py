@@ -395,7 +395,8 @@ def theta_limbs(thetas: Iterable[Theta], n: int, order: int,
 def over_euler(terms: Iterable[tuple[int, int]], n: int, order: int) -> list[int]:
     """Coefficients 0..order of ``sum c q**e`` over the ascending ``(e, c)`` terms, divided by (q^n; q^n).
 
-    The Python ints of :func:`over_euler_limbs`.
+    The Python ints of :func:`over_euler_limbs`.  Exponents are nonnegative:
+    a nonzero coefficient at a negative one raises ``ValueError``.
     """
     return _kernels.limb_ints(over_euler_limbs(terms, n, order))
 

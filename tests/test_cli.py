@@ -188,6 +188,45 @@ def test_selftest_runs_clean(capsys):
     assert "all self-tests passed" in out
 
 
+def _flip_first_factor(monkeypatch, name):
+    """Replace ``charfactor.series.<name>`` by one whose first Pochhammer factor has the opposite sign."""
+    from charfactor import series
+
+    symbols = getattr(series, name)
+
+    def flipped(u, v):
+        (factors, base), *rest = symbols(u, v)
+        return (((-factors[0], *factors[1:]), base), *rest)
+
+    monkeypatch.setattr(series, name, flipped)
+
+
+@pytest.mark.parametrize("name, scheme, failing", [
+    ("quintuple_symbols", "quintuple", {"theta sums match product expansions"}),
+    # quintuple_symbols and the remark products read series.triple_symbols too
+    ("triple_symbols", "triple", {"theta sums match product expansions",
+                                  "proved identities agree with the truncated check",
+                                  "remark products telescope to 1"}),
+])
+def test_selftest_reports_a_failing_check(capsys, monkeypatch, name, scheme, failing):
+    from charfactor.cli import _selftest_checks
+
+    checks = [check for check, _ in _selftest_checks()]
+    _flip_first_factor(monkeypatch, name)
+    oracle = f"{scheme} product mismatch at u=q^0, v=q^1"
+    assert run(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"FAIL theta sums match product expansions ({oracle})"
+    assert len(lines) == len(checks)  # one line per check, no closing "all self-tests passed"
+    for line, check in zip(lines, checks):
+        assert line.startswith(("FAIL " if check in failing else "ok   ") + check)
+    assert run(["selftest", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc[0] == {"check": "theta sums match product expansions", "status": "FAIL", "detail": oracle}
+    assert {c["check"] for c in doc if c["status"] == "FAIL"} == failing
+    assert all(c["detail"] is None for c in doc if c["status"] == "ok")
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records max_workers and runs every task in this process."""
 

@@ -1,4 +1,4 @@
-"""Default certificate and sweep JSON stays byte-identical across refactors.
+"""Default certificate and sweep JSON, sweep tables and series payloads stay byte-identical across refactors.
 
 Each digest is the sha256 of the concatenated stdout of its commands, run
 in-process on one thread; a change in one means the default output changed.
@@ -76,3 +76,52 @@ def test_wide_scan_json_is_byte_stable(monkeypatch):
 
 def test_high_order_certificate_json_is_byte_stable():
     assert _digest(HIGH_ORDER) == GOLDEN_HIGH_ORDER
+
+
+#: human sweep tables and the series payloads, which the JSON digests above do not reach
+HUMAN_VERIFY_SWEEP = ["verify", "--kind", "main", "--sweep", "--max-pp", "20", "--order", "30"]
+
+GOLDEN_HUMAN_VERIFY_SWEEP = "46f1da7ecef68e9e10745807e3ed51ef3d8f9a0750bdc2f6c907c06a49b644a6"
+
+#: 197 triple quadruples at N = 100, one of them, (3,1,1,10), with a violation
+HUMAN_SCAN_SWEEP = ["scan", "--scheme", "triple", "--sweep", "--max-size", "30", "--order", "100"]
+
+GOLDEN_HUMAN_SCAN_SWEEP = "1aeabfcde1a8cafb1c7aef6a16d6d43b7d9d7593bd8f530e1cc6feea82375b57"
+
+
+def _output(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def test_human_verify_sweep_is_byte_stable(monkeypatch):
+    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+    code, text = _output(HUMAN_VERIFY_SWEEP)
+    assert code == 0
+    lines = text.splitlines()
+    assert len(lines) == 19
+    assert lines[0] == "p=2 p'=3 a'=3 b=1 b'=1 c=1 n=1: match=True variant=as_stated"
+    assert lines[-1] == "18 instances, 0 failures"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_HUMAN_VERIFY_SWEEP
+
+
+def test_human_scan_sweep_is_byte_stable(monkeypatch):
+    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+    code, text = _output(HUMAN_SCAN_SWEEP)
+    assert code == 1
+    lines = text.splitlines()
+    assert len(lines) == 198
+    assert lines[9] == "triple a'=3 B=1 c=1 n=10 covered=none: 1 violations"
+    assert lines[-1] == "197 quadruples, 1 with violations"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_HUMAN_SCAN_SWEEP
+
+
+def test_series_json_is_byte_stable():
+    coeffs = "".join(f'    "{c}",\n' for c in (1, -1, -1, 1, -1, 0))
+    for name, scheme, ap in (("phi", "triple", 3), ("psi", "quintuple", 2)):
+        code, text = _output([name, "--ap", str(ap), "--c", "1", "--n", "3", "--order", "6", "--json"])
+        assert code == 0
+        assert text == (f'{{\n  "scheme": "{scheme}",\n  "ap": {ap},\n  "B": 1,\n  "c": 1,\n  "n": 3,\n'
+                        f'  "order": 6,\n  "coeffs": [\n{coeffs}    "2"\n  ]\n}}\n')

@@ -711,3 +711,13 @@ def test_over_euler_rejects_a_negative_order_and_a_bad_modulus():
         with pytest.raises(SeriesError) as err:
             over_euler([(0, 1)], n, 10)
         assert str(err.value) == f"modulus must be a positive integer, got {n}"
+
+
+def test_over_euler_rejects_a_negative_exponent():
+    # without the check, the one-row path wraps the term onto the top coefficient and the limbs path fails in numpy
+    assert over_euler_limbs([(0, 1), (2, 1)], 1, 5).shape[0] == 1
+    assert over_euler_limbs([(0, 1), (2, 1)], 1, 400).shape[0] > 1
+    for order in (5, 400):
+        with pytest.raises(ValueError, match=r"^scatter: negative term index -1$"):
+            over_euler([(-1, 1), (2, 1)], 1, order)
+    assert over_euler([(-1, 0), (0, 1)], 1, 5) == partition_counts(5)  # a zero term is no term
