@@ -6,19 +6,16 @@ Exit codes: 0 = verified / no violations, 1 = mismatch or violation found
 (output still emitted), 2 = invalid parameters or flags.
 
 Sweeps (``verify --sweep``, ``scan --sweep``) iterate every valid instance
-below a size bound; CHARFACTOR_THREADS caps their process parallelism (never
-more workers than the CPUs the process may run on or than chunks of 8
-instances; a value that is not a positive integer exits 2), and results are
-always emitted in canonical instance order.
+below a size bound in the calling process and emit results in canonical
+instance order; to use more CPUs, run separate sweeps per ``--kind`` or
+``--scheme``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, product
 
 from . import scanner, verifier
@@ -35,22 +32,6 @@ from .series import SeriesError
 
 _KINDS = {k.value: k for k in verifier.IdentityKind}
 _SCHEMES = {"triple": Scheme.TRIPLE, "quintuple": Scheme.QUINTUPLE, "quint": Scheme.QUINTUPLE}
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CHARFACTOR_THREADS", "").strip()
-    if not raw:
-        return min(_cpu_count(), 8)
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ParameterError(f"CHARFACTOR_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def _emit(payload, as_json: bool, human_lines) -> None:
@@ -112,32 +93,11 @@ def _report_lines(rep: scanner.SignReport):
         yield "no sign violations"
 
 
-def _verify_task(job: tuple) -> dict:
-    return verifier.verify(*job).to_json_dict()
-
-
-def _scan_task(job: tuple) -> dict:
-    return scanner.scan(*job).to_json_dict()
-
-
-#: jobs per task the sweep pool hands a worker
-_CHUNK = 8
-
-
-def _run_pool(task, jobs: list[tuple]) -> list[dict]:
-    # a worker past the chunk count or the CPUs would only start and wait
-    workers = min(_thread_count(), -(-len(jobs) // _CHUNK), _cpu_count())
-    if workers <= 1:
-        return [task(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, jobs, chunksize=_CHUNK))
-
-
 def _cmd_verify(args) -> int:
     kind = _KINDS[args.kind]
     if args.sweep:
-        jobs = [(kind, fp, args.order) for fp in verifier.iter_applicable_params(kind, args.max_pp)]
-        certs = _run_pool(_verify_task, jobs)
+        certs = [verifier.verify(kind, fp, args.order).to_json_dict()
+                 for fp in verifier.iter_applicable_params(kind, args.max_pp)]
         failures = sum(not c["match"] for c in certs)
         rows = (f"p={c['p']} p'={c['pp']} a'={c['ap']} b={c['b']} b'={c['bp']} c={c['c']} "
                 f"n={c['n']}: match={c['match']} variant={c['sign_variant']}" for c in certs)
@@ -170,9 +130,8 @@ def _cmd_series(args) -> int:
 def _cmd_scan(args) -> int:
     if args.sweep:
         schemes = [_SCHEMES[args.scheme]] if args.scheme else [Scheme.TRIPLE, Scheme.QUINTUPLE]
-        jobs = [(pp, args.order) for scheme in schemes
-                for pp in scanner.iter_canonical_quadruples(scheme, args.max_size)]
-        reports = _run_pool(_scan_task, jobs)
+        reports = [scanner.scan(pp, args.order).to_json_dict() for scheme in schemes
+                   for pp in scanner.iter_canonical_quadruples(scheme, args.max_size)]
         bad = sum(bool(r["violations"]) for r in reports)
         rows = (f"{r['scheme']} a'={r['ap']} B={r['B']} c={r['c']} n={r['n']} "
                 f"covered={r['covered']}: {len(r['violations'])} violations" for r in reports)

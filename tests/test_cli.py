@@ -120,8 +120,7 @@ def test_remark_command(capsys):
     assert doc["holds"] is True
 
 
-def test_verify_sweep_small(capsys, monkeypatch):
-    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+def test_verify_sweep_small(capsys):
     code = run(["verify", "--kind", "main", "--sweep", "--max-pp", "40", "--order", "60", "--json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
@@ -130,36 +129,39 @@ def test_verify_sweep_small(capsys, monkeypatch):
     assert all(c["match"] for c in doc["certificates"])
 
 
-def test_scan_sweep_small(capsys, monkeypatch):
-    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+def test_scan_sweep_small(capsys):
     code = run(["scan", "--sweep", "--max-size", "8", "--order", "120", "--json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["with_violations"] == 0
 
 
-def test_malformed_thread_count_exits_2(capsys, monkeypatch):
-    for raw in ("abc", "0"):
-        monkeypatch.setenv("CHARFACTOR_THREADS", raw)
-        assert run(["verify", "--kind", "main", "--sweep", "--max-pp", "20", "--order", "30"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: CHARFACTOR_THREADS must be a positive integer, got '{raw}'\n"
+def test_verify_sweep_reports_a_failed_certificate(capsys, monkeypatch):
+    import dataclasses
 
+    from charfactor import verifier
 
-def test_sweep_parallel_matches_serial(capsys, monkeypatch):
-    # the pool gets (kind, params, order) and (params, order) jobs, pickled
-    verify = ["verify", "--kind", "quint", "--sweep", "--max-pp", "30", "--order", "40", "--json"]
-    scan = ["scan", "--scheme", "triple", "--sweep", "--max-size", "12", "--order", "100", "--json"]
-    for args in (verify, scan):
-        monkeypatch.setenv("CHARFACTOR_THREADS", "1")
-        assert run(args) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("CHARFACTOR_THREADS", "2")
-        assert run(args) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-        assert json.loads(serial)["instances"] >= 9  # two chunks of 8, so two workers where two cores are
+    real, calls = verifier.verify, []
+
+    def third_fails(kind, fp, order):
+        cert = real(kind, fp, order)
+        calls.append(fp)
+        if len(calls) == 3:
+            return dataclasses.replace(cert, match=False, sign_variant=verifier.FAILED, first_mismatch=0)
+        return cert
+
+    monkeypatch.setattr(verifier, "verify", third_fails)
+    args = ["verify", "--kind", "main", "--sweep", "--max-pp", "20", "--order", "30"]
+    assert run(args + ["--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failures"] == 1
+    assert [c["match"] for c in doc["certificates"]].index(False) == 2
+    assert doc["certificates"][2]["first_mismatch"] == 0
+    calls.clear()
+    assert run(args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].endswith(": match=False variant=failed")
+    assert lines[-1] == "18 instances, 1 failures"
 
 
 def test_main_exits_with_the_command_status(capsys, monkeypatch):
@@ -225,55 +227,3 @@ def test_selftest_reports_a_failing_check(capsys, monkeypatch, name, scheme, fai
     assert doc[0] == {"check": "theta sums match product expansions", "status": "FAIL", "detail": oracle}
     assert {c["check"] for c in doc if c["status"] == "FAIL"} == failing
     assert all(c["detail"] is None for c in doc if c["status"] == "ok")
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs every task in this process."""
-
-    workers = []
-
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize=1):
-        return map(fn, jobs)
-
-
-def test_sweep_pool_is_capped_by_chunks_and_cores(capsys, monkeypatch):
-    from charfactor import cli
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
-    # the pool counts the CPUs the process may run on, not the host's
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    monkeypatch.setenv("CHARFACTOR_THREADS", "100000")
-    _InlinePool.workers.clear()
-    args = ["verify", "--kind", "main", "--sweep", "--max-pp", "40", "--order", "30", "--json"]
-    assert run(args) == 0
-    jobs = json.loads(capsys.readouterr().out)["instances"]
-    assert jobs > 16  # three chunks of 8 or more, so the affinity mask caps the pool
-    assert _InlinePool.workers.pop() == 3
-    # two chunks of 8 cap it at 2 workers; one chunk runs inline, with no pool
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)))
-    for n in (9, 16):
-        assert cli._run_pool(len, [(1,)] * n) == [1] * n
-        assert _InlinePool.workers.pop() == 2
-    assert cli._run_pool(len, [(1,)] * 8) == [1] * 8
-    # pinned to one CPU of 64, a sweep of many chunks runs inline too, by default or capped
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
-    assert cli._run_pool(len, [(1,)] * 40) == [1] * 40
-    monkeypatch.delenv("CHARFACTOR_THREADS")
-    assert cli._thread_count() == 1
-    assert cli._run_pool(len, [(1,)] * 40) == [1] * 40
-    assert _InlinePool.workers == []
-    # where the platform has no affinity mask, the host's CPU count caps the pool
-    monkeypatch.delattr(cli.os, "sched_getaffinity")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    assert cli._run_pool(len, [(1,)] * 40) == [1] * 40
-    assert _InlinePool.workers.pop() == 3

@@ -1,7 +1,7 @@
 """Default certificate and sweep JSON, sweep tables and series payloads stay byte-identical across refactors.
 
 Each digest is the sha256 of the concatenated stdout of its commands, run
-in-process on one thread; a change in one means the default output changed.
+in-process; a change in one means the default output changed.
 The sweep digest was computed before the theta sums moved to ``Theta``
 records, the high-order one before the quintuple numerators were expanded in
 one binomial pass, and the wide scan digest before the scan streams were
@@ -59,18 +59,15 @@ def _digest(commands) -> str:
     return digest.hexdigest()
 
 
-def test_default_sweep_json_is_byte_stable(monkeypatch):
-    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+def test_default_sweep_json_is_byte_stable():
     assert _digest(COMMANDS) == GOLDEN
 
 
-def test_verify_sweep_json_is_byte_stable(monkeypatch):
-    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+def test_verify_sweep_json_is_byte_stable():
     assert _digest(VERIFY_SWEEP) == GOLDEN_VERIFY_SWEEP
 
 
-def test_wide_scan_json_is_byte_stable(monkeypatch):
-    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+def test_wide_scan_json_is_byte_stable():
     assert _digest(WIDE_SCAN) == GOLDEN_WIDE_SCAN
 
 
@@ -96,8 +93,7 @@ def _output(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def test_human_verify_sweep_is_byte_stable(monkeypatch):
-    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+def test_human_verify_sweep_is_byte_stable():
     code, text = _output(HUMAN_VERIFY_SWEEP)
     assert code == 0
     lines = text.splitlines()
@@ -107,8 +103,7 @@ def test_human_verify_sweep_is_byte_stable(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_HUMAN_VERIFY_SWEEP
 
 
-def test_human_scan_sweep_is_byte_stable(monkeypatch):
-    monkeypatch.setenv("CHARFACTOR_THREADS", "1")
+def test_human_scan_sweep_is_byte_stable():
     code, text = _output(HUMAN_SCAN_SWEEP)
     assert code == 1
     lines = text.splitlines()
