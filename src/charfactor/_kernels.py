@@ -12,15 +12,16 @@ one (:func:`_carry`).  :func:`limb_ints` builds Python ints from them and
 * :func:`scatter` adds a multiple of one coefficient list per sparse term:
   the partition numbers on stride n in :func:`charfactor.series.over_euler`,
   and, in one call, :func:`convolve`, the general multiply that no package
-  path calls.  Below 2**62 it sums one int64 row of values.  Past that it
+  path calls.  Its input picks one of three regimes.  Below 2**62 it sums
+  one int64 row of values.  Past that, with every coefficient at most 63, it
   adds residue-major and row-major, ``(n, rows, W)``, so that each term is
   one contiguous add of the limb table, and it carries only when the terms
   added since the last carry could push a limb past 2**62; one transposed
   copy then gives the ``(W, n_out)`` limbs of the final carry.  A limb of
   LIMB_BITS = 56 bits leaves 6 bits of an int64 slot free: 63 unit terms
-  fit between carries, and the 152-bit p(2000) takes 3 limbs.  The larger
-  coefficients of :func:`convolve` and the public quotients go in base-2**6
-  digits, one such sum per digit, each added 6 bits above the last.
+  fit between carries, and the 152-bit p(2000) takes 3 limbs.  A larger
+  coefficient, which only :func:`convolve` and the public quotients pass,
+  takes the plain sum in Python ints, converted to limbs once.
 * :func:`invert_unit` inverts a unit series by the sparse recurrence over
   its nonzero terms.
 * :func:`binomial_product` expands truncated products of Pochhammer
@@ -66,12 +67,14 @@ LANE = "numpy"
 class LimbTable(NamedTuple):
     """A coefficient list prepared for :func:`scatter`: built once, read by every call.
 
+    ``values`` is the list itself, not a copy, for the plain sum;
     ``peaks[k]`` is ``max |values[:k+1]|``; ``small`` holds, as int64, the
     values before the first one of magnitude HALF or more; ``limbs`` holds
     them all as signed base-2**LIMB_BITS digits (:func:`_to_limbs`), row-major,
     one row per value, so that :func:`scatter`'s adds stay flat.
     """
 
+    values: list[int]
     peaks: list[int]
     small: np.ndarray
     limbs: np.ndarray
@@ -81,7 +84,7 @@ def limb_table(values: list[int]) -> LimbTable:
     """The :class:`LimbTable` of a list of Python ints."""
     peaks = list(accumulate(map(abs, values), max))
     small = np.array(values[: bisect_left(peaks, HALF)], np.int64)
-    return LimbTable(peaks, small, _to_limbs(values, _width(peaks[-1] if peaks else 0)))
+    return LimbTable(values, peaks, small, _to_limbs(values, _width(peaks[-1] if peaks else 0)))
 
 
 def _width(bound: int) -> int:
@@ -118,113 +121,86 @@ def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
 def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
     """Carried limbs of coefficients 0..n_out-1 of ``sum_{(i, c) in terms} c q**i * y(q**stride)``, exact.
 
-    ``terms`` are ``(index, coefficient)`` pairs in ascending index order and
-    ``table`` is :func:`limb_table` of y; a nonzero coefficient at a negative
-    index raises ``ValueError``.  Returns limb-major limbs, an int64
-    array of shape ``(W, n_out)``: column i holds coefficient i as ``sum_k
-    limbs[k, i] 2**(LIMB_BITS k)``, every limb but the signed top one in
-    ``[0, 2**LIMB_BITS)`` (read by :func:`limb_ints` and
-    :func:`limb_signs`).  W comes from the bound ``sum |c| * max |y|`` on
-    every partial sum.  Below HALF, W = 1: the one row holds the values,
-    and each term is one strided int64 add.  Otherwise the sum runs
-    residue-major and row-major, as ``out[(r*rows + q) * W:]`` for index
-    ``r + stride*q``, so that a term with ``|c| <= cap = HALF / 2**LIMB_BITS - 1``
-    is one flat contiguous add of ``c * y``'s limbs.  After a carry every
-    limb is at most 2**LIMB_BITS in magnitude and such an add raises it by
-    less than ``|c| * 2**LIMB_BITS``, so the kernel carries again, on the
-    transposed view, only before the ``|c|`` added since the last carry
+    ``terms`` are ``(index, coefficient)`` pairs in any order and ``table``
+    is :func:`limb_table` of y; terms at index n_out or past it are ignored,
+    and a nonzero coefficient at a negative index raises ``ValueError``.
+    Returns limb-major limbs, an int64 array of shape ``(W, n_out)``: column
+    i holds coefficient i as ``sum_k limbs[k, i] 2**(LIMB_BITS k)``, every
+    limb but the signed top one in ``[0, 2**LIMB_BITS)`` (read by
+    :func:`limb_ints` and :func:`limb_signs`).  W comes from the bound
+    ``sum |c| * max |y|`` on every partial sum, and the input picks one of
+    three regimes.  Below HALF, W = 1: the one row holds the values, and
+    each term is one strided int64 add.  Otherwise, when every ``|c| <= cap
+    = HALF / 2**LIMB_BITS - 1``, the sum runs residue-major and row-major,
+    as ``out[(r*rows + q) * W:]`` for index ``r + stride*q``, so that each
+    term is one flat contiguous add of ``c * y``'s limbs.  After a carry
+    every limb is at most 2**LIMB_BITS in magnitude and such an add raises
+    it by less than ``|c| * 2**LIMB_BITS``, so the kernel carries again, on
+    the transposed view, only before the ``|c|`` added since the last carry
     would sum past cap.  One transposed copy to ``(W, rows * stride)`` puts
     the coefficients in order, and the final carry runs on its contiguous
     rows.  A larger ``|c|``, which only :func:`convolve` and the public
-    quotients pass, goes in base-2**D digits, D = ``cap.bit_length()``: each
-    round adds the lowest digit of every term so, on the limbs that the
-    bound of those digits needs, and leaves the rest of the terms, ``|c| >>
-    D``, to the next round, whose sum :func:`_add_shifted` adds D bits
-    higher, until the bound of what is left falls below HALF and one int64
-    row takes it.
+    quotients pass, takes the plain sum in Python ints (:func:`_plain_sum`)
+    over ``table.values``, converted to limbs and carried once.
     """
     rows = -(-n_out // stride)
     t = min(rows, len(table.peaks))
     peak = table.peaks[t - 1] if t else 0
     kept, total = [], 0
     for i, c in terms:
-        if i >= n_out:
-            break
-        if c:
+        if c and i < n_out:
+            if i < 0:
+                raise ValueError(f"scatter: negative term index {i}")
             kept.append((i, c))
             total += abs(c)
-    if kept and kept[0][0] < 0:  # ascending: the first kept term has the least index
-        raise ValueError(f"scatter: negative term index {kept[0][0]}")
-    cap = (HALF >> LIMB_BITS) - 1
-    bits = cap.bit_length()  # of one digit
-    limbs, place, low = None, 0, total  # low bounds the sum of this round's digits
-    while True:
-        bound = total * peak
-        if bound < HALF:
-            out = np.zeros(n_out, np.int64)
-            y = table.small
-            for i, c in kept if bound else ():  # y is zero where the terms reach; c may pass int64
-                seg = out[i::stride][:t]
-                if c == 1:
-                    seg += y[: len(seg)]
-                elif c == -1:
-                    seg -= y[: len(seg)]
-                else:
-                    seg += c * y[: len(seg)]
-            plane, kept = out[None, :], ()
-        else:
-            w = _width(low * peak)
-            y = table.limbs[:t]
-            if y.shape[1] != w:  # the columns past either width are zero
-                y, k = np.zeros((t, w), np.int64), min(w, y.shape[1])
-                y[:, :k] = table.limbs[:t, :k]
-            y, rw, tw = y.reshape(-1), rows * w, t * w
-            out = np.zeros(stride * rw, np.int64)  # residue r's rows start at r * rw
-            high, total, low, load = [], 0, 0, 0
-            for i, c in kept:
-                d = abs(c)
-                if d > cap:  # the digits above the lowest go to the next round
-                    h = d >> bits
-                    high.append((i, h if c > 0 else -h))
-                    total += h
-                    low += h & cap
-                    d &= cap
-                    if not d:
-                        continue
-                if load + d > cap:
-                    _carry(out.reshape(-1, w).T)  # in place, as below
-                    load = 0
-                q, r = divmod(i, stride)
-                start, span = r * rw + q * w, rw - q * w
-                if span > tw:
-                    span = tw
-                seg = out[start : start + span]
-                (_ADD if c > 0 else _SUBTRACT)(seg, y[:span] if d == 1 else d * y[:span], seg)
-                load += d
-            # at stride 1 the reshape alone would be a strided view, so copy; |partial sums| <= low *
-            # peak < 2**(LIMB_BITS w): every carry leaves |top| <= 2**LIMB_BITS, in place
-            plane = np.ascontiguousarray(out.reshape(stride, rows, w).transpose(2, 1, 0)).reshape(w, -1)
-            plane, kept = _carry(plane[:, :n_out]), high
-        limbs = plane if limbs is None else _add_shifted(limbs, plane, place)
-        if not kept:
-            return limbs
-        place += bits
+    bound = total * peak
+    if bound < HALF:
+        out = np.zeros(n_out, np.int64)
+        y = table.small
+        for i, c in kept if bound else ():  # y is zero where the terms reach; c may pass int64
+            seg = out[i::stride][:t]
+            if c == 1:
+                seg += y[: len(seg)]
+            elif c == -1:
+                seg -= y[: len(seg)]
+            else:
+                seg += c * y[: len(seg)]
+        return out[None, :]
+    w, cap = _width(bound), (HALF >> LIMB_BITS) - 1
+    if any(abs(c) > cap for _, c in kept):
+        return _carry(np.ascontiguousarray(_to_limbs(_plain_sum(kept, table.values[:t], stride, n_out), w).T))
+    y = table.limbs[:t]
+    if y.shape[1] != w:  # the columns past either width are zero
+        y, k = np.zeros((t, w), np.int64), min(w, y.shape[1])
+        y[:, :k] = table.limbs[:t, :k]
+    y, rw, tw = y.reshape(-1), rows * w, t * w
+    out = np.zeros(stride * rw, np.int64)  # residue r's rows start at r * rw
+    load = 0
+    for i, c in kept:
+        d = abs(c)
+        if load + d > cap:
+            _carry(out.reshape(-1, w).T)  # in place, as below
+            load = 0
+        q, r = divmod(i, stride)
+        start, span = r * rw + q * w, rw - q * w
+        if span > tw:
+            span = tw
+        seg = out[start : start + span]
+        (_ADD if c > 0 else _SUBTRACT)(seg, y[:span] if d == 1 else d * y[:span], seg)
+        load += d
+    # at stride 1 the reshape alone would be a strided view, so copy; |partial sums| <= bound
+    # < 2**(LIMB_BITS w): every carry leaves |top| <= 2**LIMB_BITS, in place
+    plane = np.ascontiguousarray(out.reshape(stride, rows, w).transpose(2, 1, 0)).reshape(w, -1)
+    return _carry(plane[:, :n_out])
 
 
-def _add_shifted(limbs, plane, place):
-    """Carried limbs of ``limbs + plane * 2**place``: each plane row splits into the two limbs it straddles.
-
-    The rows of ``limbs`` below ``place // LIMB_BITS`` are carried and stay
-    so.  :func:`scatter`'s first round sets the width from the bound on every
-    partial sum of all its rounds, so the carry of the rows above adds none.
-    """
-    k, s = divmod(place, LIMB_BITS)
-    if k + len(plane) >= len(limbs):
-        limbs = np.vstack((limbs, np.zeros((k + len(plane) + 1 - len(limbs), limbs.shape[1]), np.int64)))
-    limbs[k : k + len(plane)] += (plane & ((1 << (LIMB_BITS - s)) - 1)) << s
-    limbs[k + 1 : k + 1 + len(plane)] += plane >> (LIMB_BITS - s)
-    _carry(limbs[k:])  # in place
-    return limbs
+def _plain_sum(terms, values: list[int], stride: int, n_out: int) -> list[int]:
+    """The Python ints of coefficients 0..n_out-1 of ``sum_{(i, c) in terms} c q**i * sum_j values[j] q**(stride j)``."""
+    out, y = np.zeros(n_out, object), np.array(values, object)
+    for i, c in terms:
+        seg = out[i::stride][: len(y)]
+        seg += c * y[: len(seg)]
+    return out.tolist()
 
 
 def limb_ints(limbs: np.ndarray) -> list[int]:
@@ -374,10 +350,10 @@ def _carry(limbs):
 
 
 def warmup() -> None:
-    """Run tiny inputs through the kernels that certificates and scans reach."""
+    """Run tiny inputs through the kernels that certificates and scans reach, and each regime of :func:`scatter`."""
     a = [1, -1]
     table = limb_table(a)
     scatter([(0, 1)], table, 1, 3)  # one row of values
-    # past one row: a digit on limbs, then the rest on one row, added a digit higher
-    scatter([(0, HALF + (HALF >> LIMB_BITS) - 1)], table, 1, 3)
+    scatter([(0, 1)], limb_table([HALF]), 1, 3)  # flat limb adds
+    scatter([(0, HALF)], table, 1, 3)  # the plain sum
     invert_unit(a, 3)

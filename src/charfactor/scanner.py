@@ -111,20 +111,15 @@ def covered_case(pp: ProductParams) -> Covered:
 
 
 def support_residues(pp: ProductParams) -> set[int]:
-    """Residues mod n where nonzero coefficients may occur."""
-    return set(support_exponent_residues(pp))
-
-
-def support_exponent_residues(pp: ProductParams) -> list[int]:
-    """Every residue mod n, with multiplicity, behind :func:`support_residues`.
+    """Residues mod n where nonzero coefficients may occur.
 
     Triple: residues of m*B*(a'm + c)/2 over m = 0..2n-1.
     Quintuple: residues of m*B*(3a'm + a' - 3c) over m = 0..n-1.
     """
     ap, B, c, n = pp.a_prime, pp.B, pp.c, pp.n
     if pp.scheme is Scheme.TRIPLE:
-        return [(m * B * (ap * m + c) // 2) % n for m in range(2 * n)]
-    return [(m * B * (3 * ap * m + ap - 3 * c)) % n for m in range(n)]
+        return {(m * B * (ap * m + c) // 2) % n for m in range(2 * n)}
+    return {(m * B * (3 * ap * m + ap - 3 * c)) % n for m in range(n)}
 
 
 def scan(pp: ProductParams, order: int) -> SignReport:

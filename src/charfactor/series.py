@@ -61,9 +61,6 @@ class SignedMonomial:
         if not isinstance(self.exponent, int) or self.exponent < 0:
             raise SeriesError(f"monomial exponent must be a nonnegative integer, got {self.exponent}")
 
-    def __neg__(self) -> "SignedMonomial":
-        return SignedMonomial(-self.sign, self.exponent)
-
     def __repr__(self) -> str:
         s = "" if self.sign > 0 else "-"
         return f"{s}q^{self.exponent}"
@@ -389,11 +386,11 @@ def theta_limbs(thetas: Iterable[Theta], n: int, order: int,
     divided by (q^n; q^n) in one pass.
     """
     terms = _add_terms(defaultdict(int), thetas, order, error_label)
-    return over_euler_limbs(sorted(terms.items()), n, order)
+    return over_euler_limbs(terms.items(), n, order)
 
 
 def over_euler(terms: Iterable[tuple[int, int]], n: int, order: int) -> list[int]:
-    """Coefficients 0..order of ``sum c q**e`` over the ascending ``(e, c)`` terms, divided by (q^n; q^n).
+    """Coefficients 0..order of ``sum c q**e`` over the ``(e, c)`` terms, in any order, divided by (q^n; q^n).
 
     The Python ints of :func:`over_euler_limbs`.  Exponents are nonnegative:
     a nonzero coefficient at a negative one raises ``ValueError``.
@@ -419,18 +416,8 @@ def over_euler_limbs(terms: Iterable[tuple[int, int]], n: int, order: int) -> np
     return _kernels.scatter(terms, _partition_table(order), n, order + 1)
 
 
-def triple_thetas(u: SignedMonomial, v: SignedMonomial) -> tuple[Theta, Theta]:
-    """The :class:`Theta` records of ``sum_j (-1)**j u**j v**(j(j-1)/2)``: :func:`triple_records` of u and v."""
-    return triple_records(u.sign, u.exponent, v.sign, v.exponent)
-
-
-def quintuple_thetas(u: SignedMonomial, v: SignedMonomial) -> tuple[Theta, Theta, Theta, Theta]:
-    """The :class:`Theta` records of ``sum_j (u**(-3j) - u**(3j+1)) v**(j(3j+1)/2)``: :func:`quintuple_records` of u and v."""
-    return quintuple_records(u.sign, u.exponent, v.sign, v.exponent)
-
-
 def triple_records(su: int, eu: int, sv: int, ev: int) -> tuple[Theta, Theta]:
-    """:func:`triple_thetas` of u = su q**eu and v = sv q**ev, from the four integers.
+    """The :class:`Theta` records of ``sum_j (-1)**j u**j v**(j(j-1)/2)`` for u = su q**eu and v = sv q**ev.
 
     The even and odd j = 2k + t are one record each, with v's sign as ``chi``.
     """
@@ -440,7 +427,7 @@ def triple_records(su: int, eu: int, sv: int, ev: int) -> tuple[Theta, Theta]:
 
 
 def quintuple_records(su: int, eu: int, sv: int, ev: int) -> tuple[Theta, Theta, Theta, Theta]:
-    """:func:`quintuple_thetas` of u = su q**eu and v = sv q**ev, from the four integers.
+    """The :class:`Theta` records of ``sum_j (u**(-3j) - u**(3j+1)) v**(j(3j+1)/2)`` for u = su q**eu and v = sv q**ev.
 
     Each of the two sums splits on even and odd j = 2k + t into two records.
     """
@@ -455,12 +442,12 @@ def quintuple_records(su: int, eu: int, sv: int, ev: int) -> tuple[Theta, Theta,
 
 
 def triple_symbols(u: SignedMonomial, v: SignedMonomial) -> tuple[tuple, ...]:
-    """The Pochhammer symbol (u, u^-1 v, v; v) of :func:`triple_thetas`, as :func:`pochhammer_product` takes it."""
+    """The Pochhammer symbol (u, u^-1 v, v; v) of :func:`triple_records`, as :func:`pochhammer_product` takes it."""
     return (((u, SignedMonomial(u.sign * v.sign, v.exponent - u.exponent), v), v),)
 
 
 def quintuple_symbols(u: SignedMonomial, v: SignedMonomial) -> tuple[tuple, ...]:
-    """The Pochhammer symbols (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2) of :func:`quintuple_thetas`."""
+    """The Pochhammer symbols (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2) of :func:`quintuple_records`."""
     second = (SignedMonomial(v.sign, 2 * u.exponent + v.exponent), SignedMonomial(v.sign, v.exponent - 2 * u.exponent))
     return *triple_symbols(u, v), (second, SignedMonomial(1, 2 * v.exponent))
 
@@ -474,7 +461,7 @@ def triple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedS
     by u^-1 v; the sign ambiguity that reflection introduces into the signed
     product identities is handled by the verifier's variant search, not here.
     """
-    return ShiftedSeries._of_ints(bilateral_sum(triple_thetas(u, v), order))
+    return ShiftedSeries._of_ints(bilateral_sum(triple_records(u.sign, u.exponent, v.sign, v.exponent), order))
 
 
 def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedSeries:
@@ -484,7 +471,7 @@ def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> Shift
     Negative powers of u are legal as long as every surviving term has
     nonnegative total exponent; otherwise the parameters are rejected.
     """
-    return ShiftedSeries._of_ints(bilateral_sum(quintuple_thetas(u, v), order, DIVERGENT_QUINTUPLE))
+    return ShiftedSeries._of_ints(bilateral_sum(quintuple_records(u.sign, u.exponent, v.sign, v.exponent), order, DIVERGENT_QUINTUPLE))
 
 
 # ---------------------------------------------------------------------------

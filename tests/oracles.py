@@ -40,6 +40,18 @@ def euler_power_oracle(n: int, order: int) -> list[int]:
     return [p[k // n] if k % n == 0 else 0 for k in range(order + 1)]
 
 
+def support_exponent_residues(pp) -> list[int]:
+    """Every residue mod n, with multiplicity, of the quadruple's product-side exponents.
+
+    Triple: residues of m*B*(a'm + c)/2 over m = 0..2n-1.
+    Quintuple: residues of m*B*(3a'm + a' - 3c) over m = 0..n-1.
+    """
+    ap, B, c, n = pp.a_prime, pp.B, pp.c, pp.n
+    if pp.scheme is Scheme.TRIPLE:
+        return [(m * B * (ap * m + c) // 2) % n for m in range(2 * n)]
+    return [(m * B * (3 * ap * m + ap - 3 * c)) % n for m in range(n)]
+
+
 def signed_distinct_counts(order: int) -> list[int]:
     """Coefficients of prod_{m>=1} (1 - q^m): partitions into distinct parts
     weighted by (-1)^(number of parts)."""

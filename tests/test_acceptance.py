@@ -22,7 +22,6 @@ from charfactor.scanner import (
     phi_series,
     psi_series,
     scan,
-    support_exponent_residues,
 )
 from charfactor.series import SignedMonomial, pochhammer, quintuple_product, triple_product
 from charfactor.verifier import (
@@ -37,6 +36,8 @@ from charfactor.verifier import (
     verify,
     verify_remark_products,
 )
+
+from oracles import support_exponent_residues
 
 Q = SignedMonomial
 

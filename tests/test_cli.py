@@ -198,7 +198,8 @@ def _flip_first_factor(monkeypatch, name):
 
     def flipped(u, v):
         (factors, base), *rest = symbols(u, v)
-        return (((-factors[0], *factors[1:]), base), *rest)
+        flipped = series.SignedMonomial(-factors[0].sign, factors[0].exponent)
+        return (((flipped, *factors[1:]), base), *rest)
 
     monkeypatch.setattr(series, name, flipped)
 

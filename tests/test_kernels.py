@@ -34,6 +34,10 @@ coefficient = st.one_of(
 )
 
 
+#: sixty 2000-bit coefficients of both signs: the plain sum
+_WIDE = [(-1) ** (k // 3) * (2**2000 - 1 - k**7) for k in range(60)]
+
+
 def on_stride(coeffs, stride):
     out = [0] * ((len(coeffs) - 1) * stride + 1)
     out[::stride] = coeffs
@@ -52,6 +56,7 @@ def on_stride(coeffs, stride):
 @example(a=[1, 0, 2**63], sa=1, b=[-1, 5, 0, 7], sb=2, n_out=9)
 @example(a=[-1, 5, 0, 7], sa=2, b=[1, 0, -(2**63)], sb=1, n_out=9)
 @example(a=[0, 0, 1, 0, 1], sa=1, b=[2**63, 0], sb=1, n_out=1)  # huge term meets only zeros
+@example(a=_WIDE, sa=1, b=_WIDE[::-1], sb=1, n_out=60)
 @settings(max_examples=200, deadline=None)
 def test_convolve_matches_brute_force(a, sa, b, sb, n_out):
     # zero-stuffed operands: convolve scatters the operand with fewer nonzero terms

@@ -13,12 +13,11 @@ from charfactor.scanner import (
     phi_series,
     psi_series,
     scan,
-    support_exponent_residues,
     support_residues,
 )
 from charfactor.series import ShiftedSeries
 
-from oracles import brute_convolve, euler_power_oracle, naive_pochhammer, partition_counts
+from oracles import brute_convolve, euler_power_oracle, naive_pochhammer, partition_counts, support_exponent_residues
 
 
 def trip(ap, B, c, n):

@@ -28,8 +28,8 @@ from charfactor.series import (
     quintuple_product,
     quintuple_symbols,
     triple_product,
+    triple_records,
     triple_symbols,
-    triple_thetas,
 )
 
 from oracles import (
@@ -516,7 +516,7 @@ _EQUAL_RECORDS = {
     "split_in_three_alternating": ([Theta(1, 0, 0, 1, -1)],
                                    [Theta(9, 0, 0, 1, -1), Theta(9, 6, 1, -1, -1), Theta(9, 12, 4, 1, -1)], 9),
     # (q; q) as the triple product of u = q and of its reflection u = q^2, both with v = q^3
-    "pentagonal": (list(triple_thetas(Q(1, 1), Q(1, 3))), list(triple_thetas(Q(1, 2), Q(1, 3))), 24),
+    "pentagonal": (list(triple_records(1, 1, 1, 3)), list(triple_records(1, 2, 1, 3)), 24),
 }
 
 _DIFFERENT_RECORDS = {
@@ -632,7 +632,6 @@ _terms = st.lists(st.tuples(st.integers(0, 70), st.integers(-(2**70), 2**70)), m
 @example(terms=[(0, 2**64), (1, -(2**63) - 1), (6, 3**45)], n=2, order=40)  # past 2^63
 @settings(max_examples=150, deadline=None)
 def test_over_euler_matches_the_partition_oracle(terms, n, order):
-    terms = sorted(terms)
     num = [0] * (order + 1)
     for e, c in terms:
         if e <= order:
@@ -647,9 +646,12 @@ _wide = st.one_of(st.integers(-9, 9), st.integers(-(2**210), 2**210))
 #: the largest |c| that scatter adds in one flat add of the limbs between carries
 _CAP = (_kernels.HALF >> _kernels.LIMB_BITS) - 1
 
-#: sixteen terms whose base-(_CAP + 1) digits are all full: every digit round adds
-#: 16 * _CAP onto rows whose partition numbers have a full low limb (p(m) >= 2^56 from
-#: m = 330 on), so an int64 limb would overflow without the carries between terms
+#: sixteen terms of _CAP, the flat limb adds: together they add 16 * _CAP onto rows whose
+#: partition numbers have a full low limb (p(m) >= 2^56 from m = 330 on), so an int64 limb
+#: would overflow without the carries between terms
+_FULL_CAPS = [(k, _CAP) for k in range(16)]
+
+#: sixteen terms past _CAP with every bit set: the plain sum
 _FULL_DIGITS = [(k, 2**90 - 1) for k in range(16)]
 
 #: more than _CAP unit terms, over partition numbers past 2^62 / 70: the kernel carries between them
@@ -662,9 +664,12 @@ _EULER_TIMES_X = [(0, _X), (1, -_X), (2, -_X), (5, _X), (7, _X), (12, -_X), (15,
 
 @given(terms=st.lists(st.tuples(st.integers(0, 70), _wide), max_size=12), n=st.integers(1, 12),
        order=st.integers(0, 60))
-@example(terms=[(0, 2**200 + 12345), (2, -(2**63) - 7), (5, 3**130)], n=1, order=60)  # several digits
-@example(terms=_FULL_DIGITS, n=1, order=400)  # carries between terms
+@example(terms=[(0, 2**200 + 12345), (2, -(2**63) - 7), (5, 3**130)], n=1, order=60)  # the plain sum
+@example(terms=_FULL_CAPS, n=1, order=400)  # carries between terms
+@example(terms=_FULL_CAPS, n=3, order=1200)
+@example(terms=_FULL_DIGITS, n=1, order=400)
 @example(terms=_FULL_DIGITS, n=3, order=1200)
+@example(terms=[(k, 2**2000 - 1) for k in range(16)], n=3, order=400)
 @example(terms=[(0, -1), (1, 2**70), (4, -5)], n=1, order=30)  # -1: top limb -1 over full lower limbs
 @example(terms=_EULER_TIMES_X, n=1, order=21)  # exact zeros on several limbs
 @example(terms=[(0, 2**90), (1, -(2**90)), (2, 2**90 - 1), (3, 1 - 2**90)], n=10, order=3)
@@ -672,14 +677,13 @@ _EULER_TIMES_X = [(0, _X), (1, -_X), (2, -_X), (5, _X), (7, _X), (12, -_X), (15,
 @example(terms=[(0, 2**30), (1, -(2**30)), (2, 2**30 - 1), (3, 1 - 2**30), (4, 2**62)], n=10, order=4)
 @example(terms=[(0, 2**56), (1, -(2**56)), (2, 2**56 - 1), (3, 1 - 2**56), (4, 2**62)], n=10, order=4)
 @example(terms=[(0, _CAP)], n=1, order=400)  # one flat add of _CAP * y on limbs
-@example(terms=[(0, _CAP), (3, _CAP + 1), (5, -(_CAP + 1))], n=1, order=340)  # one digit split
+@example(terms=[(0, _CAP), (3, _CAP + 1), (5, -(_CAP + 1))], n=1, order=340)  # one term past _CAP: the plain sum
 @example(terms=[(0, _CAP), (1, _CAP + 1), (2, -(_CAP + 1)), (3, _CAP << 60), (4, 2**62)], n=1, order=50)
 @example(terms=[(0, 2**62), (2, -(2**210) + 1), (3, 3 * 2**209 + _CAP)], n=2, order=60)
 @example(terms=_UNITS, n=1, order=400)
 @example(terms=_UNITS, n=3, order=1000)
 @settings(max_examples=300, deadline=None)
 def test_over_euler_limbs_are_exact_and_read_their_signs(terms, n, order):
-    terms = sorted(terms)
     num = [0] * (order + 1)
     for e, c in terms:
         if e <= order:
@@ -718,6 +722,8 @@ def test_over_euler_rejects_a_negative_exponent():
     assert over_euler_limbs([(0, 1), (2, 1)], 1, 5).shape[0] == 1
     assert over_euler_limbs([(0, 1), (2, 1)], 1, 400).shape[0] > 1
     for order in (5, 400):
-        with pytest.raises(ValueError, match=r"^scatter: negative term index -1$"):
-            over_euler([(-1, 1), (2, 1)], 1, order)
+        for terms in ([(-1, 1), (2, 1)], [(2, 1), (-1, 1)]):
+            with pytest.raises(ValueError, match=r"^scatter: negative term index -1$"):
+                over_euler(terms, 1, order)
+        assert over_euler([(order * 2, 1), (0, 1)], 1, order) == partition_counts(order)  # any term order
     assert over_euler([(-1, 0), (0, 1)], 1, 5) == partition_counts(5)  # a zero term is no term

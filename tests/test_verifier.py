@@ -231,7 +231,8 @@ def test_remark_products_fail_on_a_corrupted_numerator(monkeypatch):
     def corrupted(u, v):
         [(factors, base)] = real(u, v)
         c = v.exponent - 2 * u.exponent  # B = 1: u = q^{(a'-c)/2}, v = q^{a'}
-        return (((-factors[0],) + factors[1:], base),) if c == 3 else ((factors, base),)
+        flipped = Q(-factors[0].sign, factors[0].exponent)
+        return (((flipped,) + factors[1:], base),) if c == 3 else ((factors, base),)
 
     monkeypatch.setattr(series, "triple_symbols", corrupted)
     assert verify_remark_products(5, 1, 100) is False
@@ -444,6 +445,7 @@ def test_no_package_path_multiplies_two_series(monkeypatch, capsys):
 
     _clear_caches()
     monkeypatch.setattr(_kernels, "convolve", refuse)
+    monkeypatch.setattr(_kernels, "_plain_sum", refuse)
     monkeypatch.setattr(vf, "integer_coefficients", refuse)
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "as_integer_series", "invert"):
         monkeypatch.setattr(ShiftedSeries, name, refuse)
