@@ -25,7 +25,6 @@ from .params import (
     Scheme,
     canonicalize,
     find_realizations,
-    product_params_of,
     validate,
 )
 from .scanner import (
@@ -107,7 +106,6 @@ __all__ = [
     "phi_series",
     "pochhammer",
     "prefactor_exponent",
-    "product_params_of",
     "psi_series",
     "quintuple_product",
     "scan",

@@ -28,7 +28,7 @@ from .params import (
     Scheme,
     find_realizations,
 )
-from .series import SeriesError
+from .series import NEEDS_CONSTANT_SLOT, SeriesError
 
 _KINDS = {k.value: k for k in verifier.IdentityKind}
 _SCHEMES = {"triple": Scheme.TRIPLE, "quintuple": Scheme.QUINTUPLE, "quint": Scheme.QUINTUPLE}
@@ -51,11 +51,11 @@ def _add_tuple_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--c", type=int, help="common residue c")
 
 
-def _add_quadruple_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ap", type=int, required=True, help="modulus a'")
+def _add_quadruple_flags(sp: argparse.ArgumentParser, required: bool = True) -> None:
+    sp.add_argument("--ap", type=int, required=required, help="modulus a'")
     sp.add_argument("--B", type=int, default=1, help="scaling product B (default 1)")
-    sp.add_argument("--c", type=int, required=True, help="common residue c")
-    sp.add_argument("--n", type=int, required=True, help="character count n")
+    sp.add_argument("--c", type=int, required=required, help="common residue c")
+    sp.add_argument("--n", type=int, required=required, help="character count n")
 
 
 def _require_flags(args, flags) -> None:
@@ -217,20 +217,13 @@ def _selftest_checks():
 
 
 def _cmd_selftest(args) -> int:
-    failures = 0
     results = []
     for name, check in _selftest_checks():
         problem = check()
-        status = "ok" if problem is None else "FAIL"
-        if problem is not None:
-            failures += 1
-        results.append({"check": name, "status": status, "detail": problem})
-        if not args.json:
-            print(f"{status:4s} {name}" + (f" ({problem})" if problem else ""))
-    if args.json:
-        print(json.dumps(results, indent=2))
-    elif not failures:
-        print("all self-tests passed")
+        results.append({"check": name, "status": "ok" if problem is None else "FAIL", "detail": problem})
+    failures = sum(r["status"] == "FAIL" for r in results)
+    lines = [f"{r['status']:4s} {r['check']}" + (f" ({r['detail']})" if r["detail"] else "") for r in results]
+    _emit(results, args.json, lines if failures else lines + ["all self-tests passed"])
     return 1 if failures else 0
 
 
@@ -241,59 +234,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "Virasoro character sums, plus coefficient sign scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("verify", help="certify one identity instance or sweep a family")
+    sp = sub.add_parser("verify", parents=[common], help="certify one identity instance or sweep a family")
     sp.add_argument("--kind", choices=sorted(_KINDS), default="main")
     _add_tuple_flags(sp)
     sp.add_argument("--order", type=int, default=200, help="truncation order (default 200)")
     sp.add_argument("--sweep", action="store_true", help="iterate all applicable tuples")
     sp.add_argument("--max-pp", type=int, default=200, help="sweep bound on p*p' (default 200)")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_verify)
 
-    sp = sub.add_parser("pairs", help="list the contributing pairs of a tuple")
+    sp = sub.add_parser("pairs", parents=[common], help="list the contributing pairs of a tuple")
     sp.add_argument("--scheme", choices=sorted(_SCHEMES), required=True)
     _add_tuple_flags(sp)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_pairs)
 
     for name, scheme, series in (("phi", Scheme.TRIPLE, scanner.phi_series),
                                  ("psi", Scheme.QUINTUPLE, scanner.psi_series)):
-        sp = sub.add_parser(name, help=f"coefficients of the {scheme.value}-scheme product series")
+        sp = sub.add_parser(name, parents=[common], help=f"coefficients of the {scheme.value}-scheme product series")
         _add_quadruple_flags(sp)
         sp.add_argument("--order", type=int, default=50)
-        sp.add_argument("--json", action="store_true")
         sp.set_defaults(fn=_cmd_series, scheme=scheme, series=series)
 
-    sp = sub.add_parser("scan", help="scan sign agreement at distance n")
+    sp = sub.add_parser("scan", parents=[common], help="scan sign agreement at distance n")
     sp.add_argument("--scheme", choices=sorted(_SCHEMES))
-    sp.add_argument("--ap", type=int)
-    sp.add_argument("--B", type=int, default=1)
-    sp.add_argument("--c", type=int)
-    sp.add_argument("--n", type=int)
+    _add_quadruple_flags(sp, required=False)  # --sweep needs none of them
     sp.add_argument("--order", type=int, default=1000)
     sp.add_argument("--sweep", action="store_true", help="iterate canonical quadruples")
     sp.add_argument("--max-size", type=int, default=60, help="sweep bound on a'*B*n (default 60)")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_scan)
 
-    sp = sub.add_parser("realize", help="find full tuples realizing a quadruple")
+    sp = sub.add_parser("realize", parents=[common], help="find full tuples realizing a quadruple")
     sp.add_argument("--scheme", choices=sorted(_SCHEMES), required=True)
     _add_quadruple_flags(sp)
     sp.add_argument("--limit", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_realize)
 
-    sp = sub.add_parser("remark", help="check the telescoping product relation")
+    sp = sub.add_parser("remark", parents=[common], help="check the telescoping product relation")
     sp.add_argument("--ap", type=int, required=True)
     sp.add_argument("--c", type=int, required=True)
     sp.add_argument("--order", type=int, default=100)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_remark)
 
-    sp = sub.add_parser("selftest", help="run the reduced invariant sweeps")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_selftest)
+    sub.add_parser("selftest", parents=[common], help="run the reduced invariant sweeps").set_defaults(fn=_cmd_selftest)
 
     return parser
 
@@ -302,6 +286,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "order", 0) < 0:  # before dispatch, so an empty sweep rejects it too
+            raise SeriesError(NEEDS_CONSTANT_SLOT)
         return args.fn(args)
     except (ParameterError, InvalidModel, InvalidLabel, SeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,12 +39,6 @@ class MinimalModel:
         if math.gcd(self.p, self.p_prime) != 1:
             raise InvalidModel(f"p and p' must be coprime, got ({self.p}, {self.p_prime})")
 
-    def labels(self):
-        """All distinct labels, including dual repeats."""
-        for r in range(1, self.p):
-            for s in range(1, self.p_prime):
-                yield CharacterLabel(r, s)
-
 
 @dataclass(frozen=True)
 class CharacterLabel:

@@ -162,11 +162,6 @@ class ProductParams:
         return math.gcd(self.B, self.n) == 1
 
 
-def product_params_of(fp: FactorizationParams) -> ProductParams:
-    """Project a full tuple onto its product quadruple (no reduction applied)."""
-    return ProductParams(fp.scheme, fp.a_prime, fp.B, fp.c, fp.n)
-
-
 def canonicalize(pp: ProductParams) -> tuple[ProductParams, int]:
     """Reduce gcd(a', c) into B and gcd(B, n) into the variable.
 

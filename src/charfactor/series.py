@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -103,23 +103,6 @@ class ShiftedSeries:
 
     def exponent_at(self, d: int) -> Fraction:
         return self.offset + d
-
-    def items(self) -> Iterator[tuple[Fraction, int]]:
-        """Yield (absolute exponent, coefficient) for nonzero coefficients."""
-        for d, c in enumerate(self.coeffs):
-            if c:
-                yield self.exponent_at(d), c
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    @classmethod
-    def zero(cls, order: int, offset=0) -> "ShiftedSeries":
-        return cls([0] * (order + 1), offset)
-
-    @classmethod
-    def one(cls, order: int) -> "ShiftedSeries":
-        return cls([1] + [0] * order)
 
     def coefficient(self, exponent) -> int:
         """Coefficient at an absolute exponent; 0 off-grid, error past the bound."""
@@ -316,22 +299,15 @@ class Theta(NamedTuple):
     chi: int = 1
 
 
-def canonical_key(theta: Theta) -> tuple[tuple[int, int, int, int], int] | None:
-    """``(key, sign)`` with ``theta == sign * Theta(*key[:3], 1, key[3])`` and 0 <= b <= a in key = (a, b, c, chi).
-
-    Shifting k by j maps (b, c) to (b + 2aj, c + aj^2 + bj), times chi**j; reflecting k -> -k and
-    shifting by one maps (b, c) to (2a - b, a - b + c), times chi.  None when b = a and chi = -1:
-    that record is its own negative, so zero.  This is :func:`dissect` on the record's own a.
-    """
-    pieces = dissect(theta, theta.a)
-    return pieces[0] if pieces else None
-
-
 def dissect(theta: Theta, A: int) -> list[tuple[tuple[int, int, int, int], int]] | None:
-    """The :func:`canonical_key` pieces of ``theta`` on the quadratic coefficient A; None unless A = m*m*a.
+    """The pieces ``(key, sign)`` of ``theta`` on the quadratic coefficient A; None unless A = m*m*a.
 
-    k = m*k' + t, t = 0..m-1, gives (A, m(2at + b), at^2 + bt + c, s*chi**t, chi**m) in k',
-    each shifted and reflected as :func:`canonical_key` says, and dropped when it is zero.
+    k = m*k' + t, t = 0..m-1, gives (A, m(2at + b), at^2 + bt + c, s*chi**t, chi**m) in k'.
+    Each piece is ``sign * Theta(*key[:3], 1, key[3])`` with key = (A, b', c', chi') and
+    0 <= b' <= A: shifting k' by j maps (b', c') to (b' + 2Aj, c' + Aj^2 + b'j), times chi'**j;
+    reflecting k' -> -k' and shifting by one maps (b', c') to (2A - b', A - b' + c'), times chi'.
+    A piece with b' = A and chi' = -1 is its own negative, so zero, and is dropped.  On A = a
+    the list holds the one canonical form of ``theta``, or nothing.
     """
     a, b, c, s, chi = theta
     m = math.isqrt(A // a)

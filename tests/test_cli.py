@@ -25,7 +25,9 @@ def test_verify_invalid_parameters_exit_2(capsys):
     for argv in (single + ["--c", "3", "--order", "50"],  # a' > c violated
                  single + ["--c", "1", "--order", "-1"],  # negative order
                  ["verify", "--sweep", "--max-pp", "-5"],  # negative sweep bounds
-                 ["scan", "--sweep", "--max-size", "-3"]):
+                 ["scan", "--sweep", "--max-size", "-3"],
+                 ["verify", "--sweep", "--max-pp", "1", "--order", "-1"],  # negative order, empty sweep
+                 ["scan", "--sweep", "--max-size", "0", "--order", "-5"]):
         code = run(argv)
         assert code == 2
         assert "error:" in capsys.readouterr().err

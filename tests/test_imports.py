@@ -35,6 +35,14 @@ def test_unused_imports_finds_an_unread_name():
     assert unused_imports(source) == ["math (line 1)", "c (line 4)"]
 
 
+def test_all_lists_exactly_what_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert sorted(charfactor.__all__) == sorted(imported | {"__version__"})
+    assert [name for name in charfactor.__all__ if not hasattr(charfactor, name)] == []
+
+
 def orphaned_private_names(sources: dict[str, str]) -> list[str]:
     """The private module-level functions, classes and assignments that no module in ``sources`` reads.
 

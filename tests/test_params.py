@@ -13,7 +13,6 @@ from charfactor.params import (
     find_realizations,
     is_prime,
     prime_factors,
-    product_params_of,
     validate,
 )
 from charfactor.scanner import iter_canonical_quadruples
@@ -107,9 +106,9 @@ def test_derived_quantities_are_consistent():
 
 def test_product_params_projection():
     fp = validate(Scheme.TRIPLE, 2, 9, 3, 1, 1, 1)
-    assert product_params_of(fp) == ProductParams(Scheme.TRIPLE, 3, 1, 1, 3)
+    assert ProductParams(fp.scheme, fp.a_prime, fp.B, fp.c, fp.n) == ProductParams(Scheme.TRIPLE, 3, 1, 1, 3)
     fq = validate(Scheme.QUINTUPLE, 9, 2, 2, 1, 1, 1)
-    assert product_params_of(fq) == ProductParams(Scheme.QUINTUPLE, 2, 1, 1, 3)
+    assert ProductParams(fq.scheme, fq.a_prime, fq.B, fq.c, fq.n) == ProductParams(Scheme.QUINTUPLE, 2, 1, 1, 3)
 
 
 def test_product_params_validation():
@@ -188,7 +187,7 @@ def test_find_realizations_round_trip_and_order():
     assert [(f.p, f.b) for f in hits] == sorted((f.p, f.b) for f in hits)
     for fp in hits:
         validate(fp.scheme, fp.p, fp.p_prime, fp.a_prime, fp.b, fp.b_prime, fp.c)
-        assert product_params_of(fp) == pp
+        assert ProductParams(fp.scheme, fp.a_prime, fp.B, fp.c, fp.n) == pp
 
 
 def test_find_realizations_limit():

@@ -15,7 +15,6 @@ from charfactor.scanner import (
     scan,
     support_residues,
 )
-from charfactor.series import ShiftedSeries
 
 from oracles import brute_convolve, euler_power_oracle, naive_pochhammer, partition_counts, support_exponent_residues
 
@@ -33,7 +32,8 @@ def test_phi_3113_prefix():
 
 
 def test_phi_n1_telescopes():
-    assert phi_series(trip(3, 1, 1, 1), 50) == ShiftedSeries.one(50)
+    one = phi_series(trip(3, 1, 1, 1), 50)
+    assert one.offset == 0 and one.coeffs == [1] + [0] * 50
 
 
 def test_phi_rejects_wrong_scheme():
@@ -53,7 +53,7 @@ def test_psi_n1_nonnegative():
 
 
 def test_psi_c_zero_vanishes():
-    assert psi_series(quin(2, 1, 0, 3), 40).is_zero()
+    assert not any(psi_series(quin(2, 1, 0, 3), 40).coeffs)
 
 
 def test_psi_rejects_a_prime_multiple_of_3():

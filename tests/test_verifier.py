@@ -250,7 +250,7 @@ def test_remark_products_validation():
 def test_phi_3113_is_remark_factor():
     # phi(3,1,1,1) telescopes to the constant series 1
     one = phi_series(ProductParams(Scheme.TRIPLE, 3, 1, 1, 1), 50)
-    assert one == ShiftedSeries.one(50)
+    assert one.offset == 0 and one.coeffs == [1] + [0] * 50
 
 
 def _full_side_certificate(kind, fp, order):
@@ -384,7 +384,7 @@ def test_certificate_numerators_take_one_binomial_pass(monkeypatch):
             calls.clear()
             num = products.numerator(kind.scheme, fp.a_prime, fp.B, 0, 60, kind.signs)
             if kind in (IdentityKind.QUINT, IdentityKind.QUINT_B):
-                assert calls["binomial_product"] == 0 and num.is_zero(), (kind, fp)
+                assert calls["binomial_product"] == 0 and not any(num.coeffs), (kind, fp)
                 assert cert.lhs_prefix == [0] * PREFIX_LEN
             else:
                 # (1 + q^0)(1 - s1 sb q^{2Ba'}) ... is twice the symbol started one step later
