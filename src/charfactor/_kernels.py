@@ -10,10 +10,13 @@ one (:func:`_carry`).  :func:`limb_ints` builds Python ints from them and
 :func:`limb_signs` reads one sign vector.
 
 * :func:`scatter` adds a multiple of one coefficient list per sparse term:
-  the partition numbers on stride n in :func:`charfactor.series.over_euler`,
-  and, in one call, :func:`convolve`, the general multiply that no package
-  path calls.  Its input picks one of three regimes.  Below 2**62 it sums
-  one int64 row of values.  Past that, with every coefficient at most 63, it
+  the partition numbers on stride n in
+  :func:`charfactor.series.over_euler_limbs`, which takes every scan stream
+  and every quotient longer than ``series.PLAIN_QUOTIENT_LEN`` (shorter ones,
+  such as certificate prefixes, are summed in Python ints), and, in one
+  call, :func:`convolve`, the general multiply that no package path calls.
+  Its input picks one of three regimes.  Below 2**62 it sums one int64 row
+  of values.  Past that, with every coefficient at most 63, it
   adds residue-major and row-major, ``(n, rows, W)``, so that each term is
   one contiguous add of the limb table, and it carries only when the terms
   added since the last carry could push a limb past 2**62; one transposed
@@ -23,7 +26,7 @@ one (:func:`_carry`).  :func:`limb_ints` builds Python ints from them and
   coefficient, which only :func:`convolve` and the public quotients pass,
   takes the plain sum in Python ints, converted to limbs once.
 * :func:`invert_unit` inverts a unit series by the sparse recurrence over
-  its nonzero terms.
+  its nonzero terms, adding or subtracting where a term is +-1.
 * :func:`binomial_product` expands truncated products of Pochhammer
   factors.  Each factor is a triple ``(m0, d, s)`` with ``1 <= m0 <
   n_out``, ``d >= 1`` and ``s = +-1``: the binomials ``(1 - s q^(m0 + t
@@ -232,20 +235,32 @@ def invert_unit(a: list[int], n_out: int) -> tuple[list[int], int]:
     """``(coeffs, n_out)``: coefficients 0..n_out-1 of ``1/a`` for ``a[0]`` = +-1, exact.
 
     Each coefficient is a sum over the nonzero terms of ``a`` only, so
-    inverting ``(q;q)``, with O(sqrt(N)) terms, costs O(N**1.5) products.
+    inverting ``(q;q)``, with O(sqrt(N)) terms, costs O(N**1.5) additions:
+    a term of +-1 adds or subtracts, and only another coefficient multiplies.
     The second item, always ``n_out``, is the length computed.
     """
     c0 = a[0]
     nz = [(i, c) for i, c in enumerate(a[1:n_out], 1) if c]
+    plus = [i for i, c in nz if c == 1]
+    minus = [i for i, c in nz if c == -1]
+    other = [(i, c) for i, c in nz if c != 1 and c != -1]
     b = [0] * n_out
     b[0] = c0
     for k in range(1, n_out):
         s = 0
-        for i, ai in nz:
+        for i in plus:
+            if i > k:
+                break
+            s += b[k - i]
+        for i in minus:
+            if i > k:
+                break
+            s -= b[k - i]
+        for i, ai in other:
             if i > k:
                 break
             s += ai * b[k - i]
-        b[k] = -c0 * s
+        b[k] = -s if c0 == 1 else s
     return b, n_out
 
 

@@ -176,8 +176,8 @@ def pair_sign(kind: IdentityKind, pair: ContributingPair, variant: str = AS_STAT
     return -1 if odd % 2 else 1
 
 
-def _character_thetas(fp: FactorizationParams, pairs: list[ContributingPair]) -> list[tuple[Theta, Theta]]:
-    """Per pair, the :class:`Theta` records of q**(E + n*Delta) theta(q**n), from plain integers.
+def _pair_records(fp: FactorizationParams, pairs: list[ContributingPair]) -> list[tuple[tuple, tuple]]:
+    """Per pair, the records ``(a, b, c, s, chi)`` of q**(E + n*Delta) theta(q**n), as plain integer tuples.
 
     They are the ``bosonic_thetas`` of the label (r*b, s*b') at q**n, shifted by E + n*Delta, which must
     be a nonnegative integer, else the parameters are rejected.  With den = 4*a*a'*B (n*den = 4pp') and
@@ -195,8 +195,13 @@ def _character_thetas(fp: FactorizationParams, pairs: list[ContributingPair]) ->
         if rem or offset < 0:
             raise SeriesError(f"non-integral identity side: character ({r},{s}) "
                               f"sits at exponent {Fraction(offset * den + rem, den)}")
-        out.append((Theta(A, n * d, offset), Theta(A, n * (d + 2 * p * s), n * r * s + offset, -1)))
+        out.append(((A, n * d, offset, 1, 1), (A, n * (d + 2 * p * s), n * r * s + offset, -1, 1)))
     return out
+
+
+def _character_thetas(fp: FactorizationParams, pairs: list[ContributingPair]) -> list[tuple[Theta, Theta]]:
+    """The :class:`Theta` view of :func:`_pair_records`."""
+    return [(Theta(*x), Theta(*y)) for x, y in _pair_records(fp, pairs)]
 
 
 def _signed_sum(kind: IdentityKind, pairs: list[ContributingPair],
@@ -254,16 +259,17 @@ def integer_coefficients(series: ShiftedSeries, order: int) -> list[int]:
 
 
 def first_mismatch_degree(lhs: list[int], rhs: list[int]) -> int | None:
+    """The least index where the lists differ, or the shorter length past a common prefix; None if equal."""
     if lhs == rhs:
         return None
     for i, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
             return i
-    return None
+    return min(len(lhs), len(rhs))
 
 
 def _pieces(kind: IdentityKind, fp: FactorizationParams, product: tuple[Theta, ...],
-            thetas: list[tuple[Theta, Theta]]) -> list[list]:
+            thetas: list[tuple[tuple, tuple]]) -> list[list]:
     """The :func:`~charfactor.series.dissect` pieces of the ``product`` records, then of each pair's, on one A.
 
     A = n*pp', or 4n*pp' for the quintuple scheme at odd n, splits every
@@ -292,10 +298,11 @@ def _residual(kind: IdentityKind, pairs: list[ContributingPair], pieces: list[li
 
 
 def prove(kind: IdentityKind, fp: FactorizationParams, pairs: list[ContributingPair],
-          thetas: list[tuple[Theta, Theta]], variant: str) -> list[Theta]:
+          thetas: list[tuple[tuple, tuple]], variant: str) -> list[Theta]:
     """The residual of the identity under the sign reading ``variant``: empty when it holds at every order.
 
-    ``thetas`` are the pairs' :func:`_character_thetas`.  Both numerators
+    ``thetas`` are the pairs' :func:`_pair_records`, or their :class:`Theta`
+    view :func:`_character_thetas`.  Both numerators
     are dissected onto one quadratic coefficient and their canonical pieces
     counted per key, product minus character; the residual is the keys left
     with a nonzero count, as :class:`Theta` records whose sum is the
@@ -316,14 +323,12 @@ def _first_mismatch(residual: list[Theta], order: int) -> int | None:
     return min((e for e, c in terms.items() if c), default=None)
 
 
-def _sides(kind: IdentityKind, fp: FactorizationParams,
-           order: int) -> tuple[list[ContributingPair], list[tuple[Theta, Theta]]]:
-    """The contributing pairs and their :func:`_character_thetas`, after the order and applicability checks."""
+def _checked_pairs(kind: IdentityKind, fp: FactorizationParams, order: int) -> list[ContributingPair]:
+    """The contributing pairs, after the order and applicability checks."""
     if order < 0:
         raise SeriesError(NEEDS_CONSTANT_SLOT)
     _require_applicable(kind, fp)
-    pairs = contributing_pairs(fp)
-    return pairs, _character_thetas(fp, pairs)
+    return contributing_pairs(fp)
 
 
 def _certificate(kind: IdentityKind, fp: FactorizationParams, order: int, pairs: list[ContributingPair],
@@ -342,7 +347,8 @@ def check(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCe
     For the signed kinds the stated rule is tried first and the swapped rule
     second; a failed certificate reports the mismatch against the stated rule.
     """
-    pairs, thetas = _sides(kind, fp, order)
+    pairs = _checked_pairs(kind, fp, order)
+    thetas = _character_thetas(fp, pairs)
     lhs = products.numerator(kind.scheme, fp.a_prime, fp.B, fp.c, order, kind.signs).coeffs
     rhs = _signed_sum(kind, pairs, thetas, AS_STATED, order)
     variant, mismatch = AS_STATED, first_mismatch_degree(lhs, rhs)
@@ -360,16 +366,17 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
     the certificate fails with the stated rule's first mismatch, as
     :func:`check` would.  Failure is a certificate, not an error.
     """
-    pairs, thetas = _sides(kind, fp, order)
+    pairs = _checked_pairs(kind, fp, order)
+    records = _pair_records(fp, pairs)
     top = min(PREFIX_LEN - 1, order)
     product = products.side_thetas(kind.scheme, fp.a_prime, fp.B, fp.c, kind.signs)
     lhs = series.bilateral_sum(product, top)
-    pieces = _pieces(kind, fp, product, thetas)
+    pieces = _pieces(kind, fp, product, records)
     variant, mismatch = AS_STATED, _first_mismatch(_residual(kind, pairs, pieces, AS_STATED), order)
     if mismatch is not None and kind.has_variants:
         if _first_mismatch(_residual(kind, pairs, pieces, SWAPPED), order) is None:
             variant, mismatch = SWAPPED, None
-    rhs = lhs if mismatch is None else _signed_sum(kind, pairs, thetas, AS_STATED, top)
+    rhs = lhs if mismatch is None else _signed_sum(kind, pairs, _character_thetas(fp, pairs), AS_STATED, top)
     return _certificate(kind, fp, order, pairs, variant, mismatch, lhs, rhs)
 
 

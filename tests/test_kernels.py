@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from charfactor import _kernels
 
-from oracles import brute_convolve, naive_product
+from oracles import brute_convolve, naive_product, partition_counts
 
 
 def _random_arrays(rng, n):
@@ -87,6 +87,32 @@ def test_invert_unit_dense_series_inverts_to_full_length():
     assert valid == 25
     assert brute_convolve(a.tolist(), out, 25) == [1] + [0] * 24
     assert max(map(abs, out)) >= _kernels.LIMIT  # well past int64
+
+
+def test_invert_unit_of_the_euler_product_is_the_partition_numbers_past_int64():
+    # (q;q) has only +-1 terms, which add or subtract; p(k) >= 2^63 from k = 406 on
+    n = 520
+    euler = [0] * n
+    for k in range(-20, 21):
+        if k * (3 * k - 1) // 2 < n:
+            euler[k * (3 * k - 1) // 2] = (-1) ** k
+    out, valid = _kernels.invert_unit(euler, n)
+    assert valid == n
+    assert out == partition_counts(n - 1)
+    assert out[-1] >= _kernels.LIMIT
+    neg, _ = _kernels.invert_unit([-c for c in euler], n)  # a leading -1 negates the inverse
+    assert neg == [-c for c in out]
+
+
+def test_invert_unit_mixes_unit_and_general_terms():
+    # +-1 terms beside others, past int64, under both leading signs
+    n = 60
+    for c0 in (1, -1):
+        a = [c0, 1, -1, 3, 0, -(2**70), 1, 0, 0, -1, 7] + [0] * (n - 11)
+        out, valid = _kernels.invert_unit(a, n)
+        assert valid == n
+        assert brute_convolve(a, out, n) == [1] + [0] * (n - 1)
+        assert max(map(abs, out)) >= _kernels.LIMIT
 
 
 def test_invert_unit_is_exact_past_int64():

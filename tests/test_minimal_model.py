@@ -8,12 +8,13 @@ from charfactor.minimal_model import (
     InvalidLabel,
     InvalidModel,
     MinimalModel,
+    bosonic_numerator,
     central_charge,
     character,
     conformal_dim,
     normalized_character,
 )
-from charfactor.series import SignedMonomial, pochhammer
+from charfactor.series import NEEDS_CONSTANT_SLOT, SeriesError, SignedMonomial, pochhammer
 
 from oracles import rc_normalized_character
 
@@ -102,3 +103,11 @@ def test_nonnegativity_smallish_sweep():
             nc = normalized_character(m, lab, 50)
             assert nc.coeffs[0] == 1
             assert min(nc.coeffs) >= 0
+
+
+def test_bosonic_numerator_rejects_a_negative_order():
+    model, label = MinimalModel(3, 4), CharacterLabel(1, 2)
+    with pytest.raises(SeriesError) as err:
+        bosonic_numerator(model, label, -1)
+    assert str(err.value) == NEEDS_CONSTANT_SLOT
+    assert bosonic_numerator(model, label, 0) == [1]

@@ -10,6 +10,7 @@ from charfactor import _kernels, products
 from charfactor.params import Scheme
 from charfactor.series import (
     NEEDS_CONSTANT_SLOT,
+    PLAIN_QUOTIENT_LEN,
     SeriesError,
     ShiftedSeries,
     SignedMonomial,
@@ -439,6 +440,14 @@ def test_bilateral_sum_covers_the_exact_window(a, b, slack, order, chi):
     assert bilateral_sum([Theta(a, b, c, 1, chi)], order) == want
 
 
+def test_bilateral_sum_rejects_a_negative_order():
+    for records in ([Theta(1, 0, 0)], []):
+        with pytest.raises(SeriesError) as err:
+            bilateral_sum(records, -1)
+        assert str(err.value) == NEEDS_CONSTANT_SLOT
+    assert bilateral_sum([Theta(1, 0, 0)], 0) == [1]
+
+
 def test_bilateral_sum_rejects_negative_exponents():
     with pytest.raises(SeriesError, match="divergent"):
         bilateral_sum([Theta(1, -20, 99)], 5)
@@ -630,6 +639,14 @@ _terms = st.lists(st.tuples(st.integers(0, 70), st.integers(-(2**70), 2**70)), m
 @example(terms=[(2, 5), (40, 3), (41, -7)], n=2, order=39)  # terms past the order
 @example(terms=[(0, 0), (4, 0), (9, 0)], n=3, order=20)  # all-zero terms
 @example(terms=[(0, 2**64), (1, -(2**63) - 1), (6, 3**45)], n=2, order=40)  # past 2^63
+# the longest quotient summed in Python ints, and the shortest on limbs: past 2^63, where the limbs
+# take the plain sum, and in unit terms, where they take one int64 row
+@example(terms=[(0, 2**64), (3, -(2**63) - 1), (PLAIN_QUOTIENT_LEN - 1, 3**45)], n=1, order=PLAIN_QUOTIENT_LEN - 1)
+@example(terms=[(0, 2**64), (3, -(2**63) - 1), (PLAIN_QUOTIENT_LEN, 3**45)], n=1, order=PLAIN_QUOTIENT_LEN)
+@example(terms=[(1, 2**63), (2, -(2**64) + 1)], n=3, order=PLAIN_QUOTIENT_LEN - 1)
+@example(terms=[(1, 2**63), (2, -(2**64) + 1)], n=3, order=PLAIN_QUOTIENT_LEN)
+@example(terms=[(0, 1), (1, -1), (2, -1), (5, 1)], n=1, order=PLAIN_QUOTIENT_LEN - 1)
+@example(terms=[(0, 1), (1, -1), (2, -1), (5, 1)], n=1, order=PLAIN_QUOTIENT_LEN)
 @settings(max_examples=150, deadline=None)
 def test_over_euler_matches_the_partition_oracle(terms, n, order):
     num = [0] * (order + 1)
@@ -707,21 +724,38 @@ def test_over_euler_takes_one_column_below_the_int64_bound():
     assert over_euler_limbs([(0, 1), (3, -1)], 1, 390).shape == (w, 391)
 
 
+def test_over_euler_sums_short_quotients_in_python_ints(monkeypatch):
+    # up to PLAIN_QUOTIENT_LEN coefficients no limb is built; one past it, the quotient is the limbs' ints
+    real, lengths = _kernels.scatter, []
+
+    def spy(terms, table, stride, n_out):
+        lengths.append(n_out)
+        return real(terms, table, stride, n_out)
+
+    monkeypatch.setattr(_kernels, "scatter", spy)
+    for order in (0, 1, PLAIN_QUOTIENT_LEN - 1, PLAIN_QUOTIENT_LEN):
+        got = over_euler([(0, 1), (1, -1)], 1, order)
+        assert got == brute_convolve([1, -1], partition_counts(order), order + 1)
+        assert all(type(c) is int for c in got)
+    assert lengths == [PLAIN_QUOTIENT_LEN + 1]
+
+
 def test_over_euler_rejects_a_negative_order_and_a_bad_modulus():
     with pytest.raises(SeriesError) as err:
         over_euler([(0, 1)], 2, -1)
     assert str(err.value) == NEEDS_CONSTANT_SLOT
-    for n in (0, -3, 2.0):
-        with pytest.raises(SeriesError) as err:
-            over_euler([(0, 1)], n, 10)
-        assert str(err.value) == f"modulus must be a positive integer, got {n}"
+    for order in (10, PLAIN_QUOTIENT_LEN):  # in Python ints and on limbs
+        for n in (0, -3, 2.0):
+            with pytest.raises(SeriesError) as err:
+                over_euler([(0, 1)], n, order)
+            assert str(err.value) == f"modulus must be a positive integer, got {n}"
 
 
 def test_over_euler_rejects_a_negative_exponent():
     # without the check, the one-row path wraps the term onto the top coefficient and the limbs path fails in numpy
     assert over_euler_limbs([(0, 1), (2, 1)], 1, 5).shape[0] == 1
     assert over_euler_limbs([(0, 1), (2, 1)], 1, 400).shape[0] > 1
-    for order in (5, 400):
+    for order in (5, PLAIN_QUOTIENT_LEN - 1, PLAIN_QUOTIENT_LEN, 400):  # in Python ints, then on limbs
         for terms in ([(-1, 1), (2, 1)], [(2, 1), (-1, 1)]):
             with pytest.raises(ValueError, match=r"^scatter: negative term index -1$"):
                 over_euler(terms, 1, order)

@@ -207,6 +207,14 @@ def test_certificate_json_schema():
     json.dumps(doc)  # serializable
 
 
+def test_first_mismatch_degree_reads_past_a_common_prefix():
+    assert first_mismatch_degree([1, 2, 3], [1, 2, 3]) is None
+    assert first_mismatch_degree([1, 5, 3], [1, 2, 4]) == 1
+    assert first_mismatch_degree([1, 2], [1, 2, 3]) == 2
+    assert first_mismatch_degree([1, 2, 3], [1, 2]) == 2
+    assert first_mismatch_degree([], [0]) == 0
+
+
 def test_failed_certificate_reports_mismatch_degree(monkeypatch):
     # corrupt the sign rule so both variants miss; the certificate must say so
     fp = triple(2, 9, 3)
@@ -549,6 +557,47 @@ def test_no_certificate_or_workload_path_reaches_the_kernel(monkeypatch):
             scan(pp, 2000)
     assert phi_series(ProductParams(Scheme.TRIPLE, 3, 1, 1, 3), 500).coeffs[:4] == [1, -1, -1, 1]
     assert psi_series(ProductParams(Scheme.QUINTUPLE, 4, 1, 1, 2), 500).order == 500
+
+
+def test_certificates_build_no_limbs(monkeypatch):
+    # a certificate's prefixes are at most PREFIX_LEN coefficients, which over_euler sums in
+    # Python ints: from cold caches, no certificate, failed ones included, reaches the limbs
+    def refuse(*args):
+        raise AssertionError("limbs on a certificate path")
+
+    instances = [(kind, fp, order) for kind in IdentityKind for fp in iter_applicable_params(kind, 60)
+                 for order in (0, PREFIX_LEN - 1, 200)]
+    want = {}
+    for rule in SIGN_RULES:
+        monkeypatch.setattr(vf, "pair_sign", SIGN_RULES[rule])
+        want[rule] = [verify(*instance).to_json_dict() for instance in instances]
+    assert not all(cert["match"] for cert in want["constant"])
+    _clear_caches()
+    for name in ("scatter", "limb_ints", "limb_table"):
+        monkeypatch.setattr(_kernels, name, refuse)
+    for rule in SIGN_RULES:
+        monkeypatch.setattr(vf, "pair_sign", SIGN_RULES[rule])
+        assert [verify(*instance).to_json_dict() for instance in instances] == want[rule], rule
+
+
+def test_pair_records_dissect_as_their_theta_view():
+    # verify dissects the plain records and prove, called from the tests, their Theta view: the same
+    # pieces on every A that _pieces takes, n*pp' (m = 1) and, for the quintuple scheme at odd n, 4n*pp' (m = 2)
+    squares = Counter()
+    for scheme in Scheme:
+        for fp in iter_scheme_params(scheme, 120):
+            pairs = contributing_pairs(fp)
+            records, thetas = vf._pair_records(fp, pairs), vf._character_thetas(fp, pairs)
+            assert len(records) == len(thetas) == len(pairs)
+            m = 2 if scheme is Scheme.QUINTUPLE and fp.n % 2 else 1
+            A = m * m * fp.n * fp.p * fp.p_prime
+            for plain, theta in zip(records, thetas, strict=True):
+                assert plain == theta and all(type(x) is tuple for x in plain)
+                for x, t in zip(plain, theta):
+                    assert series.dissect(x, A) == series.dissect(t, A) is not None, (fp, x)
+                    assert len(series.dissect(x, A)) == m, (fp, x)  # chi = 1: no piece drops
+            squares[m] += len(pairs)
+    assert squares[1] and squares[2]
 
 
 def test_residual_mismatch_equals_the_truncated_check_at_high_order(monkeypatch):
