@@ -24,9 +24,9 @@ the first mismatch degree are those of the full sides.
 :func:`verify` decides from an order-free residual.  By the Jacobi triple
 and quintuple product identities, the product-side numerator is a short
 list of theta records too (:func:`~charfactor.products.side_thetas`).
-Every record of both sides is split onto one quadratic coefficient
-(:func:`~charfactor.series.dissect`), once, and for each sign reading
-:func:`prove` counts the canonical pieces per key, product minus character.
+Each pair's records are born canonical on n*pp' as keys, the product's are
+summed and split (:func:`~charfactor.series.dissect`) onto the same A, and
+for each sign reading :func:`prove` counts the keys, product minus character.
 The keys left with a nonzero count are the residual: theta records whose
 sum is the difference of the numerators at every order.  An empty residual
 proves the identity at every order; otherwise the first mismatch is the
@@ -177,11 +177,11 @@ def pair_sign(kind: IdentityKind, pair: ContributingPair, variant: str = AS_STAT
 
 
 def _pair_records(fp: FactorizationParams, pairs: list[ContributingPair]) -> list[tuple[tuple, tuple]]:
-    """Per pair, the records ``(a, b, c, s, chi)`` of q**(E + n*Delta) theta(q**n), as plain integer tuples.
+    """Per pair, the :func:`~charfactor.series.dissect` keys ``(A, b, c, 1)`` of its two records on A = n*pp'.
 
-    They are the ``bosonic_thetas`` of the label (r*b, s*b') at q**n, shifted by E + n*Delta, which must
-    be a nonnegative integer, else the parameters are rejected.  With den = 4*a*a'*B (n*den = 4pp') and
-    d = p'r - ps, the shift is (E*den - (p' - p)^2 + d^2) / den: one integer divmod per pair.
+    They are q**o times the ``bosonic_thetas`` of (r*b, s*b') at q**n, (A, nd, o) - (A, ne, nrs + o), d = p'r - ps,
+    e = p'r + ps; o = E + n*Delta = (E*den - (p' - p)^2 + d^2) / den (den = 4*a*a'*B) must be a nonnegative integer.
+    Shifting b into [0, 2A) and reflecting b > A leaves n|d|; e > pp' reflects to the label (p - r, p' - s).
     """
     p, pp, n, b, bp = fp.p, fp.p_prime, fp.n, fp.b, fp.b_prime
     A, den = n * p * pp, 4 * fp.a * fp.a_prime * fp.B
@@ -195,13 +195,16 @@ def _pair_records(fp: FactorizationParams, pairs: list[ContributingPair]) -> lis
         if rem or offset < 0:
             raise SeriesError(f"non-integral identity side: character ({r},{s}) "
                               f"sits at exponent {Fraction(offset * den + rem, den)}")
-        out.append(((A, n * d, offset, 1, 1), (A, n * (d + 2 * p * s), n * r * s + offset, -1, 1)))
+        e = d + 2 * p * s
+        if e > p * pp:
+            e, r, s = 2 * p * pp - e, p - r, pp - s
+        out.append(((A, n * abs(d), offset, 1), (A, n * e, n * r * s + offset, 1)))
     return out
 
 
 def _character_thetas(fp: FactorizationParams, pairs: list[ContributingPair]) -> list[tuple[Theta, Theta]]:
-    """The :class:`Theta` view of :func:`_pair_records`."""
-    return [(Theta(*x), Theta(*y)) for x, y in _pair_records(fp, pairs)]
+    """The :class:`Theta` view of :func:`_pair_records`: the same series, each pair's two records."""
+    return [(Theta(*x[:3]), Theta(*y[:3], -1)) for x, y in _pair_records(fp, pairs)]
 
 
 def _signed_sum(kind: IdentityKind, pairs: list[ContributingPair],
@@ -268,48 +271,54 @@ def first_mismatch_degree(lhs: list[int], rhs: list[int]) -> int | None:
     return min(len(lhs), len(rhs))
 
 
-def _pieces(kind: IdentityKind, fp: FactorizationParams, product: tuple[Theta, ...],
-            thetas: list[tuple[tuple, tuple]]) -> list[list]:
-    """The :func:`~charfactor.series.dissect` pieces of the ``product`` records, then of each pair's, on one A.
+def _product_counts(product, A: int) -> dict:
+    """The count per key of the :func:`~charfactor.series.dissect` pieces on A of the ``product`` records.
 
-    A = n*pp', or 4n*pp' for the quintuple scheme at odd n, splits every
-    record of valid parameters into squares; a record it does not split is a bug.
+    Equal records are summed first, and those summing to zero dropped: at quintuple c = 0 they cancel or double.
     """
-    A = fp.n * fp.p * fp.p_prime * (4 if kind.scheme is Scheme.QUINTUPLE and fp.n % 2 else 1)
-    dissect, sides = series.dissect, []
-    for records in (product, *thetas):
-        sides.append(side := [])
-        for record in records:
-            pieces = dissect(record, A)
-            if pieces is None:
-                raise RuntimeError(f"theta record {record} does not dissect onto A = {A}")
-            side += pieces
-    return sides
+    sums, counts = defaultdict(int), {}
+    for a, b, c, s, chi in product:
+        sums[a, b, c, chi] += s
+    for record in [Theta(a, b, c, s, chi) for (a, b, c, chi), s in sums.items() if s]:
+        pieces = series.dissect(record, A)
+        if pieces is None:  # valid parameters put every record on A's square multiples
+            raise RuntimeError(f"theta record {record} does not dissect onto A = {A}")
+        for key, s in pieces:
+            counts[key] = counts.get(key, 0) + s
+    return counts
 
 
-def _residual(kind: IdentityKind, pairs: list[ContributingPair], pieces: list[list], variant: str) -> list[Theta]:
-    """:func:`prove` from the :func:`_pieces` of the records, which each sign reading only re-signs."""
-    counts = {}
+def _residual(kind: IdentityKind, pairs: list, product: dict, keys: list, A: int, variant: str) -> list[Theta]:
+    """:func:`prove` from the :func:`_product_counts` ``product`` and the pairs' :func:`_pair_records` ``keys``."""
+    counts = dict(product)
     get = counts.get
-    for sign, side in zip([-1] + [pair_sign(kind, pair, variant) for pair in pairs], pieces):
-        for key, s in side:
-            counts[key] = get(key, 0) - sign * s
+    for pair, (k0, k1) in zip(pairs, keys):
+        sign = pair_sign(kind, pair, variant)
+        if k0[0] != A:  # dissect on A = 4a: k = 2k' + t, t = 1 reflected from (A, 2a + 2b, a + b + c, 1)
+            (a, b0, c0, _), (_, b1, c1, _) = k0, k1
+            k0, k1 = (A, 2 * b0, c0, 1), (A, 2 * b1, c1, 1)
+            x0, x1 = (A, A - 2 * b0, a - b0 + c0, 1), (A, A - 2 * b1, a - b1 + c1, 1)
+            counts[x0] = get(x0, 0) - sign
+            counts[x1] = get(x1, 0) + sign
+        counts[k0] = get(k0, 0) - sign
+        counts[k1] = get(k1, 0) + sign
     return [Theta(a, b, c, count, chi) for (a, b, c, chi), count in counts.items() if count]
 
 
-def prove(kind: IdentityKind, fp: FactorizationParams, pairs: list[ContributingPair],
-          thetas: list[tuple[tuple, tuple]], variant: str) -> list[Theta]:
+def _square(kind: IdentityKind, fp: FactorizationParams) -> int:
+    """The one quadratic coefficient A of a proof: n*pp', or 4n*pp' for the quintuple scheme at odd n."""
+    return fp.n * fp.p * fp.p_prime * (4 if kind.scheme is Scheme.QUINTUPLE and fp.n % 2 else 1)
+
+
+def prove(kind: IdentityKind, fp: FactorizationParams, pairs: list[ContributingPair], variant: str) -> list[Theta]:
     """The residual of the identity under the sign reading ``variant``: empty when it holds at every order.
 
-    ``thetas`` are the pairs' :func:`_pair_records`, or their :class:`Theta`
-    view :func:`_character_thetas`.  Both numerators
-    are dissected onto one quadratic coefficient and their canonical pieces
-    counted per key, product minus character; the residual is the keys left
-    with a nonzero count, as :class:`Theta` records whose sum is the
-    difference of the numerators at every order.
+    Both numerators' canonical keys on one A are counted, product minus character; the residual is the keys
+    left with a nonzero count, as :class:`Theta` records summing to the numerators' difference at every order.
     """
+    A = _square(kind, fp)
     product = products.side_thetas(kind.scheme, fp.a_prime, fp.B, fp.c, kind.signs)
-    return _residual(kind, pairs, _pieces(kind, fp, product, thetas), variant)
+    return _residual(kind, pairs, _product_counts(product, A), _pair_records(fp, pairs), A, variant)
 
 
 def _first_mismatch(residual: list[Theta], order: int) -> int | None:
@@ -367,14 +376,13 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
     :func:`check` would.  Failure is a certificate, not an error.
     """
     pairs = _checked_pairs(kind, fp, order)
-    records = _pair_records(fp, pairs)
+    keys, A = _pair_records(fp, pairs), _square(kind, fp)
     top = min(PREFIX_LEN - 1, order)
     product = products.side_thetas(kind.scheme, fp.a_prime, fp.B, fp.c, kind.signs)
-    lhs = series.bilateral_sum(product, top)
-    pieces = _pieces(kind, fp, product, records)
-    variant, mismatch = AS_STATED, _first_mismatch(_residual(kind, pairs, pieces, AS_STATED), order)
+    lhs, counts = series.bilateral_sum(product, top), _product_counts(product, A)
+    variant, mismatch = AS_STATED, _first_mismatch(_residual(kind, pairs, counts, keys, A, AS_STATED), order)
     if mismatch is not None and kind.has_variants:
-        if _first_mismatch(_residual(kind, pairs, pieces, SWAPPED), order) is None:
+        if _first_mismatch(_residual(kind, pairs, counts, keys, A, SWAPPED), order) is None:
             variant, mismatch = SWAPPED, None
     rhs = lhs if mismatch is None else _signed_sum(kind, pairs, _character_thetas(fp, pairs), AS_STATED, top)
     return _certificate(kind, fp, order, pairs, variant, mismatch, lhs, rhs)

@@ -1,9 +1,10 @@
 import json
+import math
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import charfactor.verifier as vf
@@ -18,7 +19,7 @@ from charfactor.minimal_model import (
     normalized_character,
 )
 from charfactor.pairs import ContributingPair, contributing_pairs
-from charfactor.params import ParameterError, ProductParams, Scheme, validate
+from charfactor.params import ParameterError, ProductParams, Scheme, divisors, validate
 from charfactor.scanner import iter_canonical_quadruples, phi_series, psi_series, scan
 from charfactor.series import SeriesError, ShiftedSeries, Theta, inverse_euler_power, pochhammer_product
 from charfactor.series import SignedMonomial as Q
@@ -347,7 +348,7 @@ def test_proved_certificates_expand_no_numerator(monkeypatch, max_pp, order):
             cert = verify(kind, fp, order)
             assert cert.match and cert.first_mismatch is None, (kind, fp)
             pairs = contributing_pairs(fp)
-            assert vf.prove(kind, fp, pairs, vf._character_thetas(fp, pairs), cert.sign_variant) == [], (kind, fp)
+            assert vf.prove(kind, fp, pairs, cert.sign_variant) == [], (kind, fp)
 
 
 def test_records_off_the_common_square_raise(monkeypatch):
@@ -407,19 +408,22 @@ def test_certificate_numerators_take_one_binomial_pass(monkeypatch):
 
 
 def test_character_offsets_are_exact_integers():
-    # the records built from plain integers are the model's bosonic_thetas of (r*b, s*b') at
-    # q**n, shifted by the exact E + n*Delta, for every pair of every scheme tuple
+    # the keys built from plain integers are the canonical forms on A = n*p*p' of the model's
+    # bosonic_thetas of (r*b, s*b') at q**n, shifted by the exact E + n*Delta, signed +1 and -1,
+    # for every pair of every scheme tuple
     for scheme in Scheme:
         for fp in iter_scheme_params(scheme, 200):
             model, n = MinimalModel(fp.p, fp.p_prime), fp.n
             pairs = contributing_pairs(fp)
-            for pair, thetas in zip(pairs, vf._character_thetas(fp, pairs), strict=True):
+            for pair, keys in zip(pairs, vf._pair_records(fp, pairs), strict=True):
                 label = CharacterLabel(pair.r * fp.b, pair.s * fp.b_prime)
                 offset = prefactor_exponent(fp) + n * conformal_dim(model, label)
                 assert offset.denominator == 1 and offset >= 0, (fp, pair)
-                assert type(thetas[0].c) is int  # the record with no constant of its own
-                assert thetas == tuple(Theta(n * a, n * b, n * c + int(offset), s, chi)
-                                       for a, b, c, s, chi in bosonic_thetas(model, label)), (fp, pair)
+                assert all(type(x) is int for key in keys for x in key)  # no Fraction offset
+                records = [Theta(n * a, n * b, n * c + int(offset), s, chi)
+                           for a, b, c, s, chi in bosonic_thetas(model, label)]
+                want = [piece for record in records for piece in series.dissect(record, n * fp.p * fp.p_prime)]
+                assert list(zip(keys, (1, -1))) == want, (fp, pair)
 
 
 @pytest.mark.parametrize("kind, fp, e_pref, message", [
@@ -511,12 +515,43 @@ def test_proof_first_certificates_equal_truncated_certificates(rule, instance, o
         assert got == vf.check(kind, fp, order).to_json_dict()
 
 
+@st.composite
+def _large_instances(draw):
+    """An applicable (kind, tuple) with 400 < pp' <= 1000, past every sweep: p, then p' coprime
+    to it, then b, b', a' and c by divisibility, then one of the kinds that apply."""
+    scheme = draw(st.sampled_from(Scheme))
+    a = scheme.modulus
+    p = a * draw(st.integers(1, 500 // a))
+    pp = draw(st.integers(max(2, 400 // p + 1), 1000 // p))
+    assume(math.gcd(p, pp) == 1)
+    b = draw(st.sampled_from(divisors(p // a)))
+    bp = draw(st.sampled_from(divisors(pp)))
+    ap = draw(st.sampled_from(divisors(pp // bp)))
+    cs = range(1, ap, 2) if scheme is Scheme.TRIPLE else range(ap)
+    assume(cs)
+    fp = validate(scheme, p, pp, ap, b, bp, draw(st.sampled_from(cs)))
+    return draw(st.sampled_from([kind for kind in IdentityKind if applicability_error(kind, fp) is None])), fp
+
+
+@pytest.mark.parametrize("rule", SIGN_RULES)
+@settings(max_examples=60, deadline=None)
+@given(instance=_large_instances(), order=st.integers(0, 40))
+# odd n = 333 and 9: the quintuple records split on A = 4n*pp' (m = 2)
+@example(instance=(IdentityKind.QUINT, quintuple(27, 37, 1, c=0)), order=40)
+@example(instance=(IdentityKind.QUINT, quintuple(27, 37, 37, c=4)), order=40)
+def test_large_tuples_verify_as_the_truncated_check(rule, instance, order):
+    kind, fp = instance
+    assert 400 < fp.p * fp.p_prime <= 1000
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vf, "pair_sign", SIGN_RULES[rule])
+        assert verify(kind, fp, order).to_json_dict() == vf.check(kind, fp, order).to_json_dict()
+
+
 def test_main_a_4_19_says_as_stated_below_the_swapped_difference():
     kind, fp = IdentityKind.MAIN_A_EVEN, triple(4, 19, 19, c=15)
     pairs = contributing_pairs(fp)
-    thetas = vf._character_thetas(fp, pairs)
-    assert vf.prove(kind, fp, pairs, thetas, AS_STATED)
-    assert not vf.prove(kind, fp, pairs, thetas, SWAPPED)
+    assert vf.prove(kind, fp, pairs, AS_STATED)
+    assert not vf.prove(kind, fp, pairs, SWAPPED)
     assert verify(kind, fp, 15).sign_variant == AS_STATED
     assert verify(kind, fp, 200).sign_variant == SWAPPED
 
@@ -580,24 +615,64 @@ def test_certificates_build_no_limbs(monkeypatch):
         assert [verify(*instance).to_json_dict() for instance in instances] == want[rule], rule
 
 
-def test_pair_records_dissect_as_their_theta_view():
-    # verify dissects the plain records and prove, called from the tests, their Theta view: the same
-    # pieces on every A that _pieces takes, n*pp' (m = 1) and, for the quintuple scheme at odd n, 4n*pp' (m = 2)
+def test_pair_records_dissect_as_their_theta_view(monkeypatch):
+    # the keys are counted as the dissect pieces of their Theta view, on every A a proof takes:
+    # n*pp' (m = 1), where the view is its own canonical form, and, for the quintuple scheme at
+    # odd n, 4n*pp' (m = 2), where each key splits in two; a distinct weight per pair in place of
+    # its sign keeps pieces of different pairs from cancelling
     squares = Counter()
     for scheme in Scheme:
+        kind = IdentityKind.MAIN if scheme is Scheme.TRIPLE else IdentityKind.QUINT
         for fp in iter_scheme_params(scheme, 120):
             pairs = contributing_pairs(fp)
-            records, thetas = vf._pair_records(fp, pairs), vf._character_thetas(fp, pairs)
-            assert len(records) == len(thetas) == len(pairs)
+            keys, thetas = vf._pair_records(fp, pairs), vf._character_thetas(fp, pairs)
+            assert len(keys) == len(thetas) == len(pairs)
+            weights = {pair: 3 ** i for i, pair in enumerate(pairs)}
+            monkeypatch.setattr(vf, "pair_sign", lambda kind, pair, variant: weights[pair])
             m = 2 if scheme is Scheme.QUINTUPLE and fp.n % 2 else 1
             A = m * m * fp.n * fp.p * fp.p_prime
-            for plain, theta in zip(records, thetas, strict=True):
-                assert plain == theta and all(type(x) is tuple for x in plain)
-                for x, t in zip(plain, theta):
-                    assert series.dissect(x, A) == series.dissect(t, A) is not None, (fp, x)
-                    assert len(series.dissect(x, A)) == m, (fp, x)  # chi = 1: no piece drops
+            assert A == vf._square(kind, fp)
+            want = Counter()
+            for pair, pair_keys, theta in zip(pairs, keys, thetas, strict=True):
+                assert theta == (Theta(*pair_keys[0][:3], 1, 1), Theta(*pair_keys[1][:3], -1, 1))
+                for key, t in zip(pair_keys, theta):
+                    assert series.dissect(t, A // (m * m)) == [(key, t.s)], (fp, t)
+                    pieces = series.dissect(t, A)
+                    assert len(pieces) == m, (fp, t)  # chi = 1: no piece drops
+                    for piece, s in pieces:
+                        want[piece] -= weights[pair] * s
+            got = vf._residual(kind, pairs, {}, keys, A, AS_STATED)
+            assert sorted(got) == sorted(Theta(*key[:3], count, key[3]) for key, count in want.items() if count), fp
             squares[m] += len(pairs)
     assert squares[1] and squares[2]
+
+
+def test_quintuple_c0_product_records_cancel_or_double():
+    # at c = 0 the quintuple product's records come in equal pairs: they cancel under quint and
+    # quint_b, where the product is zero, and double under quint_a and quint_c; a record held
+    # twice with opposite signs leaves the residual as if it were left out
+    seen = Counter()
+    for kind in IdentityKind:
+        if kind.scheme is not Scheme.QUINTUPLE:
+            continue
+        for fp in iter_applicable_params(kind, 120):
+            if fp.c != 0:
+                continue
+            product = products.side_thetas(kind.scheme, fp.a_prime, fp.B, 0, kind.signs)
+            # on the records' own a, each summed record is one canonical piece
+            merged = vf._product_counts(product, product[0].a)
+            if kind in (IdentityKind.QUINT, IdentityKind.QUINT_B):
+                assert merged == {}, (kind, fp)
+            else:
+                assert len(merged) == 2 and all(abs(s) == 2 for s in merged.values()), (kind, fp)
+            pairs = contributing_pairs(fp)
+            keys, A = vf._pair_records(fp, pairs), vf._square(kind, fp)
+            extra = product[1]._replace(c=product[1].c + 1)
+            held_twice = vf._product_counts((*product, extra, extra._replace(s=-extra.s)), A)
+            assert held_twice == vf._product_counts(product, A), (kind, fp)
+            assert vf._residual(kind, pairs, held_twice, keys, A, AS_STATED) == [], (kind, fp)
+            seen[kind] += 1
+    assert len(seen) == 4
 
 
 def test_residual_mismatch_equals_the_truncated_check_at_high_order(monkeypatch):
@@ -648,7 +723,7 @@ def test_residual_is_the_difference_of_the_numerators(monkeypatch, rule):
             lhs = products.numerator(kind.scheme, fp.a_prime, fp.B, fp.c, order, kind.signs).coeffs
             for variant in (AS_STATED, SWAPPED) if kind.has_variants else (AS_STATED,):
                 rhs = vf._signed_sum(kind, pairs, thetas, variant, order)
-                residual = vf.prove(kind, fp, pairs, thetas, variant)
+                residual = vf.prove(kind, fp, pairs, variant)
                 assert series.bilateral_sum(residual, order) == [x - y for x, y in zip(lhs, rhs)], (kind, fp)
             assert verify(kind, fp, order).to_json_dict() == vf.check(kind, fp, order).to_json_dict(), (kind, fp)
 
@@ -664,7 +739,12 @@ def test_first_mismatch_sums_the_residual_before_reading_it():
     assert vf._first_mismatch([Theta(1, 0, 0, 1, -1), Theta(1, 0, 0, -1, 1)], 5) == 1
     assert vf._first_mismatch([], 5) is None
     # the residual keeps each key's chi; on applicable parameters every key has chi = +1
-    # (n's parity makes chi**m = 1), so only records built by hand tell it apart
-    pieces = [[((1, 0, 0, -1), 1), ((1, 0, 0, 1), -1), ((4, 2, 1, 1), 3)]]
-    assert vf._residual(IdentityKind.MAIN, [], pieces, AS_STATED) == [
+    # (n's parity makes chi**m = 1), so only records built by hand tell it apart; the one pair's
+    # keys count against the product's, and one of them cancels
+    product = {(1, 0, 0, -1): 1, (1, 0, 0, 1): -1, (4, 2, 1, 1): 3}
+    assert vf._residual(IdentityKind.MAIN, [], product, [], 4, AS_STATED) == [
         Theta(1, 0, 0, 1, -1), Theta(1, 0, 0, -1, 1), Theta(4, 2, 1, 3, 1)]
+    pair = ContributingPair(1, 1, 1, 0)
+    assert pair_sign(IdentityKind.MAIN, pair) == 1
+    assert vf._residual(IdentityKind.MAIN, [pair], product, [((4, 2, 1, 1), (1, 0, 0, 1))], 4, AS_STATED) == [
+        Theta(1, 0, 0, 1, -1), Theta(4, 2, 1, 2, 1)]
