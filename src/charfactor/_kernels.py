@@ -12,8 +12,7 @@ one (:func:`_carry`).  :func:`limb_ints` builds Python ints from them and
 * :func:`scatter` adds a multiple of one coefficient list per sparse term:
   the partition numbers on stride n in
   :func:`charfactor.series.over_euler_limbs`, which takes every scan stream
-  and every quotient longer than ``series.PLAIN_QUOTIENT_LEN`` (shorter ones,
-  such as certificate prefixes, are summed in Python ints), and, in one
+  and every quotient longer than ``series.PLAIN_QUOTIENT_LEN``, and, in one
   call, :func:`convolve`, the general multiply that no package path calls.
   Its input picks one of three regimes.  Below 2**62 it sums one int64 row
   of values.  Past that, with every coefficient at most 63, it
@@ -24,7 +23,8 @@ one (:func:`_carry`).  :func:`limb_ints` builds Python ints from them and
   LIMB_BITS = 56 bits leaves 6 bits of an int64 slot free: 63 unit terms
   fit between carries, and the 152-bit p(2000) takes 3 limbs.  A larger
   coefficient, which only :func:`convolve` and the public quotients pass,
-  takes the plain sum in Python ints, converted to limbs once.
+  takes :func:`stride_sum`, the one sum in Python ints, which also takes
+  every short quotient of :func:`charfactor.series.over_euler`.
 * :func:`invert_unit` inverts a unit series by the sparse recurrence over
   its nonzero terms, adding or subtracting where a term is +-1.
 * :func:`binomial_product` expands truncated products of Pochhammer
@@ -70,7 +70,7 @@ LANE = "numpy"
 class LimbTable(NamedTuple):
     """A coefficient list prepared for :func:`scatter`: built once, read by every call.
 
-    ``values`` is the list itself, not a copy, for the plain sum;
+    ``values`` is the list itself, not a copy, for :func:`stride_sum`;
     ``peaks[k]`` is ``max |values[:k+1]|``; ``small`` holds, as int64, the
     values before the first one of magnitude HALF or more; ``limbs`` holds
     them all as signed base-2**LIMB_BITS digits (:func:`_to_limbs`), row-major,
@@ -143,8 +143,8 @@ def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
     would sum past cap.  One transposed copy to ``(W, rows * stride)`` puts
     the coefficients in order, and the final carry runs on its contiguous
     rows.  A larger ``|c|``, which only :func:`convolve` and the public
-    quotients pass, takes the plain sum in Python ints (:func:`_plain_sum`)
-    over ``table.values``, converted to limbs and carried once.
+    quotients pass, takes :func:`stride_sum` over ``table.values``, whose
+    Python ints are converted to limbs and carried once.
     """
     rows = -(-n_out // stride)
     t = min(rows, len(table.peaks))
@@ -171,7 +171,7 @@ def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
         return out[None, :]
     w, cap = _width(bound), (HALF >> LIMB_BITS) - 1
     if any(abs(c) > cap for _, c in kept):
-        return _carry(np.ascontiguousarray(_to_limbs(_plain_sum(kept, table.values[:t], stride, n_out), w).T))
+        return _carry(np.ascontiguousarray(_to_limbs(stride_sum(kept, table.values, stride, n_out), w).T))
     y = table.limbs[:t]
     if y.shape[1] != w:  # the columns past either width are zero
         y, k = np.zeros((t, w), np.int64), min(w, y.shape[1])
@@ -197,13 +197,19 @@ def scatter(terms, table: LimbTable, stride: int, n_out: int) -> np.ndarray:
     return _carry(plane[:, :n_out])
 
 
-def _plain_sum(terms, values: list[int], stride: int, n_out: int) -> list[int]:
-    """The Python ints of coefficients 0..n_out-1 of ``sum_{(i, c) in terms} c q**i * sum_j values[j] q**(stride j)``."""
-    out, y = np.zeros(n_out, object), np.array(values, object)
+def stride_sum(terms, values: list[int], stride: int, n_out: int) -> list[int]:
+    """The Python ints of coefficients 0..n_out-1 of ``sum_{(i, c) in terms} c q**i * sum_j values[j] q**(stride j)``.
+
+    Terms at index n_out or past it are ignored, and a nonzero coefficient at a negative index raises ``ValueError``.
+    """
+    out = [0] * n_out
     for i, c in terms:
-        seg = out[i::stride][: len(y)]
-        seg += c * y[: len(seg)]
-    return out.tolist()
+        if c and i < n_out:
+            if i < 0:
+                raise ValueError(f"scatter: negative term index {i}")
+            for k, y in zip(range(i, n_out, stride), values):
+                out[k] += c * y
+    return out
 
 
 def limb_ints(limbs: np.ndarray) -> list[int]:
@@ -370,5 +376,5 @@ def warmup() -> None:
     table = limb_table(a)
     scatter([(0, 1)], table, 1, 3)  # one row of values
     scatter([(0, 1)], limb_table([HALF]), 1, 3)  # flat limb adds
-    scatter([(0, HALF)], table, 1, 3)  # the plain sum
+    scatter([(0, HALF)], table, 1, 3)  # the Python-int sum
     invert_unit(a, 3)

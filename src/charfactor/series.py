@@ -8,17 +8,19 @@ its operands, and equality never reads past it.
 All arithmetic is exact and has one code path per operation.  Every
 quotient by (q^n; q^n) adds the partition numbers on stride n once per term:
 :func:`over_euler` sums a quotient of at most :data:`PLAIN_QUOTIENT_LEN`
-coefficients, such as a certificate prefix, in Python ints, and any longer
-one, such as a scan stream, is one :func:`over_euler_limbs` call on
-limb-major int64 limbs, whose Python ints it assembles; every Pochhammer
+coefficients, such as a certificate prefix, in Python ints
+(:func:`charfactor._kernels.stride_sum`), and any longer one, such as a scan
+stream, is one :func:`over_euler_limbs` call on limb-major int64 limbs,
+whose Python ints it assembles; every Pochhammer
 product is one :func:`charfactor._kernels.binomial_product` call, which carries
 coefficients past int64 on the same limbs (the truncated check, the full
 product side and the remark expand these; certificates and scans do not);
 the partition numbers are :func:`charfactor._kernels.invert_unit` of the
-pentagonal series.  No package code path multiplies, adds or inverts
-``ShiftedSeries`` values (``__mul__``, ``__add__``, ``invert``).  Every
-bilateral theta sum is a list of :class:`Theta` records expanded by
-:func:`bilateral_sum`, or by :func:`theta_stream` divided by (q^n; q^n).
+pentagonal series.  No package code path multiplies, adds, inverts or
+compares ``ShiftedSeries`` values (``__mul__``, ``__add__``, ``invert``,
+``__eq__``).  Every bilateral theta sum is a list of :class:`Theta` records
+expanded by :func:`bilateral_sum`, or by :func:`theta_stream` divided by
+(q^n; q^n).
 """
 
 from __future__ import annotations
@@ -381,20 +383,13 @@ def over_euler(terms: Iterable[tuple[int, int]], n: int, order: int) -> list[int
     Each term adds ``c`` times the partition numbers at ``e, e + n, ...``;
     terms past ``order`` are ignored, and a nonzero coefficient at a negative
     exponent raises ``ValueError``.  Up to :data:`PLAIN_QUOTIENT_LEN`
-    coefficients the sum runs in Python ints over ``partition_series(order)``;
+    coefficients it is :func:`charfactor._kernels.stride_sum` over ``partition_series(order)``;
     past it, these are the Python ints of :func:`over_euler_limbs`.
     """
     if order >= PLAIN_QUOTIENT_LEN:
         return _kernels.limb_ints(over_euler_limbs(terms, n, order))
     _check_quotient(n, order)
-    p, out = partition_series(order).coeffs, [0] * (order + 1)
-    for e, c in terms:
-        if c and e <= order:
-            if e < 0:
-                raise ValueError(f"scatter: negative term index {e}")
-            for k, y in zip(range(e, order + 1, n), p):
-                out[k] += c * y
-    return out
+    return _kernels.stride_sum(terms, partition_series(order).coeffs, n, order + 1)
 
 
 def over_euler_limbs(terms: Iterable[tuple[int, int]], n: int, order: int) -> np.ndarray:

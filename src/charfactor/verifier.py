@@ -33,8 +33,9 @@ proves the identity at every order; otherwise the first mismatch is the
 least exponent where the residual's terms, added up to the order, leave a
 nonzero sum.  Nothing is expanded to the truncation.  :func:`check` is the
 independent truncated reference: it expands both numerators to the order
-and compares them term by term.  :func:`build_lhs` and :func:`build_rhs`
-give the full sides, each divided by (q^n;q^n) in one
+and compares them term by term.  Both hand each reading's first mismatch to
+:func:`_decide`, which alone picks the reading.  :func:`build_lhs` and
+:func:`build_rhs` give the full sides, each divided by (q^n;q^n) in one
 :func:`~charfactor.series.over_euler` call, with no series multiply.
 """
 
@@ -202,16 +203,13 @@ def _pair_records(fp: FactorizationParams, pairs: list[ContributingPair]) -> lis
     return out
 
 
-def _character_thetas(fp: FactorizationParams, pairs: list[ContributingPair]) -> list[tuple[Theta, Theta]]:
-    """The :class:`Theta` view of :func:`_pair_records`: the same series, each pair's two records."""
-    return [(Theta(*x[:3]), Theta(*y[:3], -1)) for x, y in _pair_records(fp, pairs)]
-
-
-def _signed_sum(kind: IdentityKind, pairs: list[ContributingPair],
-                thetas: list[tuple[Theta, Theta]], variant: str, order: int) -> list[int]:
-    """Coefficients 0..order of the character-side numerator under one sign reading."""
-    signs = [pair_sign(kind, pair, variant) for pair in pairs]
-    return series.bilateral_sum([t._replace(s=sign * t.s) for sign, ts in zip(signs, thetas) for t in ts], order)
+def _character_sum(kind: IdentityKind, pairs: list[ContributingPair], keys: list, variant: str, order: int) -> list[int]:
+    """Coefficients 0..order of the character-side numerator under one sign reading, from the :func:`_pair_records` keys."""
+    records = []
+    for pair, (k0, k1) in zip(pairs, keys):
+        sign = pair_sign(kind, pair, variant)
+        records += Theta(*k0[:3], sign), Theta(*k1[:3], -sign)
+    return series.bilateral_sum(records, order)
 
 
 def build_rhs(kind: IdentityKind, fp: FactorizationParams, order: int,
@@ -219,7 +217,7 @@ def build_rhs(kind: IdentityKind, fp: FactorizationParams, order: int,
     """The signed character sum with its prefactor, on the integer grid, truncated at ``order``."""
     _require_applicable(kind, fp)
     pairs = contributing_pairs(fp)
-    num = _signed_sum(kind, pairs, _character_thetas(fp, pairs), variant, order)
+    num = _character_sum(kind, pairs, _pair_records(fp, pairs), variant, order)
     return ShiftedSeries(over_euler(enumerate(num), fp.n, order))
 
 
@@ -340,52 +338,50 @@ def _checked_pairs(kind: IdentityKind, fp: FactorizationParams, order: int) -> l
     return contributing_pairs(fp)
 
 
-def _certificate(kind: IdentityKind, fp: FactorizationParams, order: int, pairs: list[ContributingPair],
-                 variant: str, mismatch: int | None, lhs: list[int], rhs: list[int]) -> IdentityCertificate:
-    """The certificate, its prefixes divided from the first terms of the numerators ``lhs`` and ``rhs``."""
+def _decide(kind: IdentityKind, fp: FactorizationParams, order: int, pairs: list[ContributingPair],
+            keys: list, lhs: list[int], mismatch) -> IdentityCertificate:
+    """The certificate from the product numerator ``lhs`` (its first terms suffice) and each reading's ``mismatch``.
+
+    ``mismatch(variant)`` is the reading's first mismatch or None.  The stated reading holds when it has none;
+    otherwise, for the signed kinds, the swapped one when it has none; else the certificate fails with the stated
+    reading's mismatch.  The prefixes are the first terms of
+    ``lhs`` divided by (q^n;q^n), and on a failure those of the stated character sum of the pairs' ``keys``.
+    """
+    variant, first = AS_STATED, mismatch(AS_STATED)
+    if first is not None and kind.has_variants and mismatch(SWAPPED) is None:
+        variant, first = SWAPPED, None
     top = min(PREFIX_LEN - 1, order)
     lhs_prefix = over_euler(enumerate(lhs[:top + 1]), fp.n, top)
-    rhs_prefix = list(lhs_prefix) if mismatch is None else over_euler(enumerate(rhs[:top + 1]), fp.n, top)
-    return IdentityCertificate(kind, fp, order, pairs, mismatch is None, variant if mismatch is None else FAILED,
-                               mismatch, lhs_prefix, rhs_prefix)
+    if first is None:
+        return IdentityCertificate(kind, fp, order, pairs, True, variant, None, lhs_prefix, list(lhs_prefix))
+    rhs_prefix = over_euler(enumerate(_character_sum(kind, pairs, keys, AS_STATED, top)), fp.n, top)
+    return IdentityCertificate(kind, fp, order, pairs, False, FAILED, first, lhs_prefix, rhs_prefix)
 
 
 def check(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCertificate:
     """The truncated check alone: both numerators expanded to ``order`` and compared.
 
-    For the signed kinds the stated rule is tried first and the swapped rule
-    second; a failed certificate reports the mismatch against the stated rule.
+    The reading is picked as :func:`verify` picks it, from the first mismatch of the expanded numerators.
     """
     pairs = _checked_pairs(kind, fp, order)
-    thetas = _character_thetas(fp, pairs)
+    keys = _pair_records(fp, pairs)
     lhs = products.numerator(kind.scheme, fp.a_prime, fp.B, fp.c, order, kind.signs).coeffs
-    rhs = _signed_sum(kind, pairs, thetas, AS_STATED, order)
-    variant, mismatch = AS_STATED, first_mismatch_degree(lhs, rhs)
-    if mismatch is not None and kind.has_variants:
-        if first_mismatch_degree(lhs, _signed_sum(kind, pairs, thetas, SWAPPED, order)) is None:
-            variant, mismatch = SWAPPED, None
-    return _certificate(kind, fp, order, pairs, variant, mismatch, lhs, rhs)
+    return _decide(kind, fp, order, pairs, keys, lhs,
+                   lambda variant: first_mismatch_degree(lhs, _character_sum(kind, pairs, keys, variant, order)))
 
 
 def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCertificate:
     """Certify the identity to ``order`` from the residual of :func:`prove`; nothing is expanded to ``order``.
 
-    The stated rule holds when its residual sums to zero up to ``order``;
-    otherwise, for the signed kinds, the swapped rule when its does; else
-    the certificate fails with the stated rule's first mismatch, as
-    :func:`check` would.  Failure is a certificate, not an error.
+    Each reading's first mismatch is where its residual first sums to nonzero up to ``order``, and
+    :func:`_decide` picks the reading as :func:`check` does.  Failure is a certificate, not an error.
     """
     pairs = _checked_pairs(kind, fp, order)
     keys, A = _pair_records(fp, pairs), _square(kind, fp)
-    top = min(PREFIX_LEN - 1, order)
     product = products.side_thetas(kind.scheme, fp.a_prime, fp.B, fp.c, kind.signs)
-    lhs, counts = series.bilateral_sum(product, top), _product_counts(product, A)
-    variant, mismatch = AS_STATED, _first_mismatch(_residual(kind, pairs, counts, keys, A, AS_STATED), order)
-    if mismatch is not None and kind.has_variants:
-        if _first_mismatch(_residual(kind, pairs, counts, keys, A, SWAPPED), order) is None:
-            variant, mismatch = SWAPPED, None
-    rhs = lhs if mismatch is None else _signed_sum(kind, pairs, _character_thetas(fp, pairs), AS_STATED, top)
-    return _certificate(kind, fp, order, pairs, variant, mismatch, lhs, rhs)
+    lhs, counts = series.bilateral_sum(product, min(PREFIX_LEN - 1, order)), _product_counts(product, A)
+    return _decide(kind, fp, order, pairs, keys, lhs,
+                   lambda variant: _first_mismatch(_residual(kind, pairs, counts, keys, A, variant), order))
 
 
 def verify_remark_products(a_prime: int, c: int, order: int) -> bool:
@@ -402,7 +398,7 @@ def verify_remark_products(a_prime: int, c: int, order: int) -> bool:
     cs = [c] + [2 * j - 1 for j in range(1, (a_prime - 1) // 2 + 1) if j != (c + 1) // 2]
     numerators = [series.triple_symbols(*products.jacobi_arguments(Scheme.TRIPLE, a_prime, 1, k))[0] for k in cs]
     euler = [((SignedMonomial(1, v),), SignedMonomial(1, v)) for v in [1] + [a_prime] * ((a_prime - 3) // 2)]
-    return series.pochhammer_product(numerators, order) == series.pochhammer_product(euler, order)
+    return series.pochhammer_product(numerators, order).coeffs == series.pochhammer_product(euler, order).coeffs
 
 
 # ---------------------------------------------------------------------------
