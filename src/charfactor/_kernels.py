@@ -11,9 +11,9 @@ one (:func:`_carry`).  :func:`limb_ints` builds Python ints from them and
 
 * :func:`scatter` adds a multiple of one coefficient list per sparse term:
   the partition numbers on stride n in
-  :func:`charfactor.series.over_euler_limbs`, which takes every scan stream
-  and every quotient longer than ``series.PLAIN_QUOTIENT_LEN``, and, in one
-  call, :func:`convolve`, the general multiply that no package path calls.
+  :func:`charfactor.series.over_euler_limbs`, which divides every full
+  series and every scan stream from its theta records, and, in one call,
+  :func:`convolve`, the general multiply that no package path calls.
   Its input picks one of three regimes.  Below 2**62 it sums one int64 row
   of values.  Past that, with every coefficient at most 63, it
   adds residue-major and row-major, ``(n, rows, W)``, so that each term is
@@ -23,8 +23,8 @@ one (:func:`_carry`).  :func:`limb_ints` builds Python ints from them and
   LIMB_BITS = 56 bits leaves 6 bits of an int64 slot free: 63 unit terms
   fit between carries, and the 152-bit p(2000) takes 3 limbs.  A larger
   coefficient, which only :func:`convolve` and the public quotients pass,
-  takes :func:`stride_sum`, the one sum in Python ints, which also takes
-  every short quotient of :func:`charfactor.series.over_euler`.
+  takes :func:`stride_sum`, the one sum in Python ints and the whole of
+  :func:`charfactor.series.over_euler`.
 * :func:`invert_unit` inverts a unit series by the sparse recurrence over
   its nonzero terms, adding or subtracting where a term is +-1.
 * :func:`binomial_product` expands truncated products of Pochhammer

@@ -3,7 +3,8 @@
 Every command is deterministic for fixed flags; ``--json`` switches from the
 human-readable tables to the machine-readable certificate/report schemas.
 Exit codes: 0 = verified / no violations, 1 = mismatch or violation found
-(output still emitted), 2 = invalid parameters or flags.
+(output still emitted), 2 = invalid parameters or flags, 141 = stdout closed
+by its reader, as by ``| head`` (a broken pipe; no traceback).
 
 Sweeps (``verify --sweep``, ``scan --sweep``) iterate every valid instance
 below a size bound in the calling process and emit results in canonical
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain, product
 
@@ -29,6 +31,8 @@ from .params import (
     find_realizations,
 )
 from .series import NEEDS_CONSTANT_SLOT, SeriesError
+
+BROKEN_PIPE = 141  # the exit status when the reader closes stdout early
 
 _KINDS = {k.value: k for k in verifier.IdentityKind}
 _SCHEMES = {"triple": Scheme.TRIPLE, "quintuple": Scheme.QUINTUPLE, "quint": Scheme.QUINTUPLE}
@@ -295,7 +299,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()  # a closed pipe raises here at the latest, not in the flush at exit
+    except BrokenPipeError:  # the signal docs' recipe: stdout to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = BROKEN_PIPE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

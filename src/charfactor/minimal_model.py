@@ -7,7 +7,8 @@ Characters are computed from the bosonic sum in its integer-exponent form,
 
 which keeps every exponent inside the sums a nonnegative integer; the
 rational conformal dimension only enters as the series offset.  The two sums
-are the :class:`~charfactor.series.Theta` records of :func:`bosonic_thetas`.
+are the :class:`~charfactor.series.Theta` records of :func:`bosonic_thetas`,
+streamed by :func:`~charfactor.series.theta_stream`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import ShiftedSeries, Theta, bilateral_sum, over_euler
+from .series import ShiftedSeries, Theta, bilateral_sum, theta_stream
 
 
 class InvalidModel(ValueError):
@@ -79,7 +80,7 @@ def bosonic_numerator(model: MinimalModel, label: CharacterLabel, order: int) ->
 
 def normalized_character(model: MinimalModel, label: CharacterLabel, order: int) -> ShiftedSeries:
     """Character divided by q**Delta: offset 0, constant term 1, exact to ``order``."""
-    return ShiftedSeries(over_euler(enumerate(bosonic_numerator(model, label, order)), 1, order))
+    return theta_stream(bosonic_thetas(model, label), 1, order)
 
 
 def character(model: MinimalModel, label: CharacterLabel, order: int) -> ShiftedSeries:

@@ -12,13 +12,13 @@ A vector not of this form cannot be written.  By the Jacobi identities the
 :func:`numerator`, the signed Pochhammer symbols expanded in one binomial
 pass, equals a short sum of theta records (:func:`side_thetas`);
 ``verifier.verify`` decides its identities on these records alone, and only
-the truncated reference ``verifier.check`` and the full product side
-``verifier.build_lhs`` expand a numerator.
+the truncated reference ``verifier.check`` expands a numerator.
 
-The plain sides, which the scanner streams, are built in one pass from the
-same records: their O(sqrt(N)) terms, each times the partition numbers on
-stride n, summed on int64 limbs by
-:func:`~charfactor.series.over_euler_limbs`, the one division by (q^n; q^n).
+Every full product side, the plain ones that the scanner streams and the
+signed ``verifier.build_lhs``, is built in one pass from the same records:
+their O(sqrt(N)) terms, each times the partition numbers on stride n, summed
+on int64 limbs by :func:`~charfactor.series.theta_stream`, the one division
+of a full series by (q^n; q^n).
 """
 
 from __future__ import annotations

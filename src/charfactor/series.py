@@ -6,21 +6,19 @@ is ``offset + order`` inclusive: every operation keeps the tightest bound of
 its operands, and equality never reads past it.
 
 All arithmetic is exact and has one code path per operation.  Every
-quotient by (q^n; q^n) adds the partition numbers on stride n once per term:
-:func:`over_euler` sums a quotient of at most :data:`PLAIN_QUOTIENT_LEN`
-coefficients, such as a certificate prefix, in Python ints
-(:func:`charfactor._kernels.stride_sum`), and any longer one, such as a scan
-stream, is one :func:`over_euler_limbs` call on limb-major int64 limbs,
-whose Python ints it assembles; every Pochhammer
-product is one :func:`charfactor._kernels.binomial_product` call, which carries
-coefficients past int64 on the same limbs (the truncated check, the full
-product side and the remark expand these; certificates and scans do not);
-the partition numbers are :func:`charfactor._kernels.invert_unit` of the
-pentagonal series.  No package code path multiplies, adds, inverts or
-compares ``ShiftedSeries`` values (``__mul__``, ``__add__``, ``invert``,
-``__eq__``).  Every bilateral theta sum is a list of :class:`Theta` records
-expanded by :func:`bilateral_sum`, or by :func:`theta_stream` divided by
-(q^n; q^n).
+quotient by (q^n; q^n) adds the partition numbers on stride n once per term,
+on one route per job: a full series (a product side, a character, a scan
+stream) is a list of :class:`Theta` records that :func:`theta_stream`
+divides on limb-major int64 limbs (:func:`over_euler_limbs`); a certificate
+prefix or a one-term quotient is :func:`over_euler`'s sum in Python ints.
+Every Pochhammer product is one :func:`charfactor._kernels.binomial_product`
+call, which carries past int64 on the same limbs; only the truncated check,
+the remark, the self-test and :func:`pochhammer` expand one.  The partition
+numbers are :func:`charfactor._kernels.invert_unit` of the pentagonal
+series.  No package code path multiplies, adds, inverts or compares
+``ShiftedSeries`` values (``__mul__``, ``__add__``, ``invert``, ``__eq__``).
+Every bilateral theta sum is a list of :class:`Theta` records expanded by
+:func:`bilateral_sum`, or by :func:`theta_stream` divided by (q^n; q^n).
 """
 
 from __future__ import annotations
@@ -371,23 +369,13 @@ def theta_limbs(thetas: Iterable[Theta], n: int, order: int,
     return over_euler_limbs(terms.items(), n, order)
 
 
-#: :func:`over_euler` sums a quotient of at most this many coefficients in Python ints, a longer one
-#: on limbs: at n = 1 the Python ints take 6.6 against 7.4 us on limbs at 24 coefficients, and 8.0
-#: against 7.6 us at 28 (a quintuple theta numerator; 2-core x86_64 VM, Python 3.11)
-PLAIN_QUOTIENT_LEN = 24
-
-
 def over_euler(terms: Iterable[tuple[int, int]], n: int, order: int) -> list[int]:
     """Coefficients 0..order of ``sum c q**e`` over the ``(e, c)`` terms, in any order, divided by (q^n; q^n).
 
-    Each term adds ``c`` times the partition numbers at ``e, e + n, ...``;
-    terms past ``order`` are ignored, and a nonzero coefficient at a negative
-    exponent raises ``ValueError``.  Up to :data:`PLAIN_QUOTIENT_LEN`
-    coefficients it is :func:`charfactor._kernels.stride_sum` over ``partition_series(order)``;
-    past it, these are the Python ints of :func:`over_euler_limbs`.
+    Each term adds ``c`` times the partition numbers at ``e, e + n, ...`` in Python ints
+    (:func:`charfactor._kernels.stride_sum`, for certificate prefixes and one-term quotients); terms past
+    ``order`` are ignored, and a nonzero coefficient at a negative exponent raises ``ValueError``.
     """
-    if order >= PLAIN_QUOTIENT_LEN:
-        return _kernels.limb_ints(over_euler_limbs(terms, n, order))
     _check_quotient(n, order)
     return _kernels.stride_sum(terms, partition_series(order).coeffs, n, order + 1)
 

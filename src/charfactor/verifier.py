@@ -35,8 +35,8 @@ nonzero sum.  Nothing is expanded to the truncation.  :func:`check` is the
 independent truncated reference: it expands both numerators to the order
 and compares them term by term.  Both hand each reading's first mismatch to
 :func:`_decide`, which alone picks the reading.  :func:`build_lhs` and
-:func:`build_rhs` give the full sides, each divided by (q^n;q^n) in one
-:func:`~charfactor.series.over_euler` call, with no series multiply.
+:func:`build_rhs` stream the full sides from the same records
+(:func:`~charfactor.series.theta_stream`), with no Pochhammer expansion.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from .minimal_model import check_label
 from .minimal_model import normalized_character  # noqa: F401  (perfbench/tracing.py patches this name)
 from .pairs import ContributingPair, contributing_pairs
 from .params import FactorizationParams, ParameterError, Scheme, divisors
-from .series import NEEDS_CONSTANT_SLOT, SeriesError, ShiftedSeries, SignedMonomial, Theta
-from .series import over_euler
+from .series import NEEDS_CONSTANT_SLOT, SeriesError, ShiftedSeries, SignedMonomial, Theta, over_euler
 
 AS_STATED = "as_stated"
 SWAPPED = "swapped"
@@ -143,8 +142,7 @@ def _require_applicable(kind: IdentityKind, fp: FactorizationParams) -> None:
 def build_lhs(kind: IdentityKind, fp: FactorizationParams, order: int) -> ShiftedSeries:
     """The exact product side on the integer grid, truncated at ``order``."""
     _require_applicable(kind, fp)
-    num = products.numerator(kind.scheme, fp.a_prime, fp.B, fp.c, order, kind.signs)
-    return ShiftedSeries(over_euler(enumerate(num.coeffs), fp.n, order))
+    return series.theta_stream(products.side_thetas(kind.scheme, fp.a_prime, fp.B, fp.c, kind.signs), fp.n, order)
 
 
 def _prefactor_numerator(fp: FactorizationParams) -> int:
@@ -203,13 +201,13 @@ def _pair_records(fp: FactorizationParams, pairs: list[ContributingPair]) -> lis
     return out
 
 
-def _character_sum(kind: IdentityKind, pairs: list[ContributingPair], keys: list, variant: str, order: int) -> list[int]:
-    """Coefficients 0..order of the character-side numerator under one sign reading, from the :func:`_pair_records` keys."""
+def _character_records(kind: IdentityKind, pairs: list[ContributingPair], keys: list, variant: str) -> list[Theta]:
+    """The signed :class:`Theta` records of the character-side numerator under one reading, from the pairs' ``keys``."""
     records = []
     for pair, (k0, k1) in zip(pairs, keys):
         sign = pair_sign(kind, pair, variant)
         records += Theta(*k0[:3], sign), Theta(*k1[:3], -sign)
-    return series.bilateral_sum(records, order)
+    return records
 
 
 def build_rhs(kind: IdentityKind, fp: FactorizationParams, order: int,
@@ -217,8 +215,7 @@ def build_rhs(kind: IdentityKind, fp: FactorizationParams, order: int,
     """The signed character sum with its prefactor, on the integer grid, truncated at ``order``."""
     _require_applicable(kind, fp)
     pairs = contributing_pairs(fp)
-    num = _character_sum(kind, pairs, _pair_records(fp, pairs), variant, order)
-    return ShiftedSeries(over_euler(enumerate(num), fp.n, order))
+    return series.theta_stream(_character_records(kind, pairs, _pair_records(fp, pairs), variant), fp.n, order)
 
 
 @dataclass
@@ -344,8 +341,8 @@ def _decide(kind: IdentityKind, fp: FactorizationParams, order: int, pairs: list
 
     ``mismatch(variant)`` is the reading's first mismatch or None.  The stated reading holds when it has none;
     otherwise, for the signed kinds, the swapped one when it has none; else the certificate fails with the stated
-    reading's mismatch.  The prefixes are the first terms of
-    ``lhs`` divided by (q^n;q^n), and on a failure those of the stated character sum of the pairs' ``keys``.
+    reading's mismatch.  The prefixes are the first terms of ``lhs`` divided by (q^n;q^n), and on a failure
+    those of the stated reading's :func:`_character_records` of the pairs' ``keys``.
     """
     variant, first = AS_STATED, mismatch(AS_STATED)
     if first is not None and kind.has_variants and mismatch(SWAPPED) is None:
@@ -354,7 +351,8 @@ def _decide(kind: IdentityKind, fp: FactorizationParams, order: int, pairs: list
     lhs_prefix = over_euler(enumerate(lhs[:top + 1]), fp.n, top)
     if first is None:
         return IdentityCertificate(kind, fp, order, pairs, True, variant, None, lhs_prefix, list(lhs_prefix))
-    rhs_prefix = over_euler(enumerate(_character_sum(kind, pairs, keys, AS_STATED, top)), fp.n, top)
+    rhs = series.bilateral_sum(_character_records(kind, pairs, keys, AS_STATED), top)
+    rhs_prefix = over_euler(enumerate(rhs), fp.n, top)
     return IdentityCertificate(kind, fp, order, pairs, False, FAILED, first, lhs_prefix, rhs_prefix)
 
 
@@ -366,8 +364,8 @@ def check(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCe
     pairs = _checked_pairs(kind, fp, order)
     keys = _pair_records(fp, pairs)
     lhs = products.numerator(kind.scheme, fp.a_prime, fp.B, fp.c, order, kind.signs).coeffs
-    return _decide(kind, fp, order, pairs, keys, lhs,
-                   lambda variant: first_mismatch_degree(lhs, _character_sum(kind, pairs, keys, variant, order)))
+    return _decide(kind, fp, order, pairs, keys, lhs, lambda variant: first_mismatch_degree(
+        lhs, series.bilateral_sum(_character_records(kind, pairs, keys, variant), order)))
 
 
 def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityCertificate:

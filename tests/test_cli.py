@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from charfactor.cli import run
+from charfactor.cli import BROKEN_PIPE, run
 
 
 def test_verify_single_instance(capsys):
@@ -89,9 +89,13 @@ def test_scan_missing_quadruple_flags_exit_2(capsys):
     assert capsys.readouterr().err == "error: missing flags: --c, --n\n"
 
 
-def test_module_entry_point_runs_the_cli():
+def _child_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_module_entry_point_runs_the_cli():
+    env = _child_env()
     done = subprocess.run(
         [sys.executable, "-m", "charfactor", "pairs", "--scheme", "triple",
          "--p", "2", "--pp", "9", "--ap", "3", "--c", "1"],
@@ -99,6 +103,23 @@ def test_module_entry_point_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "count=3 (n=3)"
+
+
+def test_a_closed_stdout_ends_the_cli_quietly():
+    # as in `charfactor verify --sweep ... | head -c 1`: the reader takes one byte and closes the pipe
+    # long before the sweep's JSON ends; the CLI exits with BROKEN_PIPE and writes no traceback
+    argv = ["verify", "--kind", "main", "--sweep", "--max-pp", "100", "--order", "200", "--json"]
+    child = subprocess.Popen([sys.executable, "-m", "charfactor", *argv], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, env=_child_env())
+    try:
+        assert child.stdout.read(1) == b"{"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == BROKEN_PIPE
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert err == b""
 
 
 def test_realize_command(capsys):

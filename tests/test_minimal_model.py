@@ -106,8 +106,11 @@ def test_nonnegativity_smallish_sweep():
 
 
 def test_bosonic_numerator_rejects_a_negative_order():
+    # the characters stream the same records and check the order once their terms are collected
     model, label = MinimalModel(3, 4), CharacterLabel(1, 2)
-    with pytest.raises(SeriesError) as err:
-        bosonic_numerator(model, label, -1)
-    assert str(err.value) == NEEDS_CONSTANT_SLOT
+    for numerator in (bosonic_numerator, normalized_character, character):
+        with pytest.raises(SeriesError) as err:
+            numerator(model, label, -1)
+        assert str(err.value) == NEEDS_CONSTANT_SLOT
     assert bosonic_numerator(model, label, 0) == [1]
+    assert normalized_character(model, label, 0).coeffs == [1]

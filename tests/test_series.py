@@ -10,7 +10,6 @@ from charfactor import _kernels, products
 from charfactor.params import Scheme
 from charfactor.series import (
     NEEDS_CONSTANT_SLOT,
-    PLAIN_QUOTIENT_LEN,
     SeriesError,
     ShiftedSeries,
     SignedMonomial,
@@ -639,14 +638,13 @@ _terms = st.lists(st.tuples(st.integers(0, 70), st.integers(-(2**70), 2**70)), m
 @example(terms=[(2, 5), (40, 3), (41, -7)], n=2, order=39)  # terms past the order
 @example(terms=[(0, 0), (4, 0), (9, 0)], n=3, order=20)  # all-zero terms
 @example(terms=[(0, 2**64), (1, -(2**63) - 1), (6, 3**45)], n=2, order=40)  # past 2^63
-# the longest quotient summed in Python ints, and the shortest on limbs: past 2^63, where the limbs
-# take the plain sum, and in unit terms, where they take one int64 row
-@example(terms=[(0, 2**64), (3, -(2**63) - 1), (PLAIN_QUOTIENT_LEN - 1, 3**45)], n=1, order=PLAIN_QUOTIENT_LEN - 1)
-@example(terms=[(0, 2**64), (3, -(2**63) - 1), (PLAIN_QUOTIENT_LEN, 3**45)], n=1, order=PLAIN_QUOTIENT_LEN)
-@example(terms=[(1, 2**63), (2, -(2**64) + 1)], n=3, order=PLAIN_QUOTIENT_LEN - 1)
-@example(terms=[(1, 2**63), (2, -(2**64) + 1)], n=3, order=PLAIN_QUOTIENT_LEN)
-@example(terms=[(0, 1), (1, -1), (2, -1), (5, 1)], n=1, order=PLAIN_QUOTIENT_LEN - 1)
-@example(terms=[(0, 1), (1, -1), (2, -1), (5, 1)], n=1, order=PLAIN_QUOTIENT_LEN)
+# past 2^63 and in unit terms, at 24 and 25 coefficients
+@example(terms=[(0, 2**64), (3, -(2**63) - 1), (23, 3**45)], n=1, order=23)
+@example(terms=[(0, 2**64), (3, -(2**63) - 1), (24, 3**45)], n=1, order=24)
+@example(terms=[(1, 2**63), (2, -(2**64) + 1)], n=3, order=23)
+@example(terms=[(1, 2**63), (2, -(2**64) + 1)], n=3, order=24)
+@example(terms=[(0, 1), (1, -1), (2, -1), (5, 1)], n=1, order=23)
+@example(terms=[(0, 1), (1, -1), (2, -1), (5, 1)], n=1, order=24)
 @settings(max_examples=150, deadline=None)
 def test_over_euler_matches_the_partition_oracle(terms, n, order):
     num = [0] * (order + 1)
@@ -725,29 +723,36 @@ def test_over_euler_takes_one_column_below_the_int64_bound():
 
 
 def test_over_euler_sums_short_quotients_in_python_ints(monkeypatch):
-    # up to PLAIN_QUOTIENT_LEN coefficients no limb is built; one past it, the quotient is the limbs' ints
-    real, lengths = _kernels.scatter, []
+    # over_euler builds no limb at any order: its quotients are Python-int sums
+    calls = []
 
-    def spy(terms, table, stride, n_out):
-        lengths.append(n_out)
-        return real(terms, table, stride, n_out)
+    def spy(name):
+        real = getattr(_kernels, name)
 
-    monkeypatch.setattr(_kernels, "scatter", spy)
-    for order in (0, 1, PLAIN_QUOTIENT_LEN - 1, PLAIN_QUOTIENT_LEN):
-        got = over_euler([(0, 1), (1, -1)], 1, order)
-        assert got == brute_convolve([1, -1], partition_counts(order), order + 1)
+        def recorded(*args):
+            calls.append(name)
+            return real(*args)
+
+        return recorded
+
+    for name in ("scatter", "limb_table"):
+        monkeypatch.setattr(_kernels, name, spy(name))
+    for order in (0, 1, 23, 24, 200):
+        got = over_euler([(0, 1)], 1, order)
+        assert got == partition_counts(order)
         assert all(type(c) is int for c in got)
-    assert lengths == [PLAIN_QUOTIENT_LEN + 1]
+        assert over_euler([(0, 1), (1, -1)], 1, order) == brute_convolve([1, -1], partition_counts(order), order + 1)
+    assert calls == []
 
 
 def test_over_euler_rejects_a_negative_order_and_a_bad_modulus():
     with pytest.raises(SeriesError) as err:
         over_euler([(0, 1)], 2, -1)
     assert str(err.value) == NEEDS_CONSTANT_SLOT
-    for order in (10, PLAIN_QUOTIENT_LEN):  # in Python ints and on limbs
+    for quotient, order in ((over_euler, 10), (over_euler, 24), (over_euler_limbs, 24)):  # Python ints, limbs
         for n in (0, -3, 2.0):
             with pytest.raises(SeriesError) as err:
-                over_euler([(0, 1)], n, order)
+                quotient([(0, 1)], n, order)
             assert str(err.value) == f"modulus must be a positive integer, got {n}"
 
 
@@ -755,9 +760,11 @@ def test_over_euler_rejects_a_negative_exponent():
     # without the check, the one-row path wraps the term onto the top coefficient and the limbs path fails in numpy
     assert over_euler_limbs([(0, 1), (2, 1)], 1, 5).shape[0] == 1
     assert over_euler_limbs([(0, 1), (2, 1)], 1, 400).shape[0] > 1
-    for order in (5, PLAIN_QUOTIENT_LEN - 1, PLAIN_QUOTIENT_LEN, 400):  # in Python ints, then on limbs
-        for terms in ([(-1, 1), (2, 1)], [(2, 1), (-1, 1)]):
-            with pytest.raises(ValueError, match=r"^scatter: negative term index -1$"):
-                over_euler(terms, 1, order)
+    for order in (5, 23, 24, 400):
+        for quotient in (over_euler, over_euler_limbs):  # in Python ints, and on limbs
+            for terms in ([(-1, 1), (2, 1)], [(2, 1), (-1, 1)]):
+                with pytest.raises(ValueError, match=r"^scatter: negative term index -1$"):
+                    quotient(terms, 1, order)
         assert over_euler([(order * 2, 1), (0, 1)], 1, order) == partition_counts(order)  # any term order
+        assert _kernels.limb_ints(over_euler_limbs([(order * 2, 1), (0, 1)], 1, order)) == partition_counts(order)
     assert over_euler([(-1, 0), (0, 1)], 1, 5) == partition_counts(5)  # a zero term is no term

@@ -21,7 +21,8 @@ from charfactor.minimal_model import (
 from charfactor.pairs import ContributingPair, contributing_pairs
 from charfactor.params import ParameterError, ProductParams, Scheme, divisors, validate
 from charfactor.scanner import iter_canonical_quadruples, phi_series, psi_series, scan
-from charfactor.series import PLAIN_QUOTIENT_LEN, SeriesError, ShiftedSeries, Theta, inverse_euler_power, pochhammer_product
+from charfactor.series import NEEDS_CONSTANT_SLOT, SeriesError, ShiftedSeries, Theta, inverse_euler_power
+from charfactor.series import pochhammer_product
 from charfactor.series import SignedMonomial as Q
 from charfactor.verifier import (
     AS_STATED,
@@ -42,7 +43,7 @@ from charfactor.verifier import (
     verify_remark_products,
 )
 
-from oracles import KIND_SIGNS, naive_pochhammer, rc_normalized_character
+from oracles import KIND_SIGNS, brute_convolve, euler_power_oracle, naive_pochhammer, rc_normalized_character
 from oracles import pair_sign as reference_pair_sign
 
 
@@ -159,10 +160,16 @@ def test_applicability_errors():
 @pytest.mark.parametrize("kind,fp", [
     (IdentityKind.MAIN, triple(2, 9, 3)),
     (IdentityKind.QUINT, quintuple(9, 2, 2)),
+    (IdentityKind.MAIN_B_EVEN, triple(4, 3, 3)),
 ])
 def test_verify_rejects_negative_order(kind, fp):
+    # the full sides check the order once their records' terms are collected, with the same error
     with pytest.raises(SeriesError, match="order >= 0"):
         verify(kind, fp, -1)
+    for side in (build_lhs, build_rhs, lambda kind, fp, order: build_rhs(kind, fp, order, SWAPPED)):
+        with pytest.raises(SeriesError) as err:
+            side(kind, fp, -1)
+        assert str(err.value) == NEEDS_CONSTANT_SLOT
 
 
 def test_negative_order_is_checked_before_applicability():
@@ -449,18 +456,18 @@ def test_label_out_of_range_is_rejected_by_name(monkeypatch):
 
 
 def test_no_package_path_multiplies_two_series(monkeypatch, capsys):
-    # every quotient by (q^n;q^n) goes through over_euler, every product through
-    # one Pochhammer expansion and the partition numbers through invert_unit; the
-    # general series arithmetic and comparison are for outside callers, and the
-    # Python-int sum takes only short quotients: scatter's large-coefficient
-    # regime, the only longer call at these orders, is for outside callers too
+    # every quotient by (q^n;q^n) goes through over_euler or theta_stream, every
+    # product through one Pochhammer expansion and the partition numbers through
+    # invert_unit; the general series arithmetic and comparison are for outside
+    # callers, and the Python-int sum takes only certificate prefixes and one-term
+    # quotients: scatter's large-coefficient regime is for outside callers too
     def refuse(*args):
         raise AssertionError("series arithmetic on a package path")
 
     stride_sum = _kernels.stride_sum
 
     def short_only(terms, values, stride, n_out):
-        if n_out > PLAIN_QUOTIENT_LEN:
+        if n_out > PREFIX_LEN:
             raise AssertionError(f"a Python-int sum of {n_out} coefficients on a package path")
         return stride_sum(terms, values, stride, n_out)
 
@@ -611,6 +618,45 @@ def test_no_certificate_or_workload_path_reaches_the_kernel(monkeypatch):
     assert psi_series(ProductParams(Scheme.QUINTUPLE, 4, 1, 1, 2), 500).order == 500
 
 
+def test_no_full_series_expands_a_pochhammer_product(monkeypatch):
+    # every full series streams its theta records: both product sides, the character
+    # side under both readings, the characters and the scanner's series
+    def refuse(*args):
+        raise AssertionError("a Pochhammer expansion on a full series")
+
+    _clear_caches()
+    monkeypatch.setattr(_kernels, "binomial_product", refuse)
+    order = 60
+    for kind in IdentityKind:
+        for fp in iter_applicable_params(kind, 40):
+            cert = verify(kind, fp, order)
+            lhs = build_lhs(kind, fp, order).coeffs
+            rhs = {variant: build_rhs(kind, fp, order, variant).coeffs for variant in (AS_STATED, SWAPPED)}
+            assert cert.match and rhs[cert.sign_variant] == lhs, (kind, fp)
+            model = MinimalModel(fp.p, fp.p_prime)
+            for pair in contributing_pairs(fp):
+                label = CharacterLabel(pair.r * fp.b, pair.s * fp.b_prime)
+                want = rc_normalized_character(fp.p, fp.p_prime, label.r, label.s, order)
+                assert normalized_character(model, label, order).coeffs == want, (fp, label)
+                assert character(model, label, order).coeffs == want, (fp, label)
+            pp = ProductParams(kind.scheme, fp.a_prime, fp.B, fp.c, fp.n)
+            plain = (phi_series if kind.scheme is Scheme.TRIPLE else psi_series)(pp, order).coeffs
+            if kind in (IdentityKind.MAIN, IdentityKind.QUINT):
+                assert plain == lhs, (kind, fp)
+
+
+def test_build_lhs_is_the_numerator_over_the_euler_power():
+    # the Jacobi identity on the full product side: the streamed records equal the expanded
+    # Pochhammer numerator times 1/(q^n;q^n), multiplied out by the oracles
+    order, euler = 150, {}
+    for kind in IdentityKind:
+        for fp in iter_applicable_params(kind, 60):
+            if fp.n not in euler:
+                euler[fp.n] = euler_power_oracle(fp.n, order)
+            num = products.numerator(kind.scheme, fp.a_prime, fp.B, fp.c, order, kind.signs).coeffs
+            assert build_lhs(kind, fp, order).coeffs == brute_convolve(num, euler[fp.n], order + 1), (kind, fp)
+
+
 def test_certificates_build_no_limbs(monkeypatch):
     # a certificate's prefixes are at most PREFIX_LEN coefficients, which over_euler sums in
     # Python ints: from cold caches, no certificate, failed ones included, reaches the limbs
@@ -740,7 +786,7 @@ def test_residual_is_the_difference_of_the_numerators(monkeypatch, rule):
             keys = vf._pair_records(fp, pairs)
             lhs = products.numerator(kind.scheme, fp.a_prime, fp.B, fp.c, order, kind.signs).coeffs
             for variant in (AS_STATED, SWAPPED) if kind.has_variants else (AS_STATED,):
-                rhs = vf._character_sum(kind, pairs, keys, variant, order)
+                rhs = series.bilateral_sum(vf._character_records(kind, pairs, keys, variant), order)
                 residual = vf.prove(kind, fp, pairs, variant)
                 assert series.bilateral_sum(residual, order) == [x - y for x, y in zip(lhs, rhs)], (kind, fp)
             assert verify(kind, fp, order).to_json_dict() == vf.check(kind, fp, order).to_json_dict(), (kind, fp)
