@@ -49,7 +49,7 @@ def _exponents(scheme: Scheme, ap: int, B: int, c: int) -> tuple[int, int]:
 
 
 def side_thetas(scheme: Scheme, ap: int, B: int, c: int, signs: tuple[int, int] = (1, 1)) -> tuple[Theta, ...]:
-    """The theta records of :func:`numerator`, by the scheme's Jacobi identity, from the integers of (u, v)."""
+    """The theta records of :func:`numerator`, by the scheme's Jacobi identity: two, or four at quintuple s3 = -1."""
     eu, ev = _exponents(scheme, ap, B, c)
     return _JACOBI[scheme][1](signs[0], eu, signs[1], ev)
 

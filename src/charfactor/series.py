@@ -412,13 +412,16 @@ def triple_records(su: int, eu: int, sv: int, ev: int) -> tuple[Theta, Theta]:
     return Theta(2 * ev, 2 * eu - ev, 0, 1, sv), Theta(2 * ev, 2 * eu + ev, eu, -su, sv)
 
 
-def quintuple_records(su: int, eu: int, sv: int, ev: int) -> tuple[Theta, Theta, Theta, Theta]:
+def quintuple_records(su: int, eu: int, sv: int, ev: int) -> tuple[Theta, ...]:
     """The :class:`Theta` records of ``sum_j (u**(-3j) - u**(3j+1)) v**(j(3j+1)/2)`` for u = su q**eu and v = sv q**ev.
 
-    Each of the two sums splits on even and odd j = 2k + t into two records.
+    When sv = +1 and ev is even, each of the two sums is one record over j, with u's sign as ``chi``;
+    otherwise each splits on even and odd j = 2k + t into two records, with v's sign as ``chi``.
     """
     if ev < 1:
         raise SeriesError("non-convergent theta sum: v must have positive exponent")
+    if sv > 0 and ev % 2 == 0:
+        return Theta(3 * ev // 2, ev // 2 - 3 * eu, 0, 1, su), Theta(3 * ev // 2, ev // 2 + 3 * eu, eu, -su, su)
     return (
         Theta(6 * ev, ev - 6 * eu, 0, 1, sv),
         Theta(6 * ev, 7 * ev - 6 * eu, 2 * ev - 3 * eu, su, sv),
@@ -453,9 +456,10 @@ def triple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedS
 def quintuple_product(u: SignedMonomial, v: SignedMonomial, order: int) -> ShiftedSeries:
     """Theta sum ``sum_j (u**(-3j) - u**(3j+1)) v**(j(3j+1)/2)``.
 
-    Expands :func:`quintuple_symbols`, (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2).
-    Negative powers of u are legal as long as every surviving term has
-    nonnegative total exponent; otherwise the parameters are rejected.
+    Expands :func:`quintuple_symbols`, (u, u^-1 v, v; v) (u^2 v, u^-2 v; v^2),
+    from :func:`quintuple_records`.  Negative powers of u are legal as long
+    as every surviving term has nonnegative total exponent; otherwise the
+    parameters are rejected, naming an exponent and its index in a record.
     """
     return ShiftedSeries._of_ints(bilateral_sum(quintuple_records(u.sign, u.exponent, v.sign, v.exponent), order, DIVERGENT_QUINTUPLE))
 

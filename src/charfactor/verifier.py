@@ -24,9 +24,10 @@ the first mismatch degree are those of the full sides.
 :func:`verify` decides from an order-free residual.  By the Jacobi triple
 and quintuple product identities, the product-side numerator is a short
 list of theta records too (:func:`~charfactor.products.side_thetas`).
-Each pair's records are born canonical on n*pp' as keys, the product's are
-summed and split (:func:`~charfactor.series.dissect`) onto the same A, and
-for each sign reading :func:`prove` counts the keys, product minus character.
+Each pair's records are born canonical on A = n*pp' as keys, the product's
+are summed and split m = n ways (n/2 for s3 = -1 quintuple kinds) onto the
+same A (:func:`~charfactor.series.dissect`), and for each sign reading
+:func:`prove` counts the keys, product minus character: every proof is on A.
 The keys left with a nonzero count are the residual: theta records whose
 sum is the difference of the numerators at every order.  An empty residual
 proves the identity at every order; otherwise the first mismatch is the
@@ -267,9 +268,10 @@ def first_mismatch_degree(lhs: list[int], rhs: list[int]) -> int | None:
 
 
 def _product_counts(product, A: int) -> dict:
-    """The count per key of the :func:`~charfactor.series.dissect` pieces on A of the ``product`` records.
+    """The count per key of the :func:`~charfactor.series.dissect` pieces on A (n*pp' in a proof) of the records.
 
-    Equal records are summed first, and those summing to zero dropped: at quintuple c = 0 they cancel or double.
+    Equal records are summed first, and those summing to zero dropped: at quintuple c = 0 they cancel or double;
+    at c > 0 the pieces on n*pp' are the pairs' keys, each once.
     """
     sums, counts = defaultdict(int), {}
     for a, b, c, s, chi in product:
@@ -283,37 +285,26 @@ def _product_counts(product, A: int) -> dict:
     return counts
 
 
-def _residual(kind: IdentityKind, pairs: list, product: dict, keys: list, A: int, variant: str) -> list[Theta]:
-    """:func:`prove` from the :func:`_product_counts` ``product`` and the pairs' :func:`_pair_records` ``keys``."""
+def _residual(kind: IdentityKind, pairs: list, product: dict, keys: list, variant: str) -> list[Theta]:
+    """:func:`prove` from the :func:`_product_counts` ``product`` and the :func:`_pair_records` ``keys``, on n*pp'."""
     counts = dict(product)
     get = counts.get
     for pair, (k0, k1) in zip(pairs, keys):
         sign = pair_sign(kind, pair, variant)
-        if k0[0] != A:  # dissect on A = 4a: k = 2k' + t, t = 1 reflected from (A, 2a + 2b, a + b + c, 1)
-            (a, b0, c0, _), (_, b1, c1, _) = k0, k1
-            k0, k1 = (A, 2 * b0, c0, 1), (A, 2 * b1, c1, 1)
-            x0, x1 = (A, A - 2 * b0, a - b0 + c0, 1), (A, A - 2 * b1, a - b1 + c1, 1)
-            counts[x0] = get(x0, 0) - sign
-            counts[x1] = get(x1, 0) + sign
         counts[k0] = get(k0, 0) - sign
         counts[k1] = get(k1, 0) + sign
     return [Theta(a, b, c, count, chi) for (a, b, c, chi), count in counts.items() if count]
 
 
-def _square(kind: IdentityKind, fp: FactorizationParams) -> int:
-    """The one quadratic coefficient A of a proof: n*pp', or 4n*pp' for the quintuple scheme at odd n."""
-    return fp.n * fp.p * fp.p_prime * (4 if kind.scheme is Scheme.QUINTUPLE and fp.n % 2 else 1)
-
-
 def prove(kind: IdentityKind, fp: FactorizationParams, pairs: list[ContributingPair], variant: str) -> list[Theta]:
     """The residual of the identity under the sign reading ``variant``: empty when it holds at every order.
 
-    Both numerators' canonical keys on one A are counted, product minus character; the residual is the keys
+    Both numerators' canonical keys on A = n*pp' are counted, product minus character; the residual is the keys
     left with a nonzero count, as :class:`Theta` records summing to the numerators' difference at every order.
     """
-    A = _square(kind, fp)
     product = products.side_thetas(kind.scheme, fp.a_prime, fp.B, fp.c, kind.signs)
-    return _residual(kind, pairs, _product_counts(product, A), _pair_records(fp, pairs), A, variant)
+    A = fp.n * fp.p * fp.p_prime
+    return _residual(kind, pairs, _product_counts(product, A), _pair_records(fp, pairs), variant)
 
 
 def _first_mismatch(residual: list[Theta], order: int) -> int | None:
@@ -375,11 +366,11 @@ def verify(kind: IdentityKind, fp: FactorizationParams, order: int) -> IdentityC
     :func:`_decide` picks the reading as :func:`check` does.  Failure is a certificate, not an error.
     """
     pairs = _checked_pairs(kind, fp, order)
-    keys, A = _pair_records(fp, pairs), _square(kind, fp)
     product = products.side_thetas(kind.scheme, fp.a_prime, fp.B, fp.c, kind.signs)
-    lhs, counts = series.bilateral_sum(product, min(PREFIX_LEN - 1, order)), _product_counts(product, A)
+    keys, counts = _pair_records(fp, pairs), _product_counts(product, fp.n * fp.p * fp.p_prime)
+    lhs = series.bilateral_sum(product, min(PREFIX_LEN - 1, order))
     return _decide(kind, fp, order, pairs, keys, lhs,
-                   lambda variant: _first_mismatch(_residual(kind, pairs, counts, keys, A, variant), order))
+                   lambda variant: _first_mismatch(_residual(kind, pairs, counts, keys, variant), order))
 
 
 def verify_remark_products(a_prime: int, c: int, order: int) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from charfactor import _kernels, products
 from charfactor.params import Scheme
 from charfactor.series import (
+    DIVERGENT_QUINTUPLE,
     NEEDS_CONSTANT_SLOT,
     SeriesError,
     ShiftedSeries,
@@ -25,6 +27,7 @@ from charfactor.series import (
     pochhammer_product,
     quadratic_window,
     quintuple_product,
+    quintuple_records,
     quintuple_symbols,
     triple_product,
     triple_records,
@@ -619,6 +622,31 @@ def test_theta_sums_match_product_oracles(eu, ev, su, sv):
         want = brute_convolve(jacobi, second, 81)
         assert quintuple_product(u, v, 80).coeffs == want
         assert pochhammer_product(quintuple_symbols(u, v), 80).coeffs == want
+
+
+def test_quintuple_records_are_two_when_v_is_positive_with_even_exponent():
+    # sum_j (u^-3j - u^(3j+1)) v^(j(3j+1)/2) is one record per sum over j when sv = +1 and ev is
+    # even, and else two per sum, split on j's parity; either form sums to the product oracle of
+    # quintuple_symbols, and a negative exponent rejects the parameters in both forms
+    seen = Counter()
+    for su, sv, eu, ev in itertools.product((1, -1), (1, -1), range(9), range(1, 13)):
+        records = quintuple_records(su, eu, sv, ev)
+        two = sv > 0 and ev % 2 == 0
+        assert len(records) == (2 if two else 4), (su, eu, sv, ev)
+        try:
+            symbols = quintuple_symbols(Q(su, eu), Q(sv, ev))
+        except SeriesError:
+            with pytest.raises(SeriesError, match=DIVERGENT_QUINTUPLE):
+                bilateral_sum(records, 40, DIVERGENT_QUINTUPLE)
+            seen[two, "divergent"] += 1
+            continue
+        want = [1] + [0] * 40
+        for factors, base in symbols:
+            factors = [(f.sign, f.exponent) for f in factors]
+            want = brute_convolve(want, naive_pochhammer(factors, (base.sign, base.exponent), 40), 41)
+        assert bilateral_sum(records, 40, DIVERGENT_QUINTUPLE) == want, (su, eu, sv, ev)
+        seen[two, "summed"] += 1
+    assert len(seen) == 4
 
 
 def test_inverse_euler_power_matches_partitions():

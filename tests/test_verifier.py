@@ -679,11 +679,10 @@ def test_certificates_build_no_limbs(monkeypatch):
 
 
 def test_pair_records_dissect_as_their_theta_view(monkeypatch):
-    # the keys are counted as the dissect pieces of their Theta view, on every A a proof takes:
-    # n*pp' (m = 1), where the view is its own canonical form, and, for the quintuple scheme at
-    # odd n, 4n*pp' (m = 2), where each key splits in two; a distinct weight per pair in place of
-    # its sign keeps pieces of different pairs from cancelling
-    squares = Counter()
+    # the keys are counted as the dissect pieces of their Theta view on the one A every proof
+    # takes, n*pp', where the view is its own canonical form; a distinct weight per pair in place
+    # of its sign keeps keys of different pairs from cancelling
+    tuples = Counter()
     for scheme in Scheme:
         kind = IdentityKind.MAIN if scheme is Scheme.TRIPLE else IdentityKind.QUINT
         for fp in iter_scheme_params(scheme, 120):
@@ -693,22 +692,18 @@ def test_pair_records_dissect_as_their_theta_view(monkeypatch):
             assert len(keys) == len(thetas) == len(pairs)
             weights = {pair: 3 ** i for i, pair in enumerate(pairs)}
             monkeypatch.setattr(vf, "pair_sign", lambda kind, pair, variant: weights[pair])
-            m = 2 if scheme is Scheme.QUINTUPLE and fp.n % 2 else 1
-            A = m * m * fp.n * fp.p * fp.p_prime
-            assert A == vf._square(kind, fp)
+            A = fp.n * fp.p * fp.p_prime
             want = Counter()
             for pair, pair_keys, theta in zip(pairs, keys, thetas, strict=True):
                 assert theta == (Theta(*pair_keys[0][:3], 1, 1), Theta(*pair_keys[1][:3], -1, 1))
                 for key, t in zip(pair_keys, theta):
-                    assert series.dissect(t, A // (m * m)) == [(key, t.s)], (fp, t)
-                    pieces = series.dissect(t, A)
-                    assert len(pieces) == m, (fp, t)  # chi = 1: no piece drops
-                    for piece, s in pieces:
-                        want[piece] -= weights[pair] * s
-            got = vf._residual(kind, pairs, {}, keys, A, AS_STATED)
+                    assert key[0] == A, (fp, key)
+                    assert series.dissect(t, A) == [(key, t.s)], (fp, t)
+                    want[key] -= weights[pair] * t.s
+            got = vf._residual(kind, pairs, {}, keys, AS_STATED)
             assert sorted(got) == sorted(Theta(*key[:3], count, key[3]) for key, count in want.items() if count), fp
-            squares[m] += len(pairs)
-    assert squares[1] and squares[2]
+            tuples[scheme] += 1
+    assert set(tuples) == set(Scheme)
 
 
 def test_quintuple_c0_product_records_cancel_or_double():
@@ -728,15 +723,36 @@ def test_quintuple_c0_product_records_cancel_or_double():
             if kind in (IdentityKind.QUINT, IdentityKind.QUINT_B):
                 assert merged == {}, (kind, fp)
             else:
-                assert len(merged) == 2 and all(abs(s) == 2 for s in merged.values()), (kind, fp)
+                # quint_a's two records (s3 = +1) sum into one, quint_c's four (s3 = -1) into two
+                assert len(merged) == len(product) // 2, (kind, fp)
+                assert all(abs(s) == 2 for s in merged.values()), (kind, fp)
             pairs = contributing_pairs(fp)
-            keys, A = vf._pair_records(fp, pairs), vf._square(kind, fp)
+            keys, A = vf._pair_records(fp, pairs), fp.n * fp.p * fp.p_prime
             extra = product[1]._replace(c=product[1].c + 1)
             held_twice = vf._product_counts((*product, extra, extra._replace(s=-extra.s)), A)
             assert held_twice == vf._product_counts(product, A), (kind, fp)
-            assert vf._residual(kind, pairs, held_twice, keys, A, AS_STATED) == [], (kind, fp)
+            assert vf._residual(kind, pairs, held_twice, keys, AS_STATED) == [], (kind, fp)
             seen[kind] += 1
     assert len(seen) == 4
+
+
+def test_every_proof_is_on_one_square():
+    # every kind's product records dissect onto the pairs' own A = n*pp' with chi = 1 on every key;
+    # at c > 0 the product keys are the pairs' keys, one each: a perfect matching, count +-1 per key
+    matched = Counter()
+    for kind in IdentityKind:
+        for fp in iter_applicable_params(kind, 120):
+            product = products.side_thetas(kind.scheme, fp.a_prime, fp.B, fp.c, kind.signs)
+            counts = vf._product_counts(product, fp.n * fp.p * fp.p_prime)
+            assert all(key[3] == 1 for key in counts), (kind, fp)
+            if fp.c == 0:
+                continue
+            keys = [key for pair_keys in vf._pair_records(fp, contributing_pairs(fp)) for key in pair_keys]
+            assert len(set(keys)) == len(keys), (kind, fp)
+            assert set(counts) == set(keys), (kind, fp)
+            assert all(abs(count) == 1 for count in counts.values()), (kind, fp)
+            matched[kind] += 1
+    assert set(matched) == set(IdentityKind)
 
 
 def test_residual_mismatch_equals_the_truncated_check_at_high_order(monkeypatch):
@@ -806,9 +822,9 @@ def test_first_mismatch_sums_the_residual_before_reading_it():
     # (n's parity makes chi**m = 1), so only records built by hand tell it apart; the one pair's
     # keys count against the product's, and one of them cancels
     product = {(1, 0, 0, -1): 1, (1, 0, 0, 1): -1, (4, 2, 1, 1): 3}
-    assert vf._residual(IdentityKind.MAIN, [], product, [], 4, AS_STATED) == [
+    assert vf._residual(IdentityKind.MAIN, [], product, [], AS_STATED) == [
         Theta(1, 0, 0, 1, -1), Theta(1, 0, 0, -1, 1), Theta(4, 2, 1, 3, 1)]
     pair = ContributingPair(1, 1, 1, 0)
     assert pair_sign(IdentityKind.MAIN, pair) == 1
-    assert vf._residual(IdentityKind.MAIN, [pair], product, [((4, 2, 1, 1), (1, 0, 0, 1))], 4, AS_STATED) == [
+    assert vf._residual(IdentityKind.MAIN, [pair], product, [((4, 2, 1, 1), (1, 0, 0, 1))], AS_STATED) == [
         Theta(1, 0, 0, 1, -1), Theta(4, 2, 1, 2, 1)]
